@@ -34,7 +34,7 @@ use crate::oracle::{check_result, OracleReport};
 use crate::pipeline::{run_pipeline, Method, PipelineConfig, PipelineResult};
 use mcpart_ir::{ClusterId, Profile, Program};
 use mcpart_machine::{memory_slug, Machine, MemoryModel, SweepMatrix, SweepPoint, Topology};
-use mcpart_obs::Obs;
+use mcpart_obs::{durable, Obs};
 use mcpart_par::fault::{FaultEntry, FaultPlan};
 use mcpart_rng::{derive_seed, Rng, SeedableRng, SmallRng};
 use mcpart_sim::ExecConfig;
@@ -587,25 +587,21 @@ fn checkpoint_faults(
         memory: memory_slug(scenario.point.memory),
         gdp_fuel: None,
     };
-    let record = UnitRecord::from_result("chaos", result, &[]);
+    let line = UnitRecord::from_result("chaos", result, &[]).to_json();
+    let text = format!("{}\n{line}\n", header.to_json());
+    // Parses `text`; a parser panic becomes the failure `what`.
+    let parse = |text: &str, what: String| {
+        catch_unwind(AssertUnwindSafe(|| crate::checkpoint::parse_checkpoint_any(text)))
+            .map_err(|payload| format!("{what}: {}", panic_message(payload.as_ref())))
+    };
     for entry in &scenario.faults.entries {
         match entry {
             FaultEntry::CheckpointTruncate { permille } => {
-                let text = format!("{}\n{}\n", header.to_json(), record.to_json());
-                let mut keep = text.len() * (*permille as usize) / 1000;
-                while keep > 0 && !text.is_char_boundary(keep) {
-                    keep -= 1;
-                }
-                let cut = &text[..keep];
-                let parsed =
-                    catch_unwind(AssertUnwindSafe(|| crate::checkpoint::parse_checkpoint_any(cut)));
-                match parsed {
-                    Err(payload) => {
-                        return Some(format!(
-                            "checkpoint parser panicked on a {permille}‰ truncation: {}",
-                            panic_message(payload.as_ref())
-                        ));
-                    }
+                let cut =
+                    &text[..text.floor_char_boundary(text.len() * (*permille as usize) / 1000)];
+                match parse(cut, format!("checkpoint parser panicked on a {permille}‰ truncation"))
+                {
+                    Err(panicked) => return Some(panicked),
                     Ok(Ok(ck)) if *permille == 1000 && ck.records.len() != 1 => {
                         return Some(format!(
                             "untouched checkpoint recovered {} record(s) instead of 1",
@@ -616,20 +612,14 @@ fn checkpoint_faults(
                 }
             }
             FaultEntry::CheckpointBitflip { permille, bit } => {
-                let text = format!("{}\n{}\n", header.to_json(), record.to_json());
-                let mut bytes = text.into_bytes();
+                let mut bytes = text.clone().into_bytes();
                 let pos = (bytes.len() * (*permille as usize) / 1000).min(bytes.len() - 1);
                 bytes[pos] ^= 1 << bit;
                 // Invalid UTF-8 counts as a cleanly detected corruption.
                 if let Ok(flipped) = String::from_utf8(bytes) {
-                    let parsed = catch_unwind(AssertUnwindSafe(|| {
-                        crate::checkpoint::parse_checkpoint_any(&flipped)
-                    }));
-                    if let Err(payload) = parsed {
-                        return Some(format!(
-                            "checkpoint parser panicked on a bit flip at {permille}‰: {}",
-                            panic_message(payload.as_ref())
-                        ));
+                    let what = format!("checkpoint parser panicked on a bit flip at {permille}‰");
+                    if let Err(panicked) = parse(&flipped, what) {
+                        return Some(panicked);
                     }
                 }
             }
@@ -638,47 +628,36 @@ fn checkpoint_faults(
                 // `after` whole record lines plus one the crash cut in
                 // half. Recovery must return exactly the committed
                 // prefix and flag the dropped tail.
-                let mut text = format!("{}\n", header.to_json());
-                let line = record.to_json();
-                for _ in 0..*after {
-                    text.push_str(&line);
-                    text.push('\n');
-                }
-                let mut half = line.len() / 2;
-                while half > 0 && !line.is_char_boundary(half) {
-                    half -= 1;
-                }
-                text.push_str(&line[..half]);
-                let parsed = catch_unwind(AssertUnwindSafe(|| {
-                    crate::checkpoint::parse_checkpoint_any(&text)
-                }));
-                match parsed {
-                    Err(payload) => {
-                        return Some(format!(
-                            "checkpoint recovery panicked after a kill at {after}: {}",
-                            panic_message(payload.as_ref())
-                        ));
-                    }
+                let killed = format!(
+                    "{}\n{}{}",
+                    header.to_json(),
+                    format!("{line}\n").repeat(*after as usize),
+                    durable::torn_prefix(&line)
+                );
+                match parse(
+                    &killed,
+                    format!("checkpoint recovery panicked after a kill at {after}"),
+                ) {
+                    Err(panicked) => return Some(panicked),
                     Ok(Err(e)) => {
                         return Some(format!(
                             "crash recovery rejected a valid prefix (kill after {after}): {e}"
                         ));
                     }
-                    Ok(Ok(ck)) => {
-                        if ck.records.len() != *after as usize {
-                            return Some(format!(
-                                "crash recovery found {} record(s), expected the {} committed \
-                                 before the kill",
-                                ck.records.len(),
-                                after
-                            ));
-                        }
-                        if !ck.dropped_partial_tail {
-                            return Some(
-                                "crash recovery did not flag the torn final record".to_string(),
-                            );
-                        }
+                    Ok(Ok(ck)) if ck.records.len() != *after as usize => {
+                        return Some(format!(
+                            "crash recovery found {} record(s), expected the {} committed \
+                             before the kill",
+                            ck.records.len(),
+                            after
+                        ));
                     }
+                    Ok(Ok(ck)) if !ck.dropped_partial_tail => {
+                        return Some(
+                            "crash recovery did not flag the torn final record".to_string(),
+                        );
+                    }
+                    Ok(Ok(_)) => {}
                 }
             }
             _ => {}
@@ -883,7 +862,7 @@ fn write_repro(
         body.push('\n');
     }
     body.push_str(&result.scenario.to_string());
-    std::fs::write(&path, body).map_err(|e| io_err(&path, e))?;
+    durable::publish_atomic(&path, body.as_bytes()).map_err(|e| io_err(&path, e))?;
     Ok(path)
 }
 

@@ -21,13 +21,13 @@
 //!
 //! ## Crash tolerance
 //!
-//! The writer appends one `\n`-terminated line per unit and flushes it
-//! before reporting the unit done. A process killed mid-append leaves
-//! at most one unterminated final line; the loader treats that
-//! unterminated tail as a crash artifact and discards it (the unit
-//! simply reruns). A *terminated* line that fails to parse is real
-//! corruption and is rejected with a line/column diagnostic — never a
-//! panic.
+//! Lines are written and read with [`mcpart_obs::durable`]: one synced
+//! `\n`-terminated line per unit, appended before the unit is reported
+//! done. A process killed mid-append leaves at most one unterminated
+//! final line; the loader treats that unterminated tail as a crash
+//! artifact and discards it (the unit simply reruns). A *terminated*
+//! line that fails to parse is real corruption and is rejected with a
+//! line/column diagnostic — never a panic. Lines carry no checksum.
 //!
 //! ## Manifest lines
 //!
@@ -47,31 +47,23 @@ use crate::pipeline::{Method, PipelineConfig, PipelineResult};
 use crate::{run_pipeline, McpartError};
 use mcpart_ir::{ClusterId, EntityMap, Profile, Program};
 use mcpart_machine::Machine;
+use mcpart_obs::durable::{self, Tail};
 use mcpart_obs::json::{self, JsonValue};
 use mcpart_obs::EventKind;
 use mcpart_par::supervise::{QuarantineReport, QuarantinedUnit};
 use mcpart_sched::Placement;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::fs::{File, OpenOptions};
+use std::path::Path;
 
 /// Checkpoint format version (bumped on incompatible changes).
 pub const CHECKPOINT_VERSION: i64 = 1;
 
-/// FNV-1a hash of a byte string — the content fingerprint used to tie
-/// a checkpoint to its program text.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The content fingerprint of a program (hash of its textual IR).
+/// The content fingerprint of a program (FNV-1a of its textual IR),
+/// which ties a checkpoint to its program text.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    fingerprint(mcpart_ir::program_to_string(program).as_bytes())
+    durable::fnv1a(mcpart_ir::program_to_string(program).as_bytes())
 }
 
 /// Stable lowercase slug of a method, used in unit keys and records.
@@ -840,19 +832,18 @@ pub fn load_checkpoint(
     path: &str,
     expected: &CheckpointHeader,
 ) -> Result<Checkpoint, CheckpointError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| CheckpointError::Io(format!("cannot read {path}: {e}")))?;
-    let text = checkpoint_utf8(&bytes)?;
-    parse_checkpoint(text, expected)
+    parse_checkpoint(&read_checkpoint(path)?, expected)
 }
 
-/// Decodes checkpoint bytes, classifying invalid UTF-8 as corruption at
+/// Reads a checkpoint file, classifying invalid UTF-8 as corruption at
 /// a 1-based line/column rather than as an I/O failure: garbage on disk
 /// is a configuration problem (exit 2), not a transient runtime error.
-fn checkpoint_utf8(bytes: &[u8]) -> Result<&str, CheckpointError> {
-    std::str::from_utf8(bytes).map_err(|e| {
-        let at = e.valid_up_to();
-        let prefix = &bytes[..at];
+fn read_checkpoint(path: &str) -> Result<String, CheckpointError> {
+    let bytes =
+        std::fs::read(path).map_err(|e| CheckpointError::Io(format!("cannot read {path}: {e}")))?;
+    String::from_utf8(bytes).map_err(|e| {
+        let at = e.utf8_error().valid_up_to();
+        let prefix = &e.as_bytes()[..at];
         let line = prefix.iter().filter(|&&b| b == b'\n').count() + 1;
         let column = at - prefix.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1) + 1;
         CheckpointError::Corrupt { line, column, message: format!("invalid UTF-8 at byte {at}") }
@@ -871,9 +862,7 @@ pub fn parse_checkpoint(
 /// `checkpoint-diff`, which compares two checkpoints on their own
 /// terms.
 pub fn load_checkpoint_any(path: &str) -> Result<Checkpoint, CheckpointError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| CheckpointError::Io(format!("cannot read {path}: {e}")))?;
-    parse_checkpoint_any(checkpoint_utf8(&bytes)?)
+    parse_checkpoint_any(&read_checkpoint(path)?)
 }
 
 /// Parses a checkpoint without validating its header against a run
@@ -893,26 +882,23 @@ fn parse_checkpoint_inner(
         let column = json::error_byte(&message).map_or(1, |b| b + 1);
         CheckpointError::Corrupt { line: line_no, column, message }
     };
-    let mut lines: Vec<(usize, &str, bool)> = Vec::new();
-    let mut line_no = 0;
-    for piece in text.split_inclusive('\n') {
-        line_no += 1;
-        let terminated = piece.ends_with('\n');
-        let body = piece.trim_end_matches(['\n', '\r']);
-        lines.push((line_no, body, terminated));
-    }
-    // Drop an unterminated tail: a process killed mid-append leaves one.
+    // Lines are parsed without their `\r` (CRLF tolerance).
+    let (mut lines, tail) = durable::read_records(text);
+    // An unterminated tail that still parses lost only its newline and
+    // is kept; anything else is what a kill mid-append leaves.
     let mut dropped_partial_tail = false;
-    if let Some(&(_, body, terminated)) = lines.last() {
-        if !terminated && json::parse(body).is_err() {
-            lines.pop();
+    if let Tail::Unterminated(line) = tail {
+        if json::parse(line.text.trim_end_matches('\r')).is_ok() {
+            lines.push(line);
+        } else {
             dropped_partial_tail = true;
         }
     }
-    let Some(&(_, header_line, _)) = lines.first() else {
+    let Some(header_line) = lines.first() else {
         return Err(corrupt(1, "missing checkpoint header".to_string()));
     };
-    let header_doc = json::parse(header_line).map_err(|e| corrupt(1, e))?;
+    let header_doc =
+        json::parse(header_line.text.trim_end_matches('\r')).map_err(|e| corrupt(1, e))?;
     let header = CheckpointHeader::from_json(&header_doc).map_err(|e| corrupt(1, e))?;
     if let Some(expected) = expected {
         if let Some((field, expected, found)) = header.mismatch_against(expected) {
@@ -922,7 +908,8 @@ fn parse_checkpoint_inner(
     let mut records = Vec::new();
     let mut manifests = Vec::new();
     let manifest_prefix = manifest_line_prefix();
-    for &(n, body, _) in &lines[1..] {
+    for line in &lines[1..] {
+        let (n, body) = (line.number, line.text.trim_end_matches('\r'));
         if body.is_empty() {
             continue;
         }
@@ -942,80 +929,71 @@ fn parse_checkpoint_inner(
     Ok(Checkpoint { header, records, manifests, dropped_partial_tail })
 }
 
-/// Appends unit records to a checkpoint file, one flushed line each.
+/// Appends unit records to a checkpoint file, one synced line each.
 #[derive(Debug)]
 pub struct CheckpointWriter {
-    file: std::fs::File,
+    file: File,
     path: String,
 }
 
 impl CheckpointWriter {
     /// Creates (truncating) a checkpoint file and writes the header.
     pub fn create(path: &str, header: &CheckpointHeader) -> Result<Self, CheckpointError> {
-        let mut file = std::fs::File::create(path)
+        let file = File::create(path)
             .map_err(|e| CheckpointError::Io(format!("cannot create {path}: {e}")))?;
-        writeln!(file, "{}", header.to_json())
-            .map_err(|e| CheckpointError::Io(format!("cannot write {path}: {e}")))?;
         let mut w = CheckpointWriter { file, path: path.to_string() };
-        w.flush()?;
+        w.append_line(&header.to_json())?;
         Ok(w)
     }
 
     /// Re-creates the file from a validated resume: header plus the
     /// surviving records and manifests (this drops any crash artifact
-    /// from the tail so subsequent appends start on a clean line).
+    /// from the tail so subsequent appends start on a clean line). The
+    /// rewrite is published atomically, so a kill during it leaves the
+    /// original file with every committed record.
     pub fn resume(
         path: &str,
         header: &CheckpointHeader,
         records: &[UnitRecord],
         manifests: &[Manifest],
     ) -> Result<Self, CheckpointError> {
-        let mut w = CheckpointWriter::create(path, header)?;
+        let mut text = format!("{}\n", header.to_json());
         for r in records {
-            w.append(r)?;
+            let _ = writeln!(text, "{}", r.to_json());
             if let Some(m) = manifests.iter().find(|m| m.unit == r.unit) {
-                w.append_manifest(m)?;
+                let _ = writeln!(text, "{}", m.to_json());
             }
         }
-        Ok(w)
+        durable::publish_atomic(Path::new(path), text.as_bytes())
+            .map_err(|e| CheckpointError::Io(format!("cannot rewrite {path}: {e}")))?;
+        let file = OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| CheckpointError::Io(format!("cannot reopen {path}: {e}")))?;
+        Ok(CheckpointWriter { file, path: path.to_string() })
     }
 
-    /// Appends one record and flushes it to the OS before returning,
-    /// so a later SIGKILL cannot lose a unit that was reported done.
+    /// Appends one record and syncs it before returning, so a later
+    /// SIGKILL cannot lose a unit that was reported done.
     pub fn append(&mut self, record: &UnitRecord) -> Result<(), CheckpointError> {
-        writeln!(self.file, "{}", record.to_json())
-            .map_err(|e| CheckpointError::Io(format!("cannot write {}: {e}", self.path)))?;
-        self.flush()
+        self.append_line(&record.to_json())
     }
 
     /// Appends one manifest line (written right after its unit's
     /// record, so a crash between the two costs only the manifest).
     pub fn append_manifest(&mut self, manifest: &Manifest) -> Result<(), CheckpointError> {
-        writeln!(self.file, "{}", manifest.to_json())
-            .map_err(|e| CheckpointError::Io(format!("cannot write {}: {e}", self.path)))?;
-        self.flush()
+        self.append_line(&manifest.to_json())
     }
 
-    /// Crash-injection hook for the kill-and-resume tests: appends
-    /// only the first half of the record's line — no terminating
-    /// newline — and flushes, reproducing bit-for-bit the on-disk
-    /// state of a process killed mid-append. The caller is expected to
-    /// abort immediately afterwards; a resumed load classifies the
-    /// unterminated tail as a tolerated crash artifact and drops it.
-    pub fn append_partial(&mut self, record: &UnitRecord) -> Result<(), CheckpointError> {
-        let line = record.to_json();
-        let half = &line.as_bytes()[..line.len() / 2];
-        self.file
-            .write_all(half)
-            .map_err(|e| CheckpointError::Io(format!("cannot write {}: {e}", self.path)))?;
-        self.flush()
+    /// The `--halt-after` crash hook: tears the record's line as a kill
+    /// mid-append would, then aborts ([`durable::crash_torn`]).
+    pub fn crash_mid_append(&mut self, record: &UnitRecord) -> ! {
+        durable::crash_torn(&mut self.file, &record.to_json())
     }
 
-    fn flush(&mut self) -> Result<(), CheckpointError> {
-        self.file
-            .flush()
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| CheckpointError::Io(format!("cannot flush {}: {e}", self.path)))
+    fn append_line(&mut self, line: &str) -> Result<(), CheckpointError> {
+        durable::append_record(&mut self.file, line)
+            .map_err(|e| CheckpointError::Io(format!("cannot write {}: {e}", self.path)))
     }
 }
 
@@ -1218,6 +1196,44 @@ mod tests {
         let again = load_checkpoint(path_str, &header).expect("reload");
         assert_eq!(again.records.len(), 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A kill (here: a full disk) in the middle of `--resume`'s rewrite
+    /// must not cost records that were already durable: the rewrite
+    /// goes to `<path>.tmp`, and the live file is only replaced by the
+    /// rename.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn interrupted_resume_rewrite_keeps_every_committed_record() {
+        let (program, profile) = demo_program();
+        let machine = Machine::paper_2cluster(5);
+        let record = run_unit(&program, &profile, &machine, &PipelineConfig::new(Method::Gdp))
+            .expect("unit runs");
+        let mut other = record.clone();
+        other.unit = "demo/naive".to_string();
+        let header = demo_header(&program);
+        let manifest = demo_manifest("demo/gdp");
+        let dir = std::env::temp_dir().join(format!("mcpart_resume_test_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("unit.ckpt");
+        let path_str = path.to_str().expect("utf-8 path");
+        {
+            let mut w = CheckpointWriter::create(path_str, &header).expect("create");
+            w.append(&record).expect("append");
+            w.append_manifest(&manifest).expect("append manifest");
+            w.append(&other).expect("append");
+        }
+        let before = std::fs::read(&path).expect("read");
+        // Every write to the staging file fails mid-rewrite.
+        std::os::unix::fs::symlink("/dev/full", durable::tmp_path(&path)).expect("symlink");
+        let ck = load_checkpoint(path_str, &header).expect("load");
+        assert!(CheckpointWriter::resume(path_str, &header, &ck.records, &ck.manifests).is_err());
+        assert_eq!(std::fs::read(&path).expect("reread"), before, "live file was touched");
+        let again = load_checkpoint(path_str, &header).expect("original still loads");
+        assert_eq!(again.records, [record, other]);
+        assert_eq!(again.manifests, [manifest]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn demo_manifest(unit: &str) -> Manifest {

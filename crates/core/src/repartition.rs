@@ -30,12 +30,13 @@
 //! an incremental run's placements, pinned trace and stdout are
 //! byte-identical to a from-scratch run at every `--jobs` count.
 
-use crate::checkpoint::{fingerprint, Manifest, ManifestFunc};
+use crate::checkpoint::{Manifest, ManifestFunc};
 use crate::gdp::DataPartition;
 use crate::groups::ObjectGroups;
 use crate::rhop::{FuncPartitionOutcome, ReuseEntry, RhopStats};
 use mcpart_analysis::{AccessInfo, AccessSite, CallGraph};
 use mcpart_ir::{EntityId, FuncId, OpId, Program};
+use mcpart_obs::durable::fnv1a;
 use mcpart_sched::Placement;
 use std::collections::HashMap;
 
@@ -81,7 +82,7 @@ pub fn function_content_hash(program: &Program, access: &AccessInfo, fid: FuncId
             }
         }
     }
-    fingerprint(text.as_bytes())
+    fnv1a(text.as_bytes())
 }
 
 /// Content hash of one object group: FNV-1a over the sorted
@@ -98,7 +99,7 @@ pub fn group_content_hash(program: &Program, groups: &ObjectGroups, group: usize
         text.push_str(e);
         text.push('\n');
     }
-    fingerprint(text.as_bytes())
+    fnv1a(text.as_bytes())
 }
 
 /// Sorted, deduplicated content hashes of the groups `fid` accesses.

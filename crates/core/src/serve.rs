@@ -18,18 +18,22 @@
 //!
 //! ```text
 //! <spool>/name.job      spooled   (submitted, not yet claimed)
+//! <spool>/name.requeues startup-requeue tally of a spooled job
 //! <spool>/work/name.job claimed   (in flight; requeued on restart)
-//! <spool>/out/name.json done      (written via .tmp + rename)
+//! <spool>/out/name.json done
 //! <spool>/failed/name.job + name.reason   quarantined / invalid
 //! <spool>/cache/<key>.json        artifact cache entry
+//! <spool>/cache/name_<key>.ptr    baseline pointer (latest entry per program)
 //! <spool>/telemetry/telemetry.jsonl       flight-recorder snapshots
 //! ```
 //!
-//! On startup [`serve`] removes stray `*.tmp` files (a crash mid-write)
-//! and renames everything in `work/` back into the spool root (a crash
-//! mid-batch), so interrupted jobs are simply redone — usually as cache
-//! hits. Poison jobs leave the queue through `failed/` with a
-//! diagnostic instead of wedging it, and overload sheds
+//! Every file the service writes is published with
+//! [`mcpart_obs::durable::publish_atomic`]. On startup [`serve`]
+//! removes stray `*.tmp` files from every directory it publishes into
+//! (a crash mid-write) and renames everything in `work/` back into the
+//! spool root (a crash mid-batch), so interrupted jobs are simply
+//! redone — usually as cache hits. Poison jobs leave the queue through
+//! `failed/` with a diagnostic instead of wedging it, and overload sheds
 //! deterministically: job names are processed in lexicographic order
 //! and everything past the admission bound gets a typed `overloaded`
 //! result file, never a silent drop.
@@ -39,8 +43,8 @@
 //! byte-identical bytes on disk.
 
 use crate::checkpoint::{
-    fingerprint, method_from_slug, method_slug, parse_checkpoint, parse_checkpoint_any,
-    program_fingerprint, run_unit_full, CheckpointHeader, Manifest, UnitRecord,
+    method_from_slug, method_slug, parse_checkpoint, parse_checkpoint_any, program_fingerprint,
+    run_unit_full, CheckpointHeader, Manifest, UnitRecord,
 };
 use crate::pipeline::{Method, PipelineConfig};
 use crate::repartition::RepartitionStats;
@@ -49,7 +53,7 @@ use mcpart_ir::{Profile, Program};
 use mcpart_machine::Machine;
 use mcpart_obs::metrics::MetricsRegistry;
 use mcpart_obs::recorder::FlightRecorder;
-use mcpart_obs::{json, Obs};
+use mcpart_obs::{durable, json, Obs};
 use mcpart_par::supervise::{supervise_unit, RetryPolicy, UnitOutcome};
 use mcpart_par::{parallel_map, resolve_jobs};
 use std::fmt;
@@ -349,61 +353,37 @@ pub fn parse_job(text: &str) -> Result<JobSpec, String> {
 /// depends on, nothing it doesn't.
 pub fn cache_key(header: &CheckpointHeader, method: Method) -> String {
     let material = format!("{}|{}", header.to_json(), method_slug(method));
-    format!("{:016x}", fingerprint(material.as_bytes()))
+    format!("{:016x}", durable::fnv1a(material.as_bytes()))
 }
 
-/// Key of the checksum footer line terminating every cache entry.
-const CACHE_SUM_KEY: &str = "mcpart_cache_sum";
+/// Opening of the checksum footer line terminating every cache entry.
+const CACHE_SUM_OPEN: &str = "{\"mcpart_cache_sum\":\"";
 
 /// Renders a cache entry: a one-record checkpoint (header line + unit
 /// record line, plus the unit's manifest line when the run produced
-/// one) followed by a footer carrying the FNV-1a fingerprint of the
-/// preceding bytes. The footer is what makes the cache
+/// one) followed by a footer line sealing every preceding byte
+/// ([`durable::seal`]). The footer is what makes the cache
 /// *self-healing*: any truncation or bit flip — even one that still
-/// parses — breaks the fingerprint and the entry is evicted instead of
+/// parses — breaks the checksum and the entry is evicted instead of
 /// served.
 pub fn render_cache_entry(
     header: &CheckpointHeader,
     record: &UnitRecord,
     manifest: Option<&Manifest>,
 ) -> String {
-    let mut body = format!("{}\n{}\n", header.to_json(), record.to_json());
-    if let Some(m) = manifest {
-        body.push_str(&m.to_json());
-        body.push('\n');
-    }
-    let sum = fingerprint(body.as_bytes());
-    format!("{body}{{\"{CACHE_SUM_KEY}\":\"{sum:016x}\"}}\n")
+    let manifest = manifest.map(|m| m.to_json() + "\n").unwrap_or_default();
+    let body = format!("{}\n{}\n{manifest}", header.to_json(), record.to_json());
+    format!("{}\n", durable::seal(&body, CACHE_SUM_OPEN))
 }
 
-/// Checksum layer of cache-entry verification: validates the footer
-/// fingerprint over the raw bytes (catches truncation, bit flips, and
-/// invalid UTF-8 before any parsing) and returns the covered text.
+/// Checksum layer of cache-entry verification: the whole entry must be
+/// present (footer and final newline) and its checksum must hold, which
+/// catches truncation, bit flips, and invalid UTF-8 before any parsing.
+/// Returns the covered text.
 fn checksum_verified_text(bytes: &[u8]) -> Result<&str, String> {
-    let Some(last) = bytes.last() else { return Err("empty entry".to_string()) };
-    if *last != b'\n' {
-        return Err("truncated entry (no trailing newline)".to_string());
-    }
-    let body = &bytes[..bytes.len() - 1];
-    let footer_start = body.iter().rposition(|&b| b == b'\n').map(|p| p + 1).unwrap_or(0);
-    if footer_start == 0 {
-        return Err("missing checksum footer".to_string());
-    }
-    let prefix = &bytes[..footer_start];
-    let footer = std::str::from_utf8(&body[footer_start..])
-        .map_err(|_| "checksum footer is not UTF-8".to_string())?;
-    let doc = json::parse(footer).map_err(|e| format!("bad checksum footer: {e}"))?;
-    let sum_hex = doc
-        .get(CACHE_SUM_KEY)
-        .and_then(json::JsonValue::as_str)
-        .ok_or_else(|| format!("footer is missing `{CACHE_SUM_KEY}`"))?;
-    let sum =
-        u64::from_str_radix(sum_hex, 16).map_err(|_| format!("unreadable checksum `{sum_hex}`"))?;
-    let actual = fingerprint(prefix);
-    if actual != sum {
-        return Err(format!("checksum mismatch (stored {sum:016x}, computed {actual:016x})"));
-    }
-    std::str::from_utf8(prefix).map_err(|_| "entry is not UTF-8".to_string())
+    let sealed = bytes.strip_suffix(b"\n").ok_or("truncated entry (no trailing newline)")?;
+    let covered = durable::unseal(sealed, CACHE_SUM_OPEN)?;
+    std::str::from_utf8(covered).map_err(|_| "entry is not UTF-8".to_string())
 }
 
 /// Verifies a cache entry end to end: checksum over the raw bytes
@@ -527,6 +507,24 @@ struct JobOutcome {
     repartition: Option<RepartitionStats>,
 }
 
+impl JobOutcome {
+    /// An outcome with no record and nothing to publish.
+    fn bare(file_name: &str, status: JobStatus, reason: String, cache: CacheNote) -> Self {
+        JobOutcome {
+            file_name: file_name.to_string(),
+            stem: file_name.strip_suffix(".job").unwrap_or(file_name).to_string(),
+            status,
+            reason,
+            record: None,
+            cache,
+            entry: None,
+            pointer: None,
+            manifest: None,
+            repartition: None,
+        }
+    }
+}
+
 /// Renders a job's result file: one JSON line of pinned fields only
 /// (no wall-clock, no cache provenance), so a cache hit, a fresh
 /// compute, and a post-crash redo write byte-identical files.
@@ -586,6 +584,8 @@ struct SpoolDirs {
     out: PathBuf,
     failed: PathBuf,
     cache: PathBuf,
+    /// Created by the flight recorder on first use.
+    telemetry: PathBuf,
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> ServeError {
@@ -600,6 +600,7 @@ impl SpoolDirs {
             out: root.join("out"),
             failed: root.join("failed"),
             cache: root.join("cache"),
+            telemetry: root.join("telemetry"),
         };
         for d in [&dirs.root, &dirs.work, &dirs.out, &dirs.failed, &dirs.cache] {
             fs::create_dir_all(d).map_err(|e| io_err("create", d, e))?;
@@ -607,8 +608,9 @@ impl SpoolDirs {
         Ok(dirs)
     }
 
-    /// Crash recovery: removes half-written `*.tmp` artifacts and
-    /// requeues claimed-but-uncommitted jobs. Each requeue is tallied
+    /// Crash recovery: removes half-written `*.tmp` artifacts from every
+    /// directory the service publishes into and requeues
+    /// claimed-but-uncommitted jobs. Each requeue is tallied
     /// in a `<stem>.requeues` sidecar next to the spooled job (the
     /// `.requeues` extension keeps it invisible to admission); a job
     /// that exceeds `max_requeues` consecutive requeues has taken the
@@ -617,11 +619,19 @@ impl SpoolDirs {
     /// poisoned jobs, removed tmp files).
     fn recover(&self, max_requeues: u32) -> Result<(u64, u64, u64), ServeError> {
         let mut tmps = 0;
-        for dir in [&self.out, &self.cache] {
+        for dir in [&self.root, &self.out, &self.cache, &self.failed, &self.telemetry] {
+            if !dir.exists() {
+                continue;
+            }
+            // In the root only the sidecars' staging files are ours; a
+            // client may be staging a job there.
+            let target = if dir == &self.root { ".requeues" } else { "" };
             for entry in fs::read_dir(dir).map_err(|e| io_err("read", dir, e))? {
                 let entry = entry.map_err(|e| io_err("read", dir, e))?;
-                let path = entry.path();
-                if path.extension().and_then(|e| e.to_str()) == Some("tmp") {
+                let name = entry.file_name();
+                let staged = name.to_str().and_then(|n| n.strip_suffix(durable::TMP_SUFFIX));
+                if staged.is_some_and(|n| n.ends_with(target)) {
+                    let path = entry.path();
                     fs::remove_file(&path).map_err(|e| io_err("remove", &path, e))?;
                     tmps += 1;
                 }
@@ -643,7 +653,7 @@ impl SpoolDirs {
             if count > max_requeues {
                 let dest = self.failed.join(&name);
                 fs::rename(&from, &dest).map_err(|e| io_err("quarantine", &from, e))?;
-                write_atomic(
+                publish(
                     &self.failed.join(format!("{stem}.reason")),
                     &format!(
                         "poisoned: requeued {max_requeues} time(s) by crash recovery \
@@ -654,8 +664,7 @@ impl SpoolDirs {
                 poisoned += 1;
                 continue;
             }
-            fs::write(&sidecar, format!("{count}\n"))
-                .map_err(|e| io_err("record requeue in", &sidecar, e))?;
+            publish(&sidecar, &format!("{count}\n"))?;
             let to = self.root.join(&name);
             fs::rename(&from, &to).map_err(|e| io_err("requeue", &from, e))?;
             requeued += 1;
@@ -688,17 +697,9 @@ fn list_jobs(dir: &Path) -> Result<Vec<String>, ServeError> {
     Ok(names)
 }
 
-/// Publishes a file atomically: write to `<path>.tmp`, sync, rename.
-/// A crash leaves either the old content, the new content, or a
-/// `.tmp` that recovery deletes — never a half-written final file.
-fn write_atomic(path: &Path, text: &str) -> Result<(), ServeError> {
-    let tmp = path.with_extension("tmp");
-    let mut file = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-    file.write_all(text.as_bytes())
-        .and_then(|()| file.sync_data())
-        .map_err(|e| io_err("write", &tmp, e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err("publish", path, e))
+/// [`durable::publish_atomic`] with the service's error type.
+fn publish(path: &Path, text: &str) -> Result<(), ServeError> {
+    durable::publish_atomic(path, text.as_bytes()).map_err(|e| io_err("publish", path, e))
 }
 
 /// One progress line on stdout. Write errors are swallowed: losing a
@@ -717,31 +718,20 @@ fn process_job(
     loader: &JobLoader<'_>,
     file_name: &str,
 ) -> JobOutcome {
-    let stem = file_name.strip_suffix(".job").unwrap_or(file_name).to_string();
-    let invalid = |stem: &str, reason: String| JobOutcome {
-        file_name: file_name.to_string(),
-        stem: stem.to_string(),
-        status: JobStatus::Invalid,
-        reason,
-        record: None,
-        cache: CacheNote::Miss,
-        entry: None,
-        pointer: None,
-        manifest: None,
-        repartition: None,
-    };
+    let invalid =
+        |reason: String| JobOutcome::bare(file_name, JobStatus::Invalid, reason, CacheNote::Miss);
     let path = dirs.work.join(file_name);
     let text = match fs::read_to_string(&path) {
         Ok(t) => t,
-        Err(e) => return invalid(&stem, format!("cannot read job file: {e}")),
+        Err(e) => return invalid(format!("cannot read job file: {e}")),
     };
     let spec = match parse_job(&text) {
         Ok(s) => s,
-        Err(e) => return invalid(&stem, e),
+        Err(e) => return invalid(e),
     };
     let (program, profile) = match loader(&spec.program) {
         Ok(p) => p,
-        Err(e) => return invalid(&stem, e),
+        Err(e) => return invalid(e),
     };
     let machine = spec.memory.apply(Machine::homogeneous(spec.clusters, spec.latency));
     let seed = spec.seed.unwrap_or_else(|| PipelineConfig::new(spec.method).rhop.seed);
@@ -761,18 +751,8 @@ fn process_job(
     if let Ok(bytes) = fs::read(&entry_path) {
         match verify_cache_entry(&bytes, &header, &unit) {
             Ok(record) => {
-                return JobOutcome {
-                    file_name: file_name.to_string(),
-                    stem,
-                    status: JobStatus::Ok,
-                    reason: String::new(),
-                    record: Some(record),
-                    cache: CacheNote::Hit,
-                    entry: None,
-                    pointer: None,
-                    manifest: None,
-                    repartition: None,
-                };
+                let hit = JobOutcome::bare(file_name, JobStatus::Ok, String::new(), CacheNote::Hit);
+                return JobOutcome { record: Some(record), ..hit };
             }
             Err(why) => {
                 // Never serve a suspect entry: evict and recompute.
@@ -823,42 +803,21 @@ fn process_job(
                 (None, None)
             };
             JobOutcome {
-                file_name: file_name.to_string(),
-                stem,
-                status,
-                reason,
                 record: Some(record),
-                cache,
                 entry,
                 pointer,
                 manifest: run.manifest,
                 repartition: run.repartition,
+                ..JobOutcome::bare(file_name, status, reason, cache)
             }
         }
-        UnitOutcome::Failed(e) => JobOutcome {
-            file_name: file_name.to_string(),
-            stem,
-            status: JobStatus::Failed,
-            reason: e.to_string(),
-            record: None,
-            cache,
-            entry: None,
-            pointer: None,
-            manifest: None,
-            repartition: None,
-        },
-        UnitOutcome::Quarantined(q) => JobOutcome {
-            file_name: file_name.to_string(),
-            stem,
-            status: JobStatus::Quarantined,
-            reason: format!("{} ({} attempts): {}", q.unit, q.attempts, q.reason),
-            record: None,
-            cache,
-            entry: None,
-            pointer: None,
-            manifest: None,
-            repartition: None,
-        },
+        UnitOutcome::Failed(e) => {
+            JobOutcome::bare(file_name, JobStatus::Failed, e.to_string(), cache)
+        }
+        UnitOutcome::Quarantined(q) => {
+            let reason = format!("{} ({} attempts): {}", q.unit, q.attempts, q.reason);
+            JobOutcome::bare(file_name, JobStatus::Quarantined, reason, cache)
+        }
     }
 }
 
@@ -879,12 +838,12 @@ fn commit(
     // two costs one recompute-turned-cache-hit, never a result whose
     // artifact vanished.
     if let (Some((entry_path, header)), Some(record)) = (&outcome.entry, &outcome.record) {
-        write_atomic(entry_path, &render_cache_entry(header, record, outcome.manifest.as_ref()))?;
+        publish(entry_path, &render_cache_entry(header, record, outcome.manifest.as_ref()))?;
         // Refresh the by-name pointer after the entry it names exists;
         // a crash between the two leaves the old pointer, which at
         // worst costs one cold run.
         if let Some((pointer_path, key)) = &outcome.pointer {
-            write_atomic(pointer_path, &format!("{key}\n"))?;
+            publish(pointer_path, &format!("{key}\n"))?;
         }
     }
 
@@ -893,13 +852,12 @@ fn commit(
         // Crash injection: die with this job's output half-written
         // and its work file still claimed — the exact state kill -9
         // leaves — so the restart path is exercised deterministically.
-        let tmp = out_path.with_extension("tmp");
-        let half = &text.as_bytes()[..text.len() / 2];
-        let _ = fs::write(&tmp, half);
-        std::process::abort();
+        let tmp = durable::tmp_path(&out_path);
+        let mut file = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+        durable::crash_torn(&mut file, &text);
     }
 
-    write_atomic(&out_path, &text)?;
+    publish(&out_path, &text)?;
     if let Some(record) = &outcome.record {
         record.replay_events(&cfg.obs);
     }
@@ -925,10 +883,7 @@ fn commit(
             let dest = dirs.failed.join(&outcome.file_name);
             fs::rename(&work_path, &dest).map_err(|e| io_err("quarantine", &work_path, e))?;
             let reason_path = dirs.failed.join(format!("{}.reason", outcome.stem));
-            write_atomic(
-                &reason_path,
-                &format!("{}: {}\n", outcome.status.slug(), outcome.reason),
-            )?;
+            publish(&reason_path, &format!("{}: {}\n", outcome.status.slug(), outcome.reason))?;
             if outcome.status == JobStatus::Quarantined {
                 sum.quarantined += 1;
             } else {
@@ -1038,8 +993,8 @@ pub fn serve(
     let mut sum = ServeSummary { requeued, poisoned, ..ServeSummary::default() };
     let workers = resolve_jobs(cfg.jobs);
     let mut recorder = if cfg.telemetry_every > 0 {
-        let dir = spool.join("telemetry");
-        Some(FlightRecorder::open(&dir).map_err(|e| io_err("open telemetry", &dir, e))?)
+        let dir = &dirs.telemetry;
+        Some(FlightRecorder::open(dir).map_err(|e| io_err("open telemetry", dir, e))?)
     } else {
         None
     };
@@ -1069,7 +1024,7 @@ pub fn serve(
             let stem = name.strip_suffix(".job").unwrap_or(name);
             let reason = format!("admission queue full (bound {})", cfg.queue.max(1));
             let text = render_result(stem, JobStatus::Overloaded, &reason, None);
-            write_atomic(&dirs.out.join(format!("{stem}.json")), &text)?;
+            publish(&dirs.out.join(format!("{stem}.json")), &text)?;
             let job_path = dirs.root.join(name);
             fs::remove_file(&job_path).map_err(|e| io_err("shed", &job_path, e))?;
             let _ = fs::remove_file(dirs.sidecar(stem));
@@ -1332,6 +1287,32 @@ mod tests {
         fs::write(dirs.sidecar("flaky"), "99 garbage").expect("torn sidecar");
         let (requeued, poisoned, _) = dirs.recover(1).expect("recover");
         assert_eq!((requeued, poisoned), (1, 0), "torn tally must read as zero");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recovery_sweeps_tmp_files_from_every_published_dir() {
+        let root = std::env::temp_dir().join(format!("mcpart-serve-sweep-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let dirs = SpoolDirs::prepare(&root).expect("spool");
+        fs::create_dir_all(&dirs.telemetry).expect("telemetry dir");
+        let stale = [
+            dirs.out.join("a.json.tmp"),
+            dirs.cache.join("k.json.tmp"),
+            dirs.failed.join("a.reason.tmp"),
+            dirs.telemetry.join("latest.json.tmp"),
+            dirs.root.join("a.requeues.tmp"),
+        ];
+        for p in &stale {
+            fs::write(p, "torn").expect("stale tmp");
+        }
+        // A client staging a job in the root is not ours to delete.
+        let staged = dirs.root.join("b.job.tmp");
+        fs::write(&staged, "{").expect("staged job");
+        let (_, _, tmps) = dirs.recover(3).expect("recover");
+        assert_eq!(tmps, stale.len() as u64);
+        assert!(stale.iter().all(|p| !p.exists()), "a stale tmp survived recovery");
+        assert!(staged.exists(), "recovery deleted a client's staged job");
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod durable;
 pub mod json;
 pub mod metrics;
 pub mod recorder;

@@ -1,14 +1,15 @@
 //! The serve-mode flight recorder: a crash-safe, append-only log of
 //! metrics snapshots under `<spool>/telemetry/`.
 //!
-//! Each snapshot is one JSON line with checkpoint-style framing:
+//! Each snapshot is one JSON line sealed with a checksum footer
+//! ([`crate::durable::seal`]):
 //!
 //! ```text
 //! {"mcpart_telemetry":1,"run":R,"seq":S,"counters":{...},"metrics":{...},"sum":"<fnv64 hex>"}
 //! ```
 //!
 //! The `sum` footer is an FNV-1a 64 checksum over every byte of the
-//! record **before** `,"sum"`. Records are appended and fsynced one at
+//! record **before** `,"sum"`. Records are appended and synced one at
 //! a time, so a `kill -9` can corrupt at most the final line; the
 //! reader verifies each line's checksum and strict-parses the JSON,
 //! keeps the valid prefix, and counts (never misparses) corrupt or
@@ -17,38 +18,29 @@
 //! id, so a daemon's whole history is reconstructable after a crash by
 //! merging each run's last valid snapshot.
 //!
-//! The most recent snapshot is additionally published to
-//! `latest.json` in the same directory via the spool's tmp+sync+rename
-//! idiom — a convenience mirror for humans; the `.jsonl` log is the
-//! durable record.
+//! The most recent snapshot is additionally published atomically to
+//! `latest.json` in the same directory — a convenience mirror for
+//! humans; the `.jsonl` log is the durable record.
 
+use crate::durable::{self, Tail};
 use crate::json::{self, JsonValue};
 use crate::metrics::MetricsRegistry;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File name of the append-only snapshot log inside the telemetry
 /// directory.
 pub const TELEMETRY_LOG: &str = "telemetry.jsonl";
 
-/// File name of the tmp+sync+rename mirror of the newest snapshot.
+/// File name of the atomically published mirror of the newest snapshot.
 pub const TELEMETRY_LATEST: &str = "latest.json";
 
 /// Framing version stamped into every record.
 pub const TELEMETRY_VERSION: i64 = 1;
 
-/// FNV-1a 64-bit over raw bytes — the same checksum the checkpoint
-/// and cache footers use (reimplemented here so `mcpart-obs` stays a
-/// leaf crate).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// Opening of the checksum footer that seals every record.
+const SUM_OPEN: &str = ",\"sum\":\"";
 
 /// An open, appendable flight-recorder log.
 #[derive(Debug)]
@@ -100,19 +92,11 @@ impl FlightRecorder {
         }
         body.push_str("},\"metrics\":");
         body.push_str(&metrics.to_json());
-        let line = seal_record(&body);
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()?;
+        let sealed = durable::seal(&body, SUM_OPEN);
+        durable::append_record(&mut self.file, &sealed)?;
         self.seq += 1;
         // Best-effort mirror; the jsonl log is the durable record.
-        let latest = self.dir.join(TELEMETRY_LATEST);
-        let tmp = self.dir.join(format!("{TELEMETRY_LATEST}.tmp"));
-        fs::write(&tmp, &line)?;
-        if let Ok(f) = File::open(&tmp) {
-            let _ = f.sync_data();
-        }
-        fs::rename(&tmp, &latest)?;
-        Ok(())
+        durable::publish_atomic(&self.dir.join(TELEMETRY_LATEST), format!("{sealed}\n").as_bytes())
     }
 }
 
@@ -120,7 +104,7 @@ impl FlightRecorder {
 /// checksum covers every byte of `body` (which must end just after the
 /// `metrics` value, before the footer comma).
 pub fn seal_record(body: &str) -> String {
-    format!("{body},\"sum\":\"{:016x}\"}}\n", fnv1a(body.as_bytes()))
+    format!("{}\n", durable::seal(body, SUM_OPEN))
 }
 
 /// One decoded snapshot record.
@@ -176,13 +160,7 @@ impl TelemetryLog {
 }
 
 fn decode_record(line: &str) -> Result<TelemetrySnapshot, String> {
-    let footer_at = line.rfind(",\"sum\":\"").ok_or("missing checksum footer")?;
-    let body = &line[..footer_at];
-    let want = format!("{:016x}", fnv1a(body.as_bytes()));
-    let footer = &line[footer_at..];
-    if footer != format!(",\"sum\":\"{want}\"}}") {
-        return Err("checksum mismatch".to_string());
-    }
+    durable::unseal(line.as_bytes(), SUM_OPEN)?;
     let doc = json::parse(line)?;
     let version = doc.get("mcpart_telemetry").and_then(JsonValue::as_num);
     if version != Some(TELEMETRY_VERSION as f64) {
@@ -212,26 +190,21 @@ fn decode_record(line: &str) -> Result<TelemetrySnapshot, String> {
 }
 
 /// Decodes a telemetry log's text. Corrupt or truncated records are
-/// detected (checksum + strict parse) and skipped, never misparsed;
-/// an unterminated final line — the expected artifact of a crash
-/// mid-append — is likewise tolerated.
+/// detected (checksum + strict parse), skipped and counted, never
+/// misparsed; an unterminated final line — the expected artifact of a
+/// crash mid-append — is decoded like any other, so it counts as
+/// skipped unless it lost only its newline.
 pub fn parse_telemetry(text: &str) -> TelemetryLog {
+    let (mut lines, tail) = durable::read_records(text);
+    if let Tail::Unterminated(line) = tail {
+        lines.push(line);
+    }
     let mut log = TelemetryLog::default();
-    let mut rest = text;
-    while !rest.is_empty() {
-        let (line, tail, terminated) = match rest.find('\n') {
-            Some(at) => (&rest[..at], &rest[at + 1..], true),
-            None => (rest, "", false),
-        };
-        rest = tail;
-        if line.is_empty() {
-            continue;
-        }
-        match decode_record(line) {
+    for line in lines.iter().filter(|l| !l.text.is_empty()) {
+        match decode_record(line.text) {
             Ok(snap) => log.snapshots.push(snap),
             Err(_) => log.skipped += 1,
         }
-        let _ = terminated; // both cases count as skipped when invalid
     }
     log
 }

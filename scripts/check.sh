@@ -10,6 +10,11 @@ cargo build --release
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
+# The benchmark crate compiles against the checkpoint and pipeline
+# APIs: an API change that breaks it must fail here, not in a bench run.
+echo "== cargo test --release --manifest-path perfbench/Cargo.toml"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

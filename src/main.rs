@@ -438,13 +438,9 @@ fn ck_err(e: CheckpointError) -> CliError {
 struct CheckpointSession {
     writer: CheckpointWriter,
     resumed: Vec<UnitRecord>,
-    /// Units appended so far, for the `--halt-after` crash hook.
-    appended: u64,
-    /// `--halt-after n`: write only half of the nth appended record —
-    /// no terminator — and abort, leaving exactly the file a process
-    /// killed mid-append leaves. Deterministic where a raced SIGKILL
-    /// is not, so the kill-and-resume smoke never flakes.
-    halt_after: Option<u64>,
+    /// `--halt-after n`: appends left until the nth, which the crash
+    /// hook tears instead ([`CheckpointWriter::crash_mid_append`]).
+    halt_in: Option<u64>,
 }
 
 impl CheckpointSession {
@@ -456,28 +452,18 @@ impl CheckpointSession {
     fn open(o: &Options, program: &Program) -> Result<Option<CheckpointSession>, CliError> {
         let Some(path) = &o.checkpoint else { return Ok(None) };
         let header = header_of(o, program);
-        if o.resume && std::path::Path::new(path).exists() {
+        let (writer, resumed) = if o.resume && std::path::Path::new(path).exists() {
             let ck = load_checkpoint(path, &header).map_err(ck_err)?;
             if ck.dropped_partial_tail {
                 eprintln!("note: {path}: discarded a partial trailing record (crash artifact)");
             }
             let writer = CheckpointWriter::resume(path, &header, &ck.records, &ck.manifests)
                 .map_err(ck_err)?;
-            Ok(Some(CheckpointSession {
-                writer,
-                resumed: ck.records,
-                appended: 0,
-                halt_after: o.halt_after,
-            }))
+            (writer, ck.records)
         } else {
-            let writer = CheckpointWriter::create(path, &header).map_err(ck_err)?;
-            Ok(Some(CheckpointSession {
-                writer,
-                resumed: Vec::new(),
-                appended: 0,
-                halt_after: o.halt_after,
-            }))
-        }
+            (CheckpointWriter::create(path, &header).map_err(ck_err)?, Vec::new())
+        };
+        Ok(Some(CheckpointSession { writer, resumed, halt_in: o.halt_after }))
     }
 
     /// Appends a finished unit (and its manifest, when the run
@@ -485,10 +471,9 @@ impl CheckpointSession {
     /// point. The manifest goes second: a crash between the two lines
     /// loses only the incremental-replay hint, never the result.
     fn append(&mut self, rec: &UnitRecord, manifest: Option<&Manifest>) -> Result<(), CliError> {
-        self.appended += 1;
-        if self.halt_after == Some(self.appended) {
-            self.writer.append_partial(rec).map_err(ck_err)?;
-            std::process::abort();
+        self.halt_in = self.halt_in.map(|left| left.saturating_sub(1));
+        if self.halt_in == Some(0) {
+            self.writer.crash_mid_append(rec);
         }
         self.writer.append(rec).map_err(ck_err)?;
         if let Some(m) = manifest {
