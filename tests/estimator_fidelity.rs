@@ -115,3 +115,76 @@ fn estimator_monotone_in_move_latency() {
         "lower latency should never estimate slower"
     );
 }
+
+/// Golden digest of the estimator's values: `estimate()` and
+/// `resource_peak()` over every block (and every whole function as one
+/// multi-block region) of the 22 paper programs, under seeded random
+/// assignments, on the paper machine and on a 4-cluster coherent-cache
+/// machine whose regions also carry live-in homes, memory homes and
+/// occasional locks. Any change to the simulation that alters a single
+/// value changes the digest; speed-ups must leave it as it is.
+#[test]
+fn estimator_values_match_the_golden_digest() {
+    let machines = [
+        (Machine::paper_2cluster(5), false),
+        (Machine::homogeneous(4, 3).with_coherent_cache(7), true),
+    ];
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |v: u32| {
+        for b in v.to_le_bytes() {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut values = 0usize;
+    let mut infeasible = 0usize;
+    for w in mcpart::workloads::all() {
+        let program = w.profile.apply_heap_sizes(&w.program);
+        let pts = PointsTo::compute(&program);
+        let access = AccessInfo::compute(&program, &pts, &w.profile);
+        for (mi, (machine, annotate)) in machines.iter().enumerate() {
+            let nclusters = machine.num_clusters() as u16;
+            let mut rng = SmallRng::seed_from_u64(0x5eed ^ ((mi as u64) << 32) ^ values as u64);
+            for (fid, f) in program.functions.iter() {
+                let mut regions: Vec<Vec<mcpart::ir::BlockId>> =
+                    f.blocks.iter().map(|(bid, _)| vec![bid]).collect();
+                if f.blocks.len() > 1 {
+                    regions.push(f.blocks.iter().map(|(bid, _)| bid).collect());
+                }
+                for blocks in regions {
+                    let mut est = RegionEstimator::new(&program, fid, &blocks, &access, machine);
+                    let n = est.len();
+                    if *annotate {
+                        for i in 0..n {
+                            let op = &f.ops[est.dg.ops[i]];
+                            if op.opcode.is_memory() && rng.gen_range(0..2u32) == 0 {
+                                let home = ClusterId::new(rng.gen_range(0..nclusters) as usize);
+                                est.set_mem_home(i, home, 7);
+                            }
+                            if rng.gen_range(0..4u32) == 0 {
+                                let home = ClusterId::new(rng.gen_range(0..nclusters) as usize);
+                                est.add_live_in_home(i, home);
+                            }
+                        }
+                        if n > 0 && rng.gen_range(0..3u32) == 0 {
+                            let node = rng.gen_range(0..n);
+                            est.lock(node, ClusterId::new(rng.gen_range(0..nclusters) as usize));
+                        }
+                    }
+                    let mut assigns = vec![vec![0u16; n]];
+                    for _ in 0..8 {
+                        assigns.push((0..n).map(|_| rng.gen_range(0..nclusters)).collect());
+                    }
+                    for assign in &assigns {
+                        let e = est.estimate(assign);
+                        infeasible += usize::from(e == INFEASIBLE);
+                        fold(e);
+                        fold(est.resource_peak(assign));
+                        values += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((values, infeasible, digest), (8748, 984, 0x7a92_6c1e_71f1_95ef));
+}
