@@ -227,7 +227,9 @@ pub struct ManifestFunc {
     pub op_cluster: Vec<u32>,
     /// Per-function RHOP stats, in fixed order: regions,
     /// estimator_calls, moves_accepted, full_evals, pruned_evals,
-    /// pruned_lock, pruned_bound.
+    /// pruned_lock, pruned_bound. `pruned_bound` counts both probes the
+    /// static lower bound rejected and simulations the running bound
+    /// stopped part-way ([`crate::rhop::RhopStats::pruned_bound`]).
     pub stats: [u64; 7],
     /// Panicking attempts the function needed (`u64::MAX` marks a
     /// quarantined function). Only a `0` entry is replayable: retries

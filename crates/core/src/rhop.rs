@@ -27,10 +27,13 @@
 //! * **Incremental probe evaluation.** Refinement probes run through
 //!   [`IncrementalEstimator`]: one scratch assignment mutated by
 //!   try-move/rollback (no per-probe clone), occupancy buckets updated
-//!   only for moved nodes, and an exact lower bound that prunes probes
-//!   which provably cannot improve the incumbent. Pruned probes still
-//!   charge the estimator-call budget, so
-//!   [`RhopConfig::max_estimator_calls`] retains its meaning.
+//!   only for moved nodes, an exact static lower bound that prunes
+//!   probes which provably cannot improve the incumbent, and a bounded
+//!   simulation for the rest that stops as soon as its running lower
+//!   bound rules the probe out. Most rejected probes thus never
+//!   simulate to the end. Pruned probes still charge the
+//!   estimator-call budget, so [`RhopConfig::max_estimator_calls`]
+//!   retains its meaning.
 
 use mcpart_analysis::{AccessInfo, AccessSite};
 use mcpart_ir::{
@@ -201,14 +204,16 @@ pub struct RhopStats {
     pub estimator_calls: u64,
     /// Total groups moved during refinement.
     pub moves_accepted: u64,
-    /// Probes that paid for a full schedule simulation.
+    /// Probes whose schedule simulation ran to the end.
     pub full_evals: u64,
-    /// Probes answered by the exact lower bound alone
-    /// (`pruned_lock + pruned_bound`).
+    /// Probes answered by an exact lower bound without a complete
+    /// simulation (`pruned_lock + pruned_bound`).
     pub pruned_evals: u64,
     /// Pruned probes rejected for displacing a locked operation.
     pub pruned_lock: u64,
-    /// Pruned probes rejected by the resource/critical-path bound.
+    /// Pruned probes rejected by the resource/critical-path bound
+    /// before simulating, or stopped part-way by the simulation's
+    /// running bound.
     pub pruned_bound: u64,
     /// Panicking attempts that were retried and then completed.
     pub retries: u64,
@@ -1052,6 +1057,32 @@ mod tests {
             rhop_partition(&p, &access, &profile, &machine, &homes, &RhopConfig::default())
                 .expect("rhop");
         assert_eq!(a.op_cluster, b2.op_cluster);
+    }
+
+    /// A cluster without a float unit never receives a float op. Before
+    /// the estimator reported such assignments infeasible, moving the
+    /// `fadd` there tied the all-on-cluster-0 estimate in release builds
+    /// (a serial fallback) and won the tie on resource peak.
+    #[test]
+    fn float_ops_stay_off_a_cluster_without_float_units() {
+        let mut p = Program::new("t");
+        let mut b = FunctionBuilder::entry(&mut p);
+        let x = b.fconst(1.5);
+        let y = b.fadd(x, x);
+        b.ret(Some(y));
+        let (profile, access) = analyze(&p);
+        let mut machine = Machine::homogeneous(2, 5);
+        machine.clusters[1].fu = mcpart_machine::FuMix::new(1, 0, 1, 1);
+        assert_eq!(machine.validate(), Ok(()));
+        let homes: EntityMap<ObjectId, Option<ClusterId>> = EntityMap::with_default(0, None);
+        let (pl, _) =
+            rhop_partition(&p, &access, &profile, &machine, &homes, &RhopConfig::default())
+                .expect("rhop");
+        for (op_id, op) in p.functions[p.entry].ops.iter() {
+            if op.opcode.fu_kind() == mcpart_ir::FuKind::Float {
+                assert_eq!(pl.cluster_of(p.entry, op_id), ClusterId::new(0), "{:?}", op.opcode);
+            }
+        }
     }
 
     /// Worker count never changes the result: placements and statistics

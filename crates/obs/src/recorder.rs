@@ -55,16 +55,25 @@ impl FlightRecorder {
     /// Opens (creating if needed) the telemetry log in `dir` and
     /// starts a new run numbered after the highest run already on
     /// disk. Corrupt records in the existing log are ignored here —
-    /// they only cost history, never startup.
+    /// they only cost history, never startup. A log whose last line is
+    /// unterminated (a crash mid-append) first gets a synced newline,
+    /// so the new run's records start on a fresh line instead of being
+    /// glued onto the torn one.
     pub fn open(dir: &Path) -> io::Result<FlightRecorder> {
         fs::create_dir_all(dir)?;
         let path = dir.join(TELEMETRY_LOG);
-        let prior = match fs::read_to_string(&path) {
-            Ok(text) => parse_telemetry(&text).snapshots.iter().map(|s| s.run).max().unwrap_or(0),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+        let (prior, torn) = match fs::read_to_string(&path) {
+            Ok(text) => (
+                parse_telemetry(&text).snapshots.iter().map(|s| s.run).max().unwrap_or(0),
+                matches!(durable::read_records(&text).1, Tail::Unterminated(_)),
+            ),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (0, false),
             Err(e) => return Err(e),
         };
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if torn {
+            durable::append_record(&mut file, "")?;
+        }
         Ok(FlightRecorder { dir: dir.to_path_buf(), file, run: prior + 1, seq: 0 })
     }
 
@@ -305,6 +314,41 @@ mod tests {
         let log = parse_telemetry(&torn);
         assert_eq!(log.snapshots.len(), 1);
         assert_eq!(log.skipped, 1);
+    }
+
+    #[test]
+    fn a_new_run_after_a_torn_tail_starts_on_a_fresh_line() {
+        let dir = std::env::temp_dir().join(format!("mcpart-rec3-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut rec = FlightRecorder::open(&dir).expect("open");
+        rec.record(&[("admitted", 1)], &sample_registry(10)).expect("record");
+        drop(rec);
+        // A crash mid-append leaves half a record and no newline.
+        let path = dir.join(TELEMETRY_LOG);
+        let text = fs::read_to_string(&path).expect("read");
+        let torn = durable::torn_prefix(text.trim_end_matches('\n'));
+        fs::write(&path, format!("{text}{torn}")).expect("tear");
+        let mut rec = FlightRecorder::open(&dir).expect("reopen");
+        assert_eq!(rec.run(), 2);
+        rec.record(&[("admitted", 4)], &sample_registry(20)).expect("record");
+        let text = fs::read_to_string(&path).expect("read");
+        let (lines, tail) = durable::read_records(&text);
+        assert_eq!(tail, Tail::Complete);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[1].text, torn);
+        // The torn line is one corrupt record; the new run's snapshot
+        // survives intact after it.
+        let log = parse_telemetry(&text);
+        assert_eq!(log.skipped, 1);
+        assert_eq!(log.snapshots.len(), 2);
+        assert_eq!((log.snapshots[1].run, log.snapshots[1].seq), (2, 0));
+        assert_eq!(log.snapshots[1].counters, vec![("admitted".to_string(), 4)]);
+        // A clean reopen adds nothing before the next run's records.
+        drop(rec);
+        let before = fs::read_to_string(&path).expect("read");
+        drop(FlightRecorder::open(&dir).expect("clean reopen"));
+        assert_eq!(fs::read_to_string(&path).expect("read"), before);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

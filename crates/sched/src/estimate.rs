@@ -9,17 +9,30 @@
 //! The CGO'06 extension is the `locked` table: memory operations whose
 //! data object has a home cluster are infeasible anywhere else, so the
 //! estimator returns [`INFEASIBLE`] for any assignment displacing them.
+//! An assignment that puts a node on a cluster with no unit of its kind
+//! is infeasible the same way.
 
 use crate::depgraph::{DepGraph, DepKind};
 use mcpart_analysis::AccessInfo;
 use mcpart_ir::{BlockId, ClusterId, FuKind, FuncId, OpId, Program};
 use mcpart_machine::Machine;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
 
 /// Estimate value representing an infeasible assignment (a locked
-/// operation displaced from its home cluster).
+/// operation displaced from its home cluster, or a node on a cluster
+/// without a unit of its kind).
 pub const INFEASIBLE: u32 = u32::MAX;
+
+/// One outgoing dependence edge. The estimator stores them contiguously
+/// per producer (compressed sparse rows), so the simulation walks a
+/// node's successors without going through the dependence graph's
+/// edge-index lists.
+#[derive(Clone, Copy, Debug)]
+struct Succ {
+    to: u32,
+    latency: u32,
+    kind: DepKind,
+}
 
 /// Schedule-length estimator for one region under candidate cluster
 /// assignments.
@@ -33,20 +46,56 @@ pub struct RegionEstimator {
     base_lat: Vec<u32>,
     /// Cluster locks per node ([`None`] = free).
     locked: Vec<Option<ClusterId>>,
-    /// Home clusters of live-in operands per node: consuming one from a
+    /// The locked nodes, so feasibility checks cost O(locks).
+    lock_list: Vec<u32>,
+    /// `(node, home cluster)` per live-in operand: consuming one from a
     /// different cluster delays the node by the move latency.
-    live_in_homes: Vec<Vec<u16>>,
+    live_in_homes: Vec<(u32, u16)>,
     /// Coherent-cache model: per memory node, its object's home cluster
     /// and the penalty for executing elsewhere.
     mem_home_penalty: Vec<Option<(u16, u32)>>,
     /// Per-cluster, per-kind unit counts.
     fu_counts: Vec<[u32; 4]>,
+    /// Some cluster has no unit of some kind.
+    missing_units: bool,
     /// Dependence-height issue priority per node. Assignment-independent
     /// (base latencies only), so it is computed once here instead of per
     /// [`RegionEstimator::estimate`] call.
     height: Vec<u64>,
+    /// Dense rank of each node's height among the region's distinct
+    /// heights (0 = tallest): the primary key of the issue order.
+    height_rank: Vec<u32>,
+    /// Nodes by descending height, ties by node index: the bounded
+    /// simulation's tallest-unissued cursor walks this order.
+    by_height: Vec<u32>,
+    /// Successor edges in CSR form: node `i`'s are
+    /// `succs[succ_start[i]..succ_start[i + 1]]`, in edge order.
+    succ_start: Vec<u32>,
+    succs: Vec<Succ>,
+    /// Incoming edge count per node.
+    pred_count: Vec<u32>,
+    /// `sum(max(1, base latency))`: the serial upper bound returned when
+    /// the simulation horizon runs out.
+    serial: u32,
     move_latency: u32,
     moves_per_cycle: u32,
+}
+
+/// The incumbent a bounded simulation must beat, plus the trial's
+/// occupancy counts that seed its resource bound.
+struct Limit<'a> {
+    bound: u32,
+    peak: u32,
+    peak_bound: u32,
+    counts: &'a [[u32; 4]],
+}
+
+impl Limit<'_> {
+    /// RHOP's acceptance test, negated: an estimate of at least `lb`
+    /// cannot be accepted against the incumbent.
+    fn rejects(&self, lb: u64) -> bool {
+        lb > u64::from(self.bound) || (lb == u64::from(self.bound) && self.peak >= self.peak_bound)
+    }
 }
 
 impl RegionEstimator {
@@ -61,11 +110,9 @@ impl RegionEstimator {
         let lat = |op: OpId| machine.latency.of(program.functions[func].ops[op].opcode);
         let dg = DepGraph::for_region(program, func, blocks, access, &lat);
         let f = &program.functions[func];
+        let n = dg.len();
         let fu_kind: Vec<FuKind> = dg.ops.iter().map(|&o| f.ops[o].opcode.fu_kind()).collect();
         let base_lat: Vec<u32> = dg.ops.iter().map(|&o| lat(o)).collect();
-        let locked = vec![None; dg.len()];
-        let live_in_homes = vec![Vec::new(); dg.len()];
-        let mem_home_penalty = vec![None; dg.len()];
         let fu_counts: Vec<[u32; 4]> = machine
             .cluster_ids()
             .map(|c| {
@@ -76,25 +123,51 @@ impl RegionEstimator {
                 counts
             })
             .collect();
-        let mut height = vec![0u64; dg.len()];
-        for i in (0..dg.len()).rev() {
-            height[i] = base_lat[i].max(1) as u64;
-            for &di in &dg.succs[i] {
+        let missing_units = fu_counts.iter().any(|units| units.contains(&0));
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut succs = Vec::with_capacity(dg.deps.len());
+        for edges in &dg.succs {
+            succ_start.push(succs.len() as u32);
+            succs.extend(edges.iter().map(|&di| {
                 let d = dg.deps[di as usize];
-                height[i] = height[i].max(d.latency as u64 + height[d.to as usize]);
+                Succ { to: d.to, latency: d.latency, kind: d.kind }
+            }));
+        }
+        succ_start.push(succs.len() as u32);
+        let pred_count = dg.preds.iter().map(|p| p.len() as u32).collect();
+        let mut height = vec![0u64; n];
+        for i in (0..n).rev() {
+            height[i] = base_lat[i].max(1) as u64;
+            for s in &succs[succ_start[i] as usize..succ_start[i + 1] as usize] {
+                height[i] = height[i].max(s.latency as u64 + height[s.to as usize]);
             }
         }
+        let mut by_height: Vec<u32> = (0..n as u32).collect();
+        by_height.sort_by_key(|&i| Reverse(height[i as usize]));
+        let mut height_rank = vec![0u32; n];
+        for w in 1..n {
+            let (prev, v) = (by_height[w - 1] as usize, by_height[w] as usize);
+            height_rank[v] = height_rank[prev] + u32::from(height[v] != height[prev]);
+        }
         RegionEstimator {
-            dg,
             fu_kind,
+            serial: base_lat.iter().map(|&l| l.max(1)).sum(),
             base_lat,
-            locked,
-            live_in_homes,
-            mem_home_penalty,
+            locked: vec![None; n],
+            lock_list: Vec::new(),
+            live_in_homes: Vec::new(),
+            mem_home_penalty: vec![None; n],
             fu_counts,
+            missing_units,
             height,
+            height_rank,
+            by_height,
+            succ_start,
+            succs,
+            pred_count,
             move_latency: machine.move_latency(),
             moves_per_cycle: machine.interconnect.moves_per_cycle.max(1),
+            dg,
         }
     }
 
@@ -111,7 +184,9 @@ impl RegionEstimator {
     /// Locks a node to a cluster (used for memory operations whose
     /// object has a home, and for calls pinned to cluster 0).
     pub fn lock(&mut self, node: usize, cluster: ClusterId) {
-        self.locked[node] = Some(cluster);
+        if self.locked[node].replace(cluster).is_none() {
+            self.lock_list.push(node as u32);
+        }
     }
 
     /// The lock of a node, if any.
@@ -124,14 +199,12 @@ impl RegionEstimator {
     /// delays it by the intercluster move latency. Used by the second
     /// RHOP sweep to coordinate placement across blocks.
     pub fn add_live_in_home(&mut self, node: usize, cluster: ClusterId) {
-        self.live_in_homes[node].push(cluster.index() as u16);
+        self.live_in_homes.push((node as u32, cluster.index() as u16));
     }
 
     /// Clears all live-in annotations.
     pub fn clear_live_in_homes(&mut self) {
-        for v in &mut self.live_in_homes {
-            v.clear();
-        }
+        self.live_in_homes.clear();
     }
 
     /// Declares that memory node `node` accesses an object homed on
@@ -153,7 +226,8 @@ impl RegionEstimator {
     /// enough to call per candidate move, and faithful enough that
     /// refinement decisions agree with the real scheduler.
     ///
-    /// Returns [`INFEASIBLE`] when a locked node is displaced.
+    /// Returns [`INFEASIBLE`] when a locked node is displaced, or when a
+    /// node sits on a cluster with no function unit of its kind.
     ///
     /// # Panics
     ///
@@ -168,128 +242,210 @@ impl RegionEstimator {
     /// calls (across estimators of different sizes too); reusing it
     /// removes every per-call heap allocation from RHOP's inner loop.
     pub fn estimate_with(&self, assign: &[u16], ws: &mut EstimateWorkspace) -> u32 {
+        self.run(assign, ws, None).expect("an unbounded simulation always completes")
+    }
+
+    /// The estimate of `assign`, or [`None`] once a `limit` is given and
+    /// the simulation proves the estimate fails it. Infeasible
+    /// assignments are answered without simulating.
+    fn run(
+        &self,
+        assign: &[u16],
+        ws: &mut EstimateWorkspace,
+        limit: Option<&Limit<'_>>,
+    ) -> Option<u32> {
         assert_eq!(assign.len(), self.len());
-        for (i, lock) in self.locked.iter().enumerate() {
-            if let Some(c) = lock {
-                if assign[i] as usize != c.index() {
-                    return INFEASIBLE;
-                }
-            }
+        let displaced = self.lock_list.iter().any(|&i| {
+            self.locked[i as usize].map(|c| c.index()) != Some(assign[i as usize] as usize)
+        });
+        let unitless = self.missing_units
+            && assign
+                .iter()
+                .zip(&self.fu_kind)
+                .any(|(&c, k)| self.fu_counts[c as usize][k.index()] == 0);
+        if displaced || unitless {
+            return match limit {
+                Some(limit) if limit.rejects(u64::from(INFEASIBLE)) => None,
+                _ => Some(INFEASIBLE),
+            };
         }
+        if self.is_empty() {
+            return Some(0);
+        }
+        self.simulate(assign, ws, limit)
+    }
+
+    fn succs_of(&self, node: usize) -> &[Succ] {
+        &self.succs[self.succ_start[node] as usize..self.succ_start[node + 1] as usize]
+    }
+
+    /// The list-schedule simulation behind [`RegionEstimator::estimate`]
+    /// (`assign` feasible, region non-empty).
+    ///
+    /// With a `limit`, every cycle starts by computing a lower bound on
+    /// the final estimate — the latest completion so far, the tallest
+    /// unissued node's height from this cycle, and per (cluster, kind)
+    /// the cycles its unissued nodes still need on its units — and
+    /// returns [`None`] as soon as that bound fails `limit`. A run that
+    /// is not stopped does exactly the work of an unbounded one.
+    fn simulate(
+        &self,
+        assign: &[u16],
+        ws: &mut EstimateWorkspace,
+        limit: Option<&Limit<'_>>,
+    ) -> Option<u32> {
         let n = self.len();
-        if n == 0 {
-            return 0;
-        }
         let nclusters = self.fu_counts.len();
-        // Wakeup buckets: nodes to (re)consider at a given cycle.
         let horizon = (n as u32 + 4) * (self.move_latency.max(8) + 4);
 
-        // Reset the workspace. Only buckets the previous call pushed
-        // into are cleared (tracked in `touched`), so the reset is
-        // O(pushes), not O(horizon).
+        // Reset the workspace. Only the buckets the previous run could
+        // have left filled are cleared, so the reset is O(schedule
+        // length), not O(horizon).
         let EstimateWorkspace {
             unissued_preds,
             ready_cycle,
             issued,
             wakeup,
-            touched,
             transfers,
             transfer_requested,
             fu_free,
+            need,
+            spare,
             candidates,
+            carry,
         } = ws;
-        for &t in touched.iter() {
-            if let Some(bucket) = wakeup.get_mut(t as usize) {
-                bucket.clear();
-            }
-        }
-        touched.clear();
-        if wakeup.len() < horizon as usize + 2 {
-            wakeup.resize_with(horizon as usize + 2, Vec::new);
-        }
-        transfers.clear();
+        wakeup.reset(horizon as usize + 2);
+        transfers.reset(horizon as usize + 2);
         transfer_requested.clear();
+        transfer_requested.resize(n * nclusters, false);
         unissued_preds.clear();
-        unissued_preds.extend((0..n).map(|i| self.dg.preds[i].len() as u32));
+        unissued_preds.extend_from_slice(&self.pred_count);
         ready_cycle.clear();
         ready_cycle.resize(n, 0);
-        for (i, homes) in self.live_in_homes.iter().enumerate() {
-            if homes.iter().any(|&h| h != assign[i]) {
-                ready_cycle[i] = self.move_latency;
+        for &(i, home) in &self.live_in_homes {
+            if home != assign[i as usize] {
+                ready_cycle[i as usize] = self.move_latency;
             }
         }
         issued.clear();
         issued.resize(n, false);
         fu_free.clear();
         fu_free.resize(nclusters, [0u32; 4]);
-        for i in 0..n {
-            if unissued_preds[i] == 0 {
-                let at = ready_cycle[i].min(horizon);
-                wakeup[at as usize].push(i as u32);
-                touched.push(at);
+        need.clear();
+        spare.clear();
+        if let Some(limit) = limit {
+            for (counts, units) in limit.counts.iter().zip(&self.fu_counts) {
+                let mut cycles = [0u32; 4];
+                let mut left = [0u32; 4];
+                for k in 0..4 {
+                    if counts[k] > 0 {
+                        cycles[k] = counts[k].div_ceil(units[k]);
+                        left[k] = cycles[k] * units[k] - counts[k];
+                    }
+                }
+                need.push(cycles);
+                spare.push(left);
+            }
+        }
+        candidates.clear();
+        carry.clear();
+        // Roots are filed in issue order (by height, ties by index), so
+        // their buckets need no sorting; stamps among equal heights still
+        // follow node order, as if pushed in node order.
+        for &i in &self.by_height {
+            let iu = i as usize;
+            if self.pred_count[iu] == 0 {
+                wakeup.push(ready_cycle[iu].min(horizon), self.height_rank[iu], i);
             }
         }
 
         let mut issued_count = 0usize;
         let mut max_completion = 0u32;
         let mut cycle = 0u32;
+        let mut tallest = 0usize;
         while issued_count < n && cycle <= horizon {
-            for (c, counts) in fu_free.iter_mut().enumerate() {
-                counts.copy_from_slice(&self.fu_counts[c]);
+            if let Some(limit) = limit {
+                // Every unissued node issues at `cycle` or later and
+                // finishes no earlier than its height after that; a
+                // (cluster, kind) with `r` unissued nodes on `u` units
+                // needs `ceil(r / u)` more cycles. A run that exhausts
+                // the horizon returns at least `serial`, so the bound is
+                // capped there.
+                while tallest < n && issued[self.by_height[tallest] as usize] {
+                    tallest += 1;
+                }
+                let height = self.by_height.get(tallest).map_or(0, |&v| self.height[v as usize]);
+                let busiest = need.iter().flatten().copied().max().unwrap_or(0);
+                let lb = u64::from(cycle) + height.max(u64::from(busiest));
+                let lb = u64::from(max_completion).max(lb.min(u64::from(self.serial)));
+                if limit.rejects(lb) {
+                    wakeup.buckets.finish(cycle);
+                    transfers.due.finish(cycle);
+                    return None;
+                }
+            }
+            for (free, units) in fu_free.iter_mut().zip(&self.fu_counts) {
+                *free = *units;
             }
             let mut net_free = self.moves_per_cycle;
             // Issue pending transfers first (they unblock consumers).
+            transfers.open(cycle);
             while net_free > 0 {
-                match transfers.peek() {
-                    Some(Reverse((avail, _, _))) if *avail <= cycle => {
-                        let Reverse((_, u, destc)) = transfers.pop().expect("peeked");
+                match transfers.pop() {
+                    Some((u, destc)) => {
                         net_free -= 1;
                         let done = cycle + self.move_latency;
-                        for &di in &self.dg.succs[u as usize] {
-                            let d = self.dg.deps[di as usize];
-                            if d.kind == DepKind::Flow
-                                && assign[d.to as usize] == destc
-                                && assign[d.from as usize] != destc
-                            {
-                                let t = d.to as usize;
+                        let from_c = assign[u as usize];
+                        for s in self.succs_of(u as usize) {
+                            let t = s.to as usize;
+                            if s.kind == DepKind::Flow && assign[t] == destc && from_c != destc {
                                 unissued_preds[t] -= 1;
                                 ready_cycle[t] = ready_cycle[t].max(done);
                                 if unissued_preds[t] == 0 {
                                     let at = ready_cycle[t].max(cycle + 1).min(horizon);
-                                    wakeup[at as usize].push(d.to);
-                                    touched.push(at);
+                                    wakeup.push(at, self.height_rank[t], s.to);
                                 }
                             }
                         }
                         max_completion = max_completion.max(done);
                     }
-                    _ => break,
+                    None => break,
                 }
             }
-            // Issue ready operations, highest priority first.
-            candidates.clear();
-            candidates.append(&mut wakeup[cycle as usize]);
-            candidates.sort_by_key(|&i| Reverse(self.height[i as usize]));
-            for &i in candidates.iter() {
+            // Issue ready operations, highest priority first: by height,
+            // then by wake-up order — exactly a stable sort of the
+            // cycle's wake-ups by height. Last cycle's FU-blocked retries
+            // arrive as an already sorted run and are merged in.
+            wakeup.take_sorted(cycle as usize, carry, candidates);
+            for &cand in candidates.iter() {
+                let i = cand.node;
                 let iu = i as usize;
-                if issued[iu] || unissued_preds[iu] != 0 || ready_cycle[iu] > cycle {
-                    if !issued[iu] && unissued_preds[iu] == 0 && ready_cycle[iu] > cycle {
-                        let at = ready_cycle[iu].min(horizon);
-                        wakeup[at as usize].push(i);
-                        touched.push(at);
-                    }
-                    continue;
-                }
+                // A node waits in exactly one bucket (or the carry), and
+                // only once its last predecessor is resolved.
+                debug_assert!(!issued[iu] && unissued_preds[iu] == 0);
                 let c = assign[iu] as usize;
                 let k = self.fu_kind[iu].index();
                 if fu_free[c][k] == 0 {
                     // Retry next cycle.
-                    let at = (cycle + 1).min(horizon);
-                    wakeup[at as usize].push(i);
-                    touched.push(at);
+                    carry.push(wakeup.ticket(cand.rank, i));
+                    continue;
+                }
+                if ready_cycle[iu] > cycle {
+                    // Only in the horizon's clamped bucket: every other
+                    // wake-up lands at or after the node's ready cycle.
+                    // (So checking units first changes nothing: the run
+                    // ends with this cycle either way.)
+                    wakeup.push(ready_cycle[iu].min(horizon), cand.rank, i);
                     continue;
                 }
                 fu_free[c][k] -= 1;
+                if limit.is_some() {
+                    spare[c][k] += 1;
+                    if spare[c][k] == self.fu_counts[c][k] {
+                        need[c][k] -= 1;
+                        spare[c][k] = 0;
+                    }
+                }
                 issued[iu] = true;
                 issued_count += 1;
                 let coherence = match self.mem_home_penalty[iu] {
@@ -299,14 +455,17 @@ impl RegionEstimator {
                 let finish = cycle + (self.base_lat[iu] + coherence).max(1);
                 max_completion = max_completion.max(finish);
                 // Wake successors / request transfers.
-                for &di in &self.dg.succs[iu] {
-                    let d = self.dg.deps[di as usize];
-                    let t = d.to as usize;
-                    let cut_flow = d.kind == DepKind::Flow && assign[t] != assign[iu];
-                    if cut_flow {
-                        let key = (i, assign[t]);
-                        if transfer_requested.insert(key) {
-                            transfers.push(Reverse((finish, i, assign[t])));
+                for s in self.succs_of(iu) {
+                    let t = s.to as usize;
+                    if s.kind == DepKind::Flow && assign[t] != assign[iu] {
+                        let slot = iu * nclusters + assign[t] as usize;
+                        // A transfer available after the horizon could
+                        // never issue: the run ends first.
+                        if !transfer_requested[slot] {
+                            transfer_requested[slot] = true;
+                            if finish <= horizon {
+                                transfers.due.push(finish, (i, assign[t]));
+                            }
                         }
                         // The consumer is unblocked when the transfer
                         // lands (handled above).
@@ -315,30 +474,31 @@ impl RegionEstimator {
                         // Value-carrying edges stretch with the
                         // producer's coherence penalty (its result lands
                         // later); pure ordering edges do not.
-                        let extra = match d.kind {
+                        let extra = match s.kind {
                             DepKind::Flow | DepKind::MemFlow => coherence,
                             _ => 0,
                         };
-                        ready_cycle[t] = ready_cycle[t].max(cycle + d.latency + extra);
+                        ready_cycle[t] = ready_cycle[t].max(cycle + s.latency + extra);
                         if unissued_preds[t] == 0 {
                             // Wake no earlier than the next cycle: this
                             // cycle's bucket has already been drained.
                             let at = ready_cycle[t].max(cycle + 1).min(horizon);
-                            wakeup[at as usize].push(d.to);
-                            touched.push(at);
+                            wakeup.push(at, self.height_rank[t], s.to);
                         }
                     }
                 }
             }
             cycle += 1;
         }
+        wakeup.buckets.finish(cycle.saturating_sub(1));
+        transfers.due.finish(cycle.saturating_sub(1));
         if issued_count < n {
             // Horizon exhausted (pathological contention): fall back to
             // the serial upper bound rather than underestimating.
             debug_assert!(false, "estimator failed to issue all nodes");
-            return self.base_lat.iter().map(|&l| l.max(1)).sum::<u32>().max(max_completion);
+            return Some(self.serial.max(max_completion));
         }
-        max_completion.max(1)
+        Some(max_completion.max(1))
     }
 
     /// Convenience: estimate with every node on cluster 0.
@@ -356,21 +516,191 @@ impl RegionEstimator {
         for (i, &kind) in self.fu_kind.iter().enumerate() {
             counts[assign[i] as usize][kind.index()] += 1;
         }
-        let mut peak = 0u32;
-        for (c, kinds) in counts.iter().enumerate() {
-            for (k, &count) in kinds.iter().enumerate() {
-                if count > 0 {
-                    peak = peak.max(count.div_ceil(self.fu_counts[c][k].max(1)));
-                }
+        peak_of(&counts, &self.fu_counts)
+    }
+}
+
+/// `max ceil(count / units)` over the (cluster, kind) pairs in use.
+fn peak_of(counts: &[[u32; 4]], fu_counts: &[[u32; 4]]) -> u32 {
+    let mut peak = 0u32;
+    for (kinds, units) in counts.iter().zip(fu_counts) {
+        for (&count, &u) in kinds.iter().zip(units) {
+            if count > 0 {
+                peak = peak.max(count.div_ceil(u.max(1)));
             }
         }
-        peak
+    }
+    peak
+}
+
+/// A node waiting in the simulation's ready structures, keyed for the
+/// issue order: height rank first, then the order of wake-ups.
+#[derive(Clone, Copy, Debug)]
+struct Cand {
+    rank: u32,
+    node: u32,
+    seq: u64,
+}
+
+impl Cand {
+    fn key(&self) -> (u32, u64) {
+        (self.rank, self.seq)
+    }
+}
+
+/// Sorts by `key` (keys are unique, so the order is total). Most
+/// per-cycle runs hold a handful of entries, where an inline insertion
+/// sort beats a call into the general sort; the big first bucket is
+/// filed in order already.
+fn sort_run<T: Copy, K: Ord>(v: &mut [T], key: impl Fn(&T) -> K) {
+    if v.len() > 32 {
+        v.sort_unstable_by_key(key);
+        return;
+    }
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && key(&x) < key(&v[j - 1]) {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
+    }
+}
+
+/// One run's items filed by cycle. A reset clears only the buckets the
+/// previous run may have left filled, so it costs O(schedule length),
+/// not O(horizon).
+#[derive(Clone, Debug)]
+struct Buckets<T> {
+    slots: Vec<Vec<T>>,
+    /// Buckets `stale.0..stale.1` may still hold items from the last
+    /// run: everything below was drained, nothing above was filled.
+    stale: (usize, usize),
+    filled_to: usize,
+}
+
+impl<T> Default for Buckets<T> {
+    fn default() -> Self {
+        Buckets { slots: Vec::new(), stale: (0, 0), filled_to: 0 }
+    }
+}
+
+impl<T> Buckets<T> {
+    fn reset(&mut self, len: usize) {
+        let (lo, hi) = self.stale;
+        for slot in self.slots.iter_mut().take(hi).skip(lo) {
+            slot.clear();
+        }
+        if self.slots.len() < len {
+            self.slots.resize_with(len, Vec::new);
+        }
+        self.filled_to = 0;
+    }
+
+    fn push(&mut self, at: u32, item: T) {
+        self.slots[at as usize].push(item);
+        self.filled_to = self.filled_to.max(at as usize + 1);
+    }
+
+    /// Records that every bucket below `first_live` has been drained.
+    fn finish(&mut self, first_live: u32) {
+        self.stale = (first_live as usize, self.filled_to);
+    }
+}
+
+/// Wake-up buckets: nodes to (re)consider at a given cycle, each
+/// stamped with a sequence number so runs from different buckets merge
+/// back into wake-up order.
+#[derive(Clone, Debug, Default)]
+struct Wakeup {
+    buckets: Buckets<Cand>,
+    seq: u64,
+}
+
+impl Wakeup {
+    fn reset(&mut self, len: usize) {
+        self.buckets.reset(len);
+        self.seq = 0;
+    }
+
+    fn ticket(&mut self, rank: u32, node: u32) -> Cand {
+        self.seq += 1;
+        Cand { rank, node, seq: self.seq }
+    }
+
+    fn push(&mut self, at: u32, rank: u32, node: u32) {
+        let cand = self.ticket(rank, node);
+        self.buckets.push(at, cand);
+    }
+
+    /// Moves bucket `at`, sorted, merged with the sorted run `carry`,
+    /// into `out`; leaves the bucket and `carry` empty.
+    fn take_sorted(&mut self, at: usize, carry: &mut Vec<Cand>, out: &mut Vec<Cand>) {
+        let arrivals = &mut self.buckets.slots[at];
+        out.clear();
+        sort_run(arrivals, Cand::key);
+        if carry.is_empty() {
+            std::mem::swap(out, arrivals);
+        } else if arrivals.is_empty() {
+            std::mem::swap(out, carry);
+        } else {
+            let (mut a, mut b) = (0, 0);
+            while a < carry.len() && b < arrivals.len() {
+                if carry[a].key() < arrivals[b].key() {
+                    out.push(carry[a]);
+                    a += 1;
+                } else {
+                    out.push(arrivals[b]);
+                    b += 1;
+                }
+            }
+            out.extend_from_slice(&carry[a..]);
+            out.extend_from_slice(&arrivals[b..]);
+            carry.clear();
+            arrivals.clear();
+        }
+    }
+}
+
+/// Requested transfers, issued in `(available cycle, producer,
+/// destination cluster)` order: requests are filed by the cycle their
+/// value becomes available, and each cycle appends its bucket, sorted,
+/// to a queue that already holds every earlier request not yet issued.
+#[derive(Clone, Debug, Default)]
+struct Transfers {
+    due: Buckets<(u32, u16)>,
+    queue: Vec<(u32, u16)>,
+    head: usize,
+}
+
+impl Transfers {
+    fn reset(&mut self, len: usize) {
+        self.due.reset(len);
+        self.queue.clear();
+        self.head = 0;
+    }
+
+    /// Queues everything that becomes available at `cycle`.
+    fn open(&mut self, cycle: u32) {
+        let due = &mut self.due.slots[cycle as usize];
+        if !due.is_empty() {
+            sort_run(due, |&t| t);
+            self.queue.extend_from_slice(due);
+            due.clear();
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u32, u16)> {
+        let next = self.queue.get(self.head).copied();
+        self.head += usize::from(next.is_some());
+        next
     }
 }
 
 /// Reusable scratch buffers for [`RegionEstimator::estimate_with`].
 ///
-/// The estimator's list-schedule simulation needs nine growable
+/// The estimator's list-schedule simulation needs a dozen growable
 /// buffers; allocating them per call dominated RHOP refinement, which
 /// evaluates thousands of candidate assignments per region. A single
 /// workspace amortizes those allocations across all calls.
@@ -379,14 +709,20 @@ pub struct EstimateWorkspace {
     unissued_preds: Vec<u32>,
     ready_cycle: Vec<u32>,
     issued: Vec<bool>,
-    wakeup: Vec<Vec<u32>>,
-    /// Bucket indices pushed into during the last run, so the next
-    /// reset clears O(pushes) buckets instead of O(horizon).
-    touched: Vec<u32>,
-    transfers: BinaryHeap<Reverse<(u32, u32, u16)>>,
-    transfer_requested: HashSet<(u32, u16)>,
+    wakeup: Wakeup,
+    transfers: Transfers,
+    /// Per (producer, destination cluster): a transfer was requested.
+    transfer_requested: Vec<bool>,
     fu_free: Vec<[u32; 4]>,
-    candidates: Vec<u32>,
+    /// Bounded runs, per (cluster, kind): the cycles the unissued nodes
+    /// still need on its units (`ceil(unissued / units)`), and the
+    /// spare slots in the last of those cycles.
+    need: Vec<[u32; 4]>,
+    spare: Vec<[u32; 4]>,
+    /// This cycle's issue order.
+    candidates: Vec<Cand>,
+    /// FU-blocked retries for the next cycle, already in issue order.
+    carry: Vec<Cand>,
 }
 
 /// Incremental candidate-move evaluation on top of a [`RegionEstimator`].
@@ -400,18 +736,23 @@ pub struct EstimateWorkspace {
 ///   [`IncrementalEstimator::try_move`] and restored by
 ///   [`IncrementalEstimator::rollback`] — no per-probe clone,
 /// * per-(cluster, kind) occupancy buckets updated only for the moved
-///   nodes, so [`IncrementalEstimator::resource_peak`] and the resource
-///   lower bound cost O(clusters × kinds) instead of O(nodes),
+///   nodes, so [`IncrementalEstimator::resource_peak`], the resource
+///   lower bound and the function-unit feasibility check cost
+///   O(clusters × kinds) instead of O(nodes),
 /// * a lazily recomputed cut-aware critical path (one O(V+E) pass, no
 ///   heap or sort) that combines with the resource bound to prune
-///   probes which provably cannot beat the incumbent,
-/// * a persistent [`EstimateWorkspace`] for the probes that do need the
-///   full simulation.
+///   probes which provably cannot beat the incumbent before simulating,
+/// * a bounded simulation for the probes that pass that check: it
+///   keeps a running lower bound on the estimate and stops as soon as
+///   the bound rules the probe out, so most rejected probes never
+///   simulate to the end,
+/// * a persistent [`EstimateWorkspace`] for the simulations.
 ///
-/// Pruning is **exact**: a probe is skipped only when its lower bound
-/// already rules out improving on the incumbent `(estimate, peak)`
-/// pair, so refinement accepts exactly the same moves — and produces
-/// bit-identical placements — as full evaluation of every probe.
+/// Pruning is **exact**: a probe is answered [`None`] only when a lower
+/// bound already rules out improving on the incumbent `(estimate,
+/// peak)` pair, so refinement accepts exactly the same moves — and
+/// produces bit-identical placements — as full evaluation of every
+/// probe.
 #[derive(Clone, Debug)]
 pub struct IncrementalEstimator<'a> {
     est: &'a RegionEstimator,
@@ -422,14 +763,15 @@ pub struct IncrementalEstimator<'a> {
     trial: Vec<(u32, u16)>,
     ws: EstimateWorkspace,
     asap: Vec<u64>,
-    /// Probes answered by the full simulation.
+    /// Probes whose simulation ran to the end.
     pub full_evals: u64,
-    /// Probes answered without simulation
+    /// Probes answered without a complete simulation
     /// (`pruned_lock + pruned_bound`).
     pub pruned_evals: u64,
     /// Probes rejected because a trial move displaced a locked node.
     pub pruned_lock: u64,
-    /// Probes rejected by the resource/critical-path lower bound.
+    /// Probes rejected by the resource/critical-path lower bound before
+    /// simulating, or stopped by the simulation's running bound.
     pub pruned_bound: u64,
 }
 
@@ -525,15 +867,7 @@ impl<'a> IncrementalEstimator<'a> {
     /// assignment, maintained incrementally; exactly
     /// [`RegionEstimator::resource_peak`].
     pub fn resource_peak(&self) -> u32 {
-        let mut peak = 0u32;
-        for (c, kinds) in self.counts.iter().enumerate() {
-            for (k, &count) in kinds.iter().enumerate() {
-                if count > 0 {
-                    peak = peak.max(count.div_ceil(self.est.fu_counts[c][k].max(1)));
-                }
-            }
-        }
-        peak
+        peak_of(&self.counts, &self.est.fu_counts)
     }
 
     /// Full schedule-length estimate of the current assignment, exactly
@@ -544,17 +878,20 @@ impl<'a> IncrementalEstimator<'a> {
     }
 
     /// Evaluates the current (trial) assignment against the incumbent
-    /// `(bound, peak_bound)`: returns `Some((estimate, peak))` when the
-    /// trial *could* improve on the incumbent (and therefore was fully
-    /// evaluated), `None` when it provably cannot.
+    /// `(bound, peak_bound)`: returns `Some((estimate, peak))`, exactly
+    /// the values of [`RegionEstimator::estimate`] and
+    /// [`RegionEstimator::resource_peak`], when the trial *could*
+    /// improve on the incumbent, and `None` when it provably cannot.
     ///
     /// `None` is exact, never heuristic: it is returned only when a
-    /// displaced lock makes the trial infeasible, or when the lower
-    /// bound (max of the resource bound and the cut-aware critical
-    /// path) shows the trial's estimate `e` satisfies `e > bound`, or
+    /// displaced lock makes the trial infeasible, or when a lower bound
+    /// shows the trial's estimate `e` satisfies `e > bound`, or
     /// `e >= bound` while its peak ties or worsens `peak_bound` — the
     /// exact cases RHOP's acceptance test `e < bound || (e == bound &&
-    /// peak < peak_bound)` rejects.
+    /// peak < peak_bound)` rejects. The bounds are, in order: the
+    /// resource bound and the cut-aware critical path, checked before
+    /// simulating; then the simulation's running bound, checked at the
+    /// top of every simulated cycle.
     pub fn estimate_unless_worse(&mut self, bound: u32, peak_bound: u32) -> Option<(u32, u32)> {
         for &(m, _) in &self.trial {
             if let Some(c) = self.est.locked[m as usize] {
@@ -566,73 +903,97 @@ impl<'a> IncrementalEstimator<'a> {
             }
         }
         let peak = self.resource_peak();
+        let limit = Limit { bound, peak, peak_bound, counts: &self.counts };
         // The schedule cannot be shorter than the busiest unit's
-        // occupancy, nor than the cut-aware critical path.
-        let lb = (peak as u64).max(self.path_lower_bound());
-        if lb > bound as u64 || (lb == bound as u64 && peak >= peak_bound) {
-            self.pruned_evals += 1;
-            self.pruned_bound += 1;
-            return None;
+        // occupancy, nor than the cut-aware critical path; a node on a
+        // cluster without a unit of its kind cannot be scheduled at all.
+        let lb = if self.lacks_units() {
+            u64::from(INFEASIBLE)
+        } else {
+            u64::from(peak).max(path_lower_bound(self.est, &self.assign, &mut self.asap))
+        };
+        let probe = if limit.rejects(lb) {
+            None
+        } else {
+            self.est.run(&self.assign, &mut self.ws, Some(&limit))
+        };
+        match probe {
+            Some(e) => {
+                self.full_evals += 1;
+                Some((e, peak))
+            }
+            None => {
+                self.pruned_evals += 1;
+                self.pruned_bound += 1;
+                None
+            }
         }
-        let e = self.estimate();
-        Some((e, peak))
     }
 
-    /// A lower bound on [`RegionEstimator::estimate`] for the current
-    /// assignment: an ASAP pass in node order (valid because region dep
-    /// graphs are topologically ordered by program order) using
-    /// *effective* latencies.
-    ///
-    /// Soundness per edge `u -> v`:
-    /// * a cut `Flow` edge forces a transfer that lands no earlier than
-    ///   `issue(u) + d.latency + move_latency` (the transfer waits for
-    ///   `finish(u) >= issue(u) + d.latency`, then takes
-    ///   `move_latency`; `u`'s coherence penalty is deliberately *not*
-    ///   added — `finish` includes it, but `d.latency` alone is the
-    ///   only portion guaranteed on every path through the simulator),
-    /// * an uncut value edge (`Flow`/`MemFlow`) delays `v` by
-    ///   `d.latency` plus `u`'s coherence penalty,
-    /// * ordering edges delay by `d.latency`.
-    ///
-    /// Each node then completes no earlier than
-    /// `asap + max(1, base_lat + coherence)`, and live-in values homed
-    /// off-cluster hold their consumer until `move_latency`. Every term
-    /// also bounds the simulation from below, so
-    /// `path_lower_bound() <= estimate()` always.
-    fn path_lower_bound(&mut self) -> u64 {
-        let n = self.est.len();
-        let est = self.est;
-        self.asap.clear();
-        self.asap.resize(n, 0);
-        let mut lb = 0u64;
-        for i in 0..n {
-            let ci = self.assign[i];
-            let mut ready = self.asap[i];
-            if est.live_in_homes[i].iter().any(|&h| h != ci) {
-                ready = ready.max(est.move_latency as u64);
-            }
-            let coherence = match est.mem_home_penalty[i] {
-                Some((home, penalty)) if home != ci => penalty as u64,
-                _ => 0,
-            };
-            lb = lb.max(ready + (est.base_lat[i] as u64 + coherence).max(1));
-            for &di in &est.dg.succs[i] {
-                let d = est.dg.deps[di as usize];
-                let t = d.to as usize;
-                let eff = if d.kind == DepKind::Flow && self.assign[t] != ci {
-                    d.latency as u64 + est.move_latency as u64
-                } else {
-                    d.latency as u64
-                        + match d.kind {
-                            DepKind::Flow | DepKind::MemFlow => coherence,
-                            _ => 0,
-                        }
-                };
-                self.asap[t] = self.asap[t].max(ready + eff);
-            }
-        }
-        lb
+    /// Whether some node of the current assignment sits on a cluster
+    /// with no unit of its kind, read off the occupancy counts.
+    fn lacks_units(&self) -> bool {
+        self.est.missing_units
+            && self
+                .counts
+                .iter()
+                .zip(&self.est.fu_counts)
+                .any(|(counts, units)| counts.iter().zip(units).any(|(&c, &u)| c > 0 && u == 0))
     }
+}
+
+/// A lower bound on [`RegionEstimator::estimate`] for `assign`: an ASAP
+/// pass in node order (valid because region dep graphs are
+/// topologically ordered by program order) using *effective*
+/// latencies; `asap` is scratch.
+///
+/// Soundness per edge `u -> v`:
+/// * a cut `Flow` edge forces a transfer that lands no earlier than
+///   `issue(u) + d.latency + move_latency` (the transfer waits for
+///   `finish(u) >= issue(u) + d.latency`, then takes `move_latency`;
+///   `u`'s coherence penalty is deliberately *not* added — `finish`
+///   includes it, but `d.latency` alone is the only portion guaranteed
+///   on every path through the simulator),
+/// * an uncut value edge (`Flow`/`MemFlow`) delays `v` by `d.latency`
+///   plus `u`'s coherence penalty,
+/// * ordering edges delay by `d.latency`.
+///
+/// Each node then completes no earlier than
+/// `asap + max(1, base_lat + coherence)`, and live-in values homed
+/// off-cluster hold their consumer until `move_latency`. Every term
+/// also bounds the simulation from below, so
+/// `path_lower_bound(..) <= estimate(..)` always.
+fn path_lower_bound(est: &RegionEstimator, assign: &[u16], asap: &mut Vec<u64>) -> u64 {
+    asap.clear();
+    asap.resize(est.len(), 0);
+    for &(i, home) in &est.live_in_homes {
+        if home != assign[i as usize] {
+            asap[i as usize] = u64::from(est.move_latency);
+        }
+    }
+    let mut lb = 0u64;
+    for (i, &ci) in assign.iter().enumerate() {
+        let ready = asap[i];
+        let coherence = match est.mem_home_penalty[i] {
+            Some((home, penalty)) if home != ci => u64::from(penalty),
+            _ => 0,
+        };
+        lb = lb.max(ready + (u64::from(est.base_lat[i]) + coherence).max(1));
+        for s in est.succs_of(i) {
+            let t = s.to as usize;
+            let eff = if s.kind == DepKind::Flow && assign[t] != ci {
+                u64::from(s.latency) + u64::from(est.move_latency)
+            } else {
+                u64::from(s.latency)
+                    + match s.kind {
+                        DepKind::Flow | DepKind::MemFlow => coherence,
+                        _ => 0,
+                    }
+            };
+            asap[t] = asap[t].max(ready + eff);
+        }
+    }
+    lb
 }
 
 #[cfg(test)]
@@ -825,7 +1186,11 @@ mod tests {
             let node = (state >> 33) as usize % n;
             inc.try_move(&[node as u32], ((state >> 17) & 1) as u16);
             inc.commit();
-            let lb = (inc.resource_peak() as u64).max(inc.path_lower_bound());
+            let lb = (inc.resource_peak() as u64).max(path_lower_bound(
+                &est,
+                inc.assign(),
+                &mut Vec::new(),
+            ));
             let e = est.estimate(inc.assign());
             assert!(lb <= e as u64, "lb {lb} > estimate {e}");
         }
@@ -884,6 +1249,137 @@ mod tests {
         assert_eq!(inc.assign(), &expect[..]);
         assert_eq!(inc.estimate(), est.estimate(&expect));
         assert_eq!(inc.resource_peak(), est.resource_peak(&expect));
+    }
+
+    /// A 2-cluster machine whose cluster 1 has no float unit (legal:
+    /// `Machine::validate` accepts it) and an `fconst`/`fadd`/`ret`
+    /// block.
+    fn floatless_cluster() -> (Program, AccessInfo, Machine) {
+        let (p, access) = setup(|b| {
+            let x = b.fconst(1.5);
+            let y = b.fadd(x, x);
+            b.ret(Some(y));
+        });
+        let mut m = Machine::homogeneous(2, 5);
+        m.clusters[1].fu = mcpart_machine::FuMix::new(1, 0, 1, 1);
+        assert_eq!(m.validate(), Ok(()));
+        (p, access, m)
+    }
+
+    #[test]
+    fn node_on_a_cluster_without_its_unit_is_infeasible() {
+        let (p, access, m) = floatless_cluster();
+        let est = RegionEstimator::new(&p, p.entry, &[p.entry_function().entry], &access, &m);
+        assert_eq!(est.len(), 3);
+        let all0 = est.estimate(&[0, 0, 0]);
+        assert!(all0 < INFEASIBLE);
+        // The fadd on the float-less cluster, or the fconst: no unit to
+        // issue on. The ret alone may move (branch units on both).
+        assert_eq!(est.estimate(&[0, 1, 0]), INFEASIBLE);
+        assert_eq!(est.estimate(&[1, 0, 0]), INFEASIBLE);
+        assert!(est.estimate(&[0, 0, 1]) < INFEASIBLE);
+        // The incremental probe agrees, from its occupancy counts.
+        let mut inc = IncrementalEstimator::new(&est);
+        let bound = inc.estimate();
+        let peak_bound = inc.resource_peak();
+        assert_eq!(bound, all0);
+        inc.try_move(&[1], 1);
+        assert_eq!(inc.estimate_unless_worse(bound, peak_bound), None);
+        assert_eq!(inc.estimate_unless_worse(INFEASIBLE, u32::MAX), Some((INFEASIBLE, 1)));
+        assert_eq!(inc.estimate(), INFEASIBLE);
+        inc.rollback();
+        assert_eq!(inc.estimate(), all0);
+    }
+
+    /// Seeded random regions with heavy unit contention, cut edges,
+    /// live-ins and memory homes: the bounded probe must answer exactly
+    /// what the full estimate implies for every incumbent around it,
+    /// ties included, and its running bound must stop some simulations
+    /// that the static pre-check let through.
+    #[test]
+    fn bounded_probe_is_exact_around_the_full_estimate() {
+        use mcpart_rng::rngs::SmallRng;
+        use mcpart_rng::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut stopped_by_running_bound = 0usize;
+        let mut probes = 0usize;
+        for round in 0..24 {
+            let mut p = Program::new("t");
+            let obj = p.add_object(mcpart_ir::DataObject::global("g", 64));
+            let mut b = FunctionBuilder::entry(&mut p);
+            let a = b.addrof(obj);
+            let mut vals = vec![b.load(mcpart_ir::MemWidth::B4, a)];
+            for _ in 0..20 + round {
+                let x = vals[rng.gen_range(0..vals.len())];
+                let y = vals[rng.gen_range(0..vals.len())];
+                let v = match rng.gen_range(0..5u32) {
+                    0 => b.iconst(rng.gen_range(0..9)),
+                    1 => b.mul(x, y),
+                    2 => b.load(mcpart_ir::MemWidth::B4, a),
+                    _ => b.add(x, y),
+                };
+                vals.push(v);
+            }
+            b.store(mcpart_ir::MemWidth::B4, a, vals[vals.len() - 1]);
+            b.ret(None);
+            let pts = mcpart_analysis::PointsTo::compute(&p);
+            let access = AccessInfo::compute(&p, &pts, &Profile::uniform(&p, 1));
+            let m = if round % 2 == 0 {
+                Machine::paper_2cluster(1 + round as u32 % 5)
+            } else {
+                Machine::homogeneous(3, 2).with_coherent_cache(4)
+            };
+            let k = m.num_clusters() as u16;
+            let mut est =
+                RegionEstimator::new(&p, p.entry, &[p.entry_function().entry], &access, &m);
+            let n = est.len();
+            for i in 0..n {
+                if rng.gen_range(0..6u32) == 0 {
+                    est.add_live_in_home(i, ClusterId::new(rng.gen_range(0..k) as usize));
+                }
+            }
+            if round % 2 == 1 {
+                est.set_mem_home(1, ClusterId::new(2), 4);
+            }
+            let mut inc = IncrementalEstimator::new(&est);
+            let start: Vec<u16> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            inc.load(&start);
+            for _ in 0..12 {
+                let moved: Vec<u32> =
+                    (0..rng.gen_range(1..4u32)).map(|_| rng.gen_range(0..n as u32)).collect();
+                inc.try_move(&moved, rng.gen_range(0..k));
+                let e = est.estimate(inc.assign());
+                let peak = est.resource_peak(inc.assign());
+                let static_lb =
+                    (peak as u64).max(path_lower_bound(&est, inc.assign(), &mut Vec::new()));
+                for bound in [e.saturating_sub(2), e - 1, e, e + 1] {
+                    for peak_bound in [peak.saturating_sub(1), peak, peak + 1] {
+                        let improves = e < bound || (e == bound && peak < peak_bound);
+                        let full_before = inc.full_evals;
+                        match inc.estimate_unless_worse(bound, peak_bound) {
+                            Some(got) => assert_eq!(got, (e, peak), "bound {bound}/{peak_bound}"),
+                            None => {
+                                assert!(!improves, "rejected an improving probe: e={e} peak={peak} vs {bound}/{peak_bound}");
+                                let static_rejects = static_lb > bound as u64
+                                    || (static_lb == bound as u64 && peak >= peak_bound);
+                                if !static_rejects {
+                                    stopped_by_running_bound += 1;
+                                }
+                            }
+                        }
+                        assert!(inc.full_evals - full_before <= 1);
+                        probes += 1;
+                    }
+                }
+                if rng.gen_range(0..2u32) == 0 {
+                    inc.commit();
+                } else {
+                    inc.rollback();
+                }
+            }
+        }
+        assert!(probes > 3000);
+        assert!(stopped_by_running_bound > 100, "running bound stopped {stopped_by_running_bound}");
     }
 
     #[test]
