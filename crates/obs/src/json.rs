@@ -209,13 +209,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&b) if b < 0x20 => return Err(format!("raw control byte in string at {}", *pos)),
             Some(_) => {
-                // Copy one UTF-8 scalar. The input is a &str, so byte
-                // boundaries are already valid.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8".to_string())?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote, escape or control
+                // byte. Those are ASCII, so the run ends on a char
+                // boundary, and the input is a &str, so the run is valid
+                // UTF-8. Validating only the run keeps parsing linear.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .map_or(bytes.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|_| "invalid utf-8".to_string())?;
+                out.push_str(run);
+                *pos = end;
             }
             None => return Err("unterminated string".to_string()),
         }
@@ -488,6 +493,20 @@ mod tests {
         // Raw control bytes are rejected; escaped ones are fine.
         assert!(parse("\"a\u{1}b\"").is_err());
         assert_eq!(parse("\"a\\u0001b\"").unwrap(), JsonValue::Str("a\u{1}b".to_string()));
+    }
+
+    #[test]
+    fn raw_utf8_runs_copy_whole_between_escapes() {
+        let doc = "\"h\u{e9}llo \u{2192} \u{4e16}\u{754c}\\n\u{1f980}x\\\"y\"";
+        assert_eq!(
+            parse(doc).unwrap(),
+            JsonValue::Str("h\u{e9}llo \u{2192} \u{4e16}\u{754c}\n\u{1f980}x\"y".to_string())
+        );
+        assert_eq!(parse("\"\u{65e5}\u{672c}").unwrap_err(), "unterminated string");
+        // A control byte after a multi-byte run is reported at its own
+        // byte offset.
+        let err = parse("\"\u{e9}\u{1}\"").unwrap_err();
+        assert!(err.ends_with("at 3"), "{err}");
     }
 
     #[test]

@@ -46,8 +46,6 @@ pub struct RegionEstimator {
     base_lat: Vec<u32>,
     /// Cluster locks per node ([`None`] = free).
     locked: Vec<Option<ClusterId>>,
-    /// The locked nodes, so feasibility checks cost O(locks).
-    lock_list: Vec<u32>,
     /// `(node, home cluster)` per live-in operand: consuming one from a
     /// different cluster delays the node by the move latency.
     live_in_homes: Vec<(u32, u16)>,
@@ -154,7 +152,6 @@ impl RegionEstimator {
             serial: base_lat.iter().map(|&l| l.max(1)).sum(),
             base_lat,
             locked: vec![None; n],
-            lock_list: Vec::new(),
             live_in_homes: Vec::new(),
             mem_home_penalty: vec![None; n],
             fu_counts,
@@ -184,9 +181,7 @@ impl RegionEstimator {
     /// Locks a node to a cluster (used for memory operations whose
     /// object has a home, and for calls pinned to cluster 0).
     pub fn lock(&mut self, node: usize, cluster: ClusterId) {
-        if self.locked[node].replace(cluster).is_none() {
-            self.lock_list.push(node as u32);
-        }
+        self.locked[node] = Some(cluster);
     }
 
     /// The lock of a node, if any.
@@ -255,9 +250,11 @@ impl RegionEstimator {
         limit: Option<&Limit<'_>>,
     ) -> Option<u32> {
         assert_eq!(assign.len(), self.len());
-        let displaced = self.lock_list.iter().any(|&i| {
-            self.locked[i as usize].map(|c| c.index()) != Some(assign[i as usize] as usize)
-        });
+        let displaced = self
+            .locked
+            .iter()
+            .zip(assign)
+            .any(|(lock, &c)| lock.is_some_and(|l| l.index() != c as usize));
         let unitless = self.missing_units
             && assign
                 .iter()
@@ -903,15 +900,15 @@ impl<'a> IncrementalEstimator<'a> {
             }
         }
         let peak = self.resource_peak();
-        let limit = Limit { bound, peak, peak_bound, counts: &self.counts };
         // The schedule cannot be shorter than the busiest unit's
         // occupancy, nor than the cut-aware critical path; a node on a
         // cluster without a unit of its kind cannot be scheduled at all.
         let lb = if self.lacks_units() {
             u64::from(INFEASIBLE)
         } else {
-            u64::from(peak).max(path_lower_bound(self.est, &self.assign, &mut self.asap))
+            u64::from(peak).max(self.path_lower_bound())
         };
+        let limit = Limit { bound, peak, peak_bound, counts: &self.counts };
         let probe = if limit.rejects(lb) {
             None
         } else {
@@ -940,60 +937,63 @@ impl<'a> IncrementalEstimator<'a> {
                 .zip(&self.est.fu_counts)
                 .any(|(counts, units)| counts.iter().zip(units).any(|(&c, &u)| c > 0 && u == 0))
     }
-}
 
-/// A lower bound on [`RegionEstimator::estimate`] for `assign`: an ASAP
-/// pass in node order (valid because region dep graphs are
-/// topologically ordered by program order) using *effective*
-/// latencies; `asap` is scratch.
-///
-/// Soundness per edge `u -> v`:
-/// * a cut `Flow` edge forces a transfer that lands no earlier than
-///   `issue(u) + d.latency + move_latency` (the transfer waits for
-///   `finish(u) >= issue(u) + d.latency`, then takes `move_latency`;
-///   `u`'s coherence penalty is deliberately *not* added — `finish`
-///   includes it, but `d.latency` alone is the only portion guaranteed
-///   on every path through the simulator),
-/// * an uncut value edge (`Flow`/`MemFlow`) delays `v` by `d.latency`
-///   plus `u`'s coherence penalty,
-/// * ordering edges delay by `d.latency`.
-///
-/// Each node then completes no earlier than
-/// `asap + max(1, base_lat + coherence)`, and live-in values homed
-/// off-cluster hold their consumer until `move_latency`. Every term
-/// also bounds the simulation from below, so
-/// `path_lower_bound(..) <= estimate(..)` always.
-fn path_lower_bound(est: &RegionEstimator, assign: &[u16], asap: &mut Vec<u64>) -> u64 {
-    asap.clear();
-    asap.resize(est.len(), 0);
-    for &(i, home) in &est.live_in_homes {
-        if home != assign[i as usize] {
-            asap[i as usize] = u64::from(est.move_latency);
+    /// A lower bound on [`RegionEstimator::estimate`] for the current
+    /// assignment: an ASAP pass in node order (valid because region dep
+    /// graphs are topologically ordered by program order) using
+    /// *effective* latencies.
+    ///
+    /// Soundness per edge `u -> v`:
+    /// * a cut `Flow` edge forces a transfer that lands no earlier than
+    ///   `issue(u) + d.latency + move_latency` (the transfer waits for
+    ///   `finish(u) >= issue(u) + d.latency`, then takes
+    ///   `move_latency`; `u`'s coherence penalty is deliberately *not*
+    ///   added — `finish` includes it, but `d.latency` alone is the
+    ///   only portion guaranteed on every path through the simulator),
+    /// * an uncut value edge (`Flow`/`MemFlow`) delays `v` by
+    ///   `d.latency` plus `u`'s coherence penalty,
+    /// * ordering edges delay by `d.latency`.
+    ///
+    /// Each node then completes no earlier than
+    /// `asap + max(1, base_lat + coherence)`, and live-in values homed
+    /// off-cluster hold their consumer until `move_latency`. Every term
+    /// also bounds the simulation from below, so
+    /// `path_lower_bound() <= estimate()` always.
+    fn path_lower_bound(&mut self) -> u64 {
+        let est = self.est;
+        let assign = &self.assign;
+        let asap = &mut self.asap;
+        asap.clear();
+        asap.resize(est.len(), 0);
+        for &(i, home) in &est.live_in_homes {
+            if home != assign[i as usize] {
+                asap[i as usize] = u64::from(est.move_latency);
+            }
         }
-    }
-    let mut lb = 0u64;
-    for (i, &ci) in assign.iter().enumerate() {
-        let ready = asap[i];
-        let coherence = match est.mem_home_penalty[i] {
-            Some((home, penalty)) if home != ci => u64::from(penalty),
-            _ => 0,
-        };
-        lb = lb.max(ready + (u64::from(est.base_lat[i]) + coherence).max(1));
-        for s in est.succs_of(i) {
-            let t = s.to as usize;
-            let eff = if s.kind == DepKind::Flow && assign[t] != ci {
-                u64::from(s.latency) + u64::from(est.move_latency)
-            } else {
-                u64::from(s.latency)
-                    + match s.kind {
-                        DepKind::Flow | DepKind::MemFlow => coherence,
-                        _ => 0,
-                    }
+        let mut lb = 0u64;
+        for (i, &ci) in assign.iter().enumerate() {
+            let ready = asap[i];
+            let coherence = match est.mem_home_penalty[i] {
+                Some((home, penalty)) if home != ci => u64::from(penalty),
+                _ => 0,
             };
-            asap[t] = asap[t].max(ready + eff);
+            lb = lb.max(ready + (u64::from(est.base_lat[i]) + coherence).max(1));
+            for s in est.succs_of(i) {
+                let t = s.to as usize;
+                let eff = if s.kind == DepKind::Flow && assign[t] != ci {
+                    u64::from(s.latency) + u64::from(est.move_latency)
+                } else {
+                    u64::from(s.latency)
+                        + match s.kind {
+                            DepKind::Flow | DepKind::MemFlow => coherence,
+                            _ => 0,
+                        }
+                };
+                asap[t] = asap[t].max(ready + eff);
+            }
         }
+        lb
     }
-    lb
 }
 
 #[cfg(test)]
@@ -1186,11 +1186,7 @@ mod tests {
             let node = (state >> 33) as usize % n;
             inc.try_move(&[node as u32], ((state >> 17) & 1) as u16);
             inc.commit();
-            let lb = (inc.resource_peak() as u64).max(path_lower_bound(
-                &est,
-                inc.assign(),
-                &mut Vec::new(),
-            ));
+            let lb = (inc.resource_peak() as u64).max(inc.path_lower_bound());
             let e = est.estimate(inc.assign());
             assert!(lb <= e as u64, "lb {lb} > estimate {e}");
         }
@@ -1350,8 +1346,7 @@ mod tests {
                 inc.try_move(&moved, rng.gen_range(0..k));
                 let e = est.estimate(inc.assign());
                 let peak = est.resource_peak(inc.assign());
-                let static_lb =
-                    (peak as u64).max(path_lower_bound(&est, inc.assign(), &mut Vec::new()));
+                let static_lb = (peak as u64).max(inc.path_lower_bound());
                 for bound in [e.saturating_sub(2), e - 1, e, e + 1] {
                     for peak_bound in [peak.saturating_sub(1), peak, peak + 1] {
                         let improves = e < bound || (e == bound && peak < peak_bound);
