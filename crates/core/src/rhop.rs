@@ -1059,10 +1059,9 @@ mod tests {
         assert_eq!(a.op_cluster, b2.op_cluster);
     }
 
-    /// A cluster without a float unit never receives a float op. Before
-    /// the estimator reported such assignments infeasible, moving the
-    /// `fadd` there tied the all-on-cluster-0 estimate in release builds
-    /// (a serial fallback) and won the tie on resource peak.
+    /// A cluster without a float unit never receives a float op. The
+    /// estimator must call that assignment infeasible: a finite estimate
+    /// that ties all-on-cluster-0 would win the tie on resource peak.
     #[test]
     fn float_ops_stay_off_a_cluster_without_float_units() {
         let mut p = Program::new("t");
