@@ -388,3 +388,279 @@ bb0 (entry):
     assert!(stderr.contains("division by zero"), "{stderr}");
     std::fs::remove_file(&path).ok();
 }
+
+/// How one command line of the flag-surface table must end.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Exit {
+    /// Exit 0.
+    Ok,
+    /// Exit 1: the inputs or the pipeline failed.
+    Runtime,
+    /// Exit 2 with the usage text on stderr: the command line is malformed.
+    Usage,
+    /// Exit 2 without the usage text: a file named on the command line is
+    /// unusable.
+    Config,
+}
+
+/// Pins every subcommand's flag surface: each accepted flag with a valid
+/// value, each value flag with its value missing or malformed, unknown
+/// flags and flags that belong to another subcommand. `{dir}` expands to
+/// a fresh directory per row; `{trace}`, `{base}`, `{bench}`, `{sweep}`
+/// and `{repro}` name shared fixtures.
+#[test]
+fn flag_surface_of_every_subcommand() {
+    use Exit::*;
+    let root = std::env::temp_dir().join(format!("mcpart_cli_flags_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).unwrap();
+    let fixture = |name: &str| root.join(name).to_str().unwrap().to_string();
+    let (trace, base) = (fixture("trace.json"), fixture("base.ck"));
+    let (_, stderr, ok) = mcpart(&["run", "fir", "--trace-out", &trace, "--checkpoint", &base]);
+    assert!(ok, "fixture run failed: {stderr}");
+    let bench = fixture("bench.json");
+    std::fs::write(
+        &bench,
+        r#"{"schema_version":1,"benchmark":"partition-pipeline",
+  "workloads":[{"benchmark":"fir","cycles":1000,"partition_secs":0.5}]}"#,
+    )
+    .unwrap();
+    let sweep = fixture("sweep.txt");
+    std::fs::write(&sweep, "clusters = [2]\nmemory = [\"unified\"]\n").unwrap();
+    let repro = fixture("fir.repro");
+    std::fs::write(
+        &repro,
+        "target = fir\nmachine = clusters=2\nmethod = gdp\nfaults = none\nseed = 1\n",
+    )
+    .unwrap();
+
+    let rows: &[(&str, Exit)] = &[
+        // run: every run option, then missing, malformed and foreign flags.
+        ("run fir --latency 1", Ok),
+        ("run fir --clusters 4", Ok),
+        ("run fir --method naive", Ok),
+        ("run fir --method PM", Ok),
+        ("run fir --memory unified", Ok),
+        ("run fir --memory coherent:3", Ok),
+        ("run fir --gdp-fuel 0", Ok),
+        ("run fir --jobs 2", Ok),
+        ("run fir --trace-out {dir}/t.json", Ok),
+        ("run fir --metrics", Ok),
+        ("run fir --retries 0", Ok),
+        ("run fir --checkpoint {dir}/ck", Ok),
+        ("run fir --checkpoint {dir}/ck --resume", Ok),
+        ("run fir --unit-timeout 60000", Ok),
+        ("run fir --allow-quarantine", Ok),
+        ("run fir --inject-panic nosuch:1", Ok),
+        ("run fir --inject-panic main --allow-quarantine", Ok),
+        ("run fir --inject-panic main", Runtime),
+        ("run fir --halt-after 3", Ok),
+        ("run fir --latency", Usage),
+        ("run fir --clusters", Usage),
+        ("run fir --method", Usage),
+        ("run fir --memory", Usage),
+        ("run fir --gdp-fuel", Usage),
+        ("run fir --jobs", Usage),
+        ("run fir --trace-out", Usage),
+        ("run fir --retries", Usage),
+        ("run fir --checkpoint", Usage),
+        ("run fir --unit-timeout", Usage),
+        ("run fir --halt-after", Usage),
+        ("run fir --inject-panic", Usage),
+        ("run fir --latency fast", Usage),
+        ("run fir --latency -1", Usage),
+        ("run fir --clusters 0", Usage),
+        ("run fir --method quantum", Usage),
+        ("run fir --memory ram", Usage),
+        ("run fir --memory coherent:x", Usage),
+        ("run fir --gdp-fuel lots", Usage),
+        ("run fir --jobs many", Usage),
+        ("run fir --retries x", Usage),
+        ("run fir --unit-timeout 0", Usage),
+        ("run fir --halt-after 0", Usage),
+        ("run fir --inject-panic main:x", Usage),
+        ("run fir --resume", Usage),
+        ("run fir --bogus", Usage),
+        ("run fir --drain", Usage),
+        ("run fir --baseline {base}", Usage),
+        ("run fir --seed 1", Usage),
+        ("run fir --out x", Usage),
+        ("run fir --pinned", Usage),
+        ("run fir --batch 2", Usage),
+        ("run fir --threshold 5", Usage),
+        ("run fir --require gdp/cut", Usage),
+        ("run", Usage),
+        // exec, compare, schedule and partition share run's options.
+        ("exec fir --method naive", Ok),
+        ("exec fir --latency", Usage),
+        ("exec fir --bogus", Usage),
+        ("exec", Usage),
+        ("compare fir --clusters 4", Ok),
+        ("compare fir --checkpoint {dir}/ck", Ok),
+        ("compare fir --gdp-fuel", Usage),
+        ("compare fir --memory", Usage),
+        ("compare fir --drain", Usage),
+        ("compare", Usage),
+        ("schedule fir --method unified", Ok),
+        ("schedule fir --checkpoint {dir}/ck", Ok),
+        ("schedule fir --jobs", Usage),
+        ("schedule fir --bogus", Usage),
+        ("schedule", Usage),
+        ("partition fir --jobs 1 --metrics", Ok),
+        ("partition fir --retries 5", Ok),
+        ("partition fir --method", Usage),
+        ("partition fir --seed 1", Usage),
+        ("partition", Usage),
+        // repartition: run's options plus --baseline.
+        ("repartition fir --baseline {base}", Ok),
+        ("repartition fir --jobs 2 --baseline {base} --metrics", Ok),
+        ("repartition fir --baseline {base} --latency 1", Config),
+        ("repartition fir", Usage),
+        ("repartition fir --baseline", Usage),
+        ("repartition fir --baseline {base} --method naive", Usage),
+        ("repartition fir --baseline {base} --bogus", Usage),
+        ("repartition fir --baseline {base} --drain", Usage),
+        ("repartition", Usage),
+        // gen
+        ("gen ops=2000", Ok),
+        ("gen ops=2000 --out {dir}/g.mcir", Ok),
+        ("gen ops=2000 --out", Usage),
+        ("gen ops=2000 --bogus", Usage),
+        ("gen ops=2000 --metrics", Usage),
+        ("gen ops=x", Usage),
+        ("gen", Usage),
+        // serve, always on an empty spool with --drain.
+        ("serve {dir} --drain", Ok),
+        ("serve {dir} --drain --jobs 1", Ok),
+        ("serve {dir} --drain --batch 2", Ok),
+        ("serve {dir} --drain --queue 3", Ok),
+        ("serve {dir} --drain --poll-ms 5", Ok),
+        ("serve {dir} --drain --retries 1", Ok),
+        ("serve {dir} --drain --unit-timeout 100", Ok),
+        ("serve {dir} --drain --halt-after 0", Ok),
+        ("serve {dir} --drain --telemetry-every 0", Ok),
+        ("serve {dir} --drain --max-requeues 1", Ok),
+        ("serve {dir} --drain --trace-out {dir}/t.json", Ok),
+        ("serve {dir} --drain --metrics", Ok),
+        ("serve {dir} --drain --jobs", Usage),
+        ("serve {dir} --drain --jobs x", Usage),
+        ("serve {dir} --drain --batch 0", Usage),
+        ("serve {dir} --drain --queue 0", Usage),
+        ("serve {dir} --drain --poll-ms x", Usage),
+        ("serve {dir} --drain --retries x", Usage),
+        ("serve {dir} --drain --unit-timeout 0", Usage),
+        ("serve {dir} --drain --halt-after x", Usage),
+        ("serve {dir} --drain --telemetry-every x", Usage),
+        ("serve {dir} --drain --max-requeues x", Usage),
+        ("serve {dir} --drain --trace-out", Usage),
+        ("serve {dir} --drain --bogus", Usage),
+        ("serve {dir} --drain --method gdp", Usage),
+        ("serve {dir} --drain --checkpoint x", Usage),
+        ("serve {dir} --drain --resume", Usage),
+        ("serve {dir} --drain --allow-quarantine", Usage),
+        ("serve", Usage),
+        // chaos
+        ("chaos 1", Ok),
+        ("chaos 1 --seed 7", Ok),
+        ("chaos --seed 7 1", Ok),
+        ("chaos 1 --shrink", Ok),
+        ("chaos 1 --no-shrink", Ok),
+        ("chaos 1 --corpus {dir}/c", Ok),
+        ("chaos 1 --sweep {sweep}", Ok),
+        ("chaos 1 --jobs 1", Ok),
+        ("chaos 1 --trace-out {dir}/t.json", Ok),
+        ("chaos 1 --metrics", Ok),
+        ("chaos --replay {repro}", Ok),
+        ("chaos --replay {repro} --metrics", Ok),
+        ("chaos 2 --seed 3 --inject-bad-placement --no-shrink", Runtime),
+        ("chaos", Usage),
+        ("chaos many", Usage),
+        ("chaos 1 2", Usage),
+        ("chaos -1", Usage),
+        ("chaos 1 --seed", Usage),
+        ("chaos 1 --seed x", Usage),
+        ("chaos 1 --jobs x", Usage),
+        ("chaos 1 --corpus", Usage),
+        ("chaos 1 --sweep", Usage),
+        ("chaos 1 --replay", Usage),
+        ("chaos 1 --trace-out", Usage),
+        ("chaos 1 --retries 2", Usage),
+        ("chaos 1 --unit-timeout 5", Usage),
+        ("chaos 1 --halt-after 1", Usage),
+        ("chaos 1 --bogus", Usage),
+        // trace-check
+        ("trace-check {trace}", Ok),
+        ("trace-check {trace} --require gdp/cut", Ok),
+        ("trace-check {trace} --require sim/cycles=1", Runtime),
+        ("trace-check {trace} --forbid supervise/quarantined", Ok),
+        ("trace-check {trace} --require", Usage),
+        ("trace-check {trace} --forbid", Usage),
+        ("trace-check {trace} --require gdp/cut=x", Usage),
+        ("trace-check {trace} --bogus", Usage),
+        ("trace-check {trace} --metrics", Usage),
+        ("trace-check", Usage),
+        // stats
+        ("stats {trace}", Ok),
+        ("stats {trace} --pinned", Ok),
+        ("stats {trace} --bogus", Usage),
+        ("stats {trace} --metrics", Usage),
+        ("stats", Usage),
+        // bench-diff
+        ("bench-diff {bench} {bench}", Ok),
+        ("bench-diff {bench} {bench} --threshold 5", Ok),
+        ("bench-diff {bench} {bench} --time-threshold 50", Ok),
+        ("bench-diff {bench} {bench} --threshold", Usage),
+        ("bench-diff {bench} {bench} --threshold -1", Usage),
+        ("bench-diff {bench} {bench} --time-threshold x", Usage),
+        ("bench-diff {bench} {bench} --bogus", Usage),
+        ("bench-diff {bench} {bench} --jobs 1", Usage),
+        ("bench-diff {bench}", Usage),
+        // checkpoint-diff, dump and list take no flags.
+        ("checkpoint-diff {base} {base}", Ok),
+        ("checkpoint-diff {base}", Usage),
+        ("dump fir", Ok),
+        ("dump", Usage),
+        ("list", Ok),
+    ];
+
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let failures = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(&(line, want)) = rows.get(i) else { break };
+                let dir = root.join(format!("row{i}"));
+                std::fs::create_dir_all(&dir).unwrap();
+                let line = line
+                    .replace("{dir}", dir.to_str().unwrap())
+                    .replace("{trace}", &trace)
+                    .replace("{base}", &base)
+                    .replace("{bench}", &bench)
+                    .replace("{sweep}", &sweep)
+                    .replace("{repro}", &repro);
+                let args: Vec<&str> = line.split_whitespace().collect();
+                let (stderr, code) = mcpart_code(&args);
+                let got = match code {
+                    Some(0) => Ok,
+                    Some(1) => Runtime,
+                    Some(2) if stderr.contains("usage:") => Usage,
+                    Some(2) => Config,
+                    _ => {
+                        failures.lock().unwrap().push(format!("`{line}`: exit {code:?}"));
+                        continue;
+                    }
+                };
+                if got != want {
+                    failures
+                        .lock()
+                        .unwrap()
+                        .push(format!("`{line}`: {got:?}, expected {want:?}\n{stderr}"));
+                }
+            });
+        }
+    });
+    let failures = failures.into_inner().unwrap();
+    assert!(failures.is_empty(), "{} row(s) changed:\n{}", failures.len(), failures.join("\n"));
+    std::fs::remove_dir_all(&root).ok();
+}
