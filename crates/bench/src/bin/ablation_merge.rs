@@ -5,8 +5,7 @@ use mcpart_bench::experiments::ablation_merge;
 use mcpart_bench::report::{f3, render_table};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (workloads, _) = mcpart_bench::parse_args(&args);
+    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
     let rows = ablation_merge(&workloads);
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -14,57 +14,6 @@ use mcpart_machine::Machine;
 use mcpart_workloads::Workload;
 use std::time::{Duration, Instant};
 
-struct Options {
-    quick: bool,
-    jobs: usize,
-    out: String,
-    reps: usize,
-    metrics: bool,
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut opts = Options {
-        quick: false,
-        jobs: 0,
-        out: "BENCH_partition.json".to_string(),
-        reps: 3,
-        metrics: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                opts.quick = true;
-                opts.reps = 1;
-            }
-            "--metrics" => {
-                opts.metrics = true;
-            }
-            "--jobs" => {
-                if let Some(v) = args.get(i + 1) {
-                    opts.jobs = v.parse().unwrap_or(0);
-                    i += 1;
-                }
-            }
-            "--out" => {
-                if let Some(v) = args.get(i + 1) {
-                    opts.out = v.clone();
-                    i += 1;
-                }
-            }
-            "--reps" => {
-                if let Some(v) = args.get(i + 1) {
-                    opts.reps = v.parse().unwrap_or(3).max(1);
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    opts
-}
-
 /// One timed pipeline run: (partition-stage wall, total wall, result).
 fn timed_run(
     w: &Workload,
@@ -129,9 +78,17 @@ fn one_function_edit(program: &mcpart_ir::Program) -> mcpart_ir::Program {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
-    let (mut workloads, _) = mcpart_bench::parse_args(&args);
+    let opts = mcpart_bench::BenchArgs::from_env(&[
+        "--benchmarks",
+        "--quick",
+        "--metrics",
+        "--jobs",
+        "--out",
+        "--reps",
+    ]);
+    let reps = opts.reps.unwrap_or(3);
+    let out = opts.out.as_deref().unwrap_or("BENCH_partition.json");
+    let mut workloads = opts.workloads;
     if opts.quick {
         workloads.truncate(3);
     }
@@ -148,14 +105,14 @@ fn main() {
         let obs =
             if opts.metrics { mcpart_obs::Obs::enabled() } else { mcpart_obs::Obs::disabled() };
         let cfg = PipelineConfig::new(Method::Gdp).with_jobs(1).with_obs(obs.clone());
-        let (part, total, r) = best_of(opts.reps, w, &machine, &cfg);
+        let (part, total, r) = best_of(reps, w, &machine, &cfg);
         suite_seq += total;
         // Incremental estimation OFF: every probe pays a full schedule
         // simulation. Same placements, same estimator-call budget; the
         // difference is pure per-probe work.
         let mut full_cfg = PipelineConfig::new(Method::Gdp).with_jobs(1);
         full_cfg.rhop.incremental = false;
-        let (_, full_total, full_r) = best_of(opts.reps, w, &machine, &full_cfg);
+        let (_, full_total, full_r) = best_of(reps, w, &machine, &full_cfg);
         suite_seq_full += full_total;
         assert_eq!(
             r.report.total_cycles, full_r.report.total_cycles,
@@ -231,7 +188,7 @@ fn main() {
     };
     let mut best_par = Duration::MAX;
     let mut best_seq = Duration::MAX;
-    for _ in 0..opts.reps {
+    for _ in 0..reps {
         best_seq = best_seq.min(run_suite(1));
         if jobs > 1 {
             best_par = best_par.min(run_suite(jobs));
@@ -322,7 +279,7 @@ fn main() {
         .expect("edited program runs");
     let time_partition = |cfg: &PipelineConfig| {
         let mut best: Option<(Duration, mcpart_core::PipelineResult)> = None;
-        for _ in 0..opts.reps {
+        for _ in 0..reps {
             let r = run_pipeline(&edited, &edited_profile, &machine, cfg).expect("pipeline");
             if best.as_ref().map(|(t, _)| r.partition_time < *t).unwrap_or(true) {
                 best = Some((r.partition_time, r));
@@ -385,6 +342,6 @@ fn main() {
         ("repartition_replayed_funcs".into(), Json::Int(rp.replayed_funcs as i64)),
         ("repartition_cone_frac_x1000".into(), Json::Int(rp.cone_frac_x1000() as i64)),
     ]);
-    std::fs::write(&opts.out, doc.render() + "\n").expect("write report");
-    eprintln!("wrote {}", opts.out);
+    std::fs::write(out, doc.render() + "\n").expect("write report");
+    eprintln!("wrote {out}");
 }

@@ -15,40 +15,6 @@ use mcpart_machine::Machine;
 use mcpart_workloads::Workload;
 use std::time::{Duration, Instant};
 
-struct Options {
-    quick: bool,
-    out: String,
-    reps: usize,
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut opts = Options { quick: false, out: "BENCH_scale.json".to_string(), reps: 2 };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                opts.quick = true;
-                opts.reps = 1;
-            }
-            "--out" => {
-                if let Some(v) = args.get(i + 1) {
-                    opts.out = v.clone();
-                    i += 1;
-                }
-            }
-            "--reps" => {
-                if let Some(v) = args.get(i + 1) {
-                    opts.reps = v.parse().unwrap_or(2).max(1);
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    opts
-}
-
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
@@ -67,8 +33,9 @@ fn partition_once(w: &Workload, machine: &Machine, jobs: usize) -> (Duration, Da
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+    let opts = mcpart_bench::BenchArgs::from_env(&["--quick", "--out", "--reps"]);
+    let reps = opts.reps.unwrap_or(2);
+    let out = opts.out.as_deref().unwrap_or("BENCH_scale.json");
     let machine = Machine::paper_2cluster(5);
     let mut points: Vec<(&str, usize)> =
         vec![("synth_10k", 10_000), ("synth_100k", 100_000), ("synth_1m", 1_000_000)];
@@ -95,7 +62,7 @@ fn main() {
         for &jobs in &jobs_curve {
             let mut best = Duration::MAX;
             let mut dp_last = None;
-            for _ in 0..opts.reps {
+            for _ in 0..reps {
                 let (t, dp) = partition_once(&w, &machine, jobs);
                 best = best.min(t);
                 dp_last = Some(dp);
@@ -159,6 +126,6 @@ fn main() {
         ("workloads".into(), Json::Arr(rows)),
         ("parallel_speedup".into(), Json::Num(speedup_at_max)),
     ]);
-    std::fs::write(&opts.out, doc.render() + "\n").expect("write report");
-    eprintln!("wrote {}", opts.out);
+    std::fs::write(out, doc.render() + "\n").expect("write report");
+    eprintln!("wrote {out}");
 }

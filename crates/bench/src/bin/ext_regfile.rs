@@ -6,8 +6,7 @@ use mcpart_bench::experiments::ext_regfile;
 use mcpart_bench::report::render_table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (workloads, _) = mcpart_bench::parse_args(&args);
+    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
     let sizes = [12u32, 16, 24, 32];
     let rows = ext_regfile(&workloads, &sizes);
     let table: Vec<Vec<String>> = rows

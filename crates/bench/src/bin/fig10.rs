@@ -6,10 +6,9 @@ use mcpart_bench::experiments::fig10;
 use mcpart_bench::report::{render_table, Json};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (workloads, _) = mcpart_bench::parse_args(&args);
-    let rows = fig10(&workloads);
-    if mcpart_bench::wants_json(&args) {
+    let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
+    let rows = fig10(&args.workloads);
+    if args.json {
         let doc = Json::Arr(
             rows.iter()
                 .map(|r| {

@@ -6,11 +6,10 @@ use mcpart_bench::experiments::fig2;
 use mcpart_bench::report::{render_table, Json};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (workloads, _) = mcpart_bench::parse_args(&args);
+    let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
     let latencies = [1u32, 5, 10];
-    let rows = fig2(&workloads, &latencies);
-    if mcpart_bench::wants_json(&args) {
+    let rows = fig2(&args.workloads, &latencies);
+    if args.json {
         let doc = Json::Obj(vec![
             ("figure".into(), Json::Str("2".into())),
             (

@@ -6,11 +6,10 @@ use mcpart_bench::experiments::fig7_8;
 use mcpart_bench::report::{f3, render_table, Json};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (workloads, latency) = mcpart_bench::parse_args(&args);
-    let latency = latency.unwrap_or(5);
-    let fig = fig7_8(&workloads, latency);
-    if mcpart_bench::wants_json(&args) {
+    let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
+    let latency = args.latency.unwrap_or(5);
+    let fig = fig7_8(&args.workloads, latency);
+    if args.json {
         let rows: Vec<Json> = fig
             .rows
             .iter()

@@ -5,6 +5,8 @@
 use mcpart_bench::experiments::fig9;
 
 fn main() {
+    // No flags: anything on the command line is an error.
+    mcpart_bench::BenchArgs::from_env(&[]);
     for name in ["rawcaudio", "rawdaudio"] {
         let w = mcpart_workloads::by_name(name).expect("benchmark exists");
         match fig9(&w, 14) {

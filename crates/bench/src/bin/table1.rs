@@ -4,6 +4,8 @@
 use mcpart_bench::report::render_table;
 
 fn main() {
+    // No flags: anything on the command line is an error.
+    mcpart_bench::BenchArgs::from_env(&[]);
     let rows = vec![
         vec![
             "GDP".to_string(),

@@ -22,75 +22,152 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod diff;
 pub mod experiments;
 pub mod report;
 
+use args::{ArgError, Flags};
 use mcpart_workloads::Workload;
 
-/// Returns `true` if the argument list requests JSON output
-/// (`--json`).
-pub fn wants_json(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--json")
+/// The flags of the figure, table, ablation and extension binaries.
+pub const SELECTION_FLAGS: &[&str] = &["--benchmarks", "--latency", "--json"];
+
+/// The experiment binaries' command line: one parse for all of them,
+/// each binary naming the flags it accepts. Anything else — an unknown
+/// flag, a flag of another binary, a malformed value or an unknown
+/// benchmark name — is an error.
+#[derive(Debug)]
+pub struct BenchArgs {
+    /// `--benchmarks a,b,c` (default: every bundled workload).
+    pub workloads: Vec<Workload>,
+    /// `--latency N`.
+    pub latency: Option<u32>,
+    /// `--json`: machine-readable output.
+    pub json: bool,
+    /// `--quick`: a smoke run (one repetition).
+    pub quick: bool,
+    /// `--metrics`: fold observability counters into the report.
+    pub metrics: bool,
+    /// `--jobs N` (default 0 = all cores).
+    pub jobs: usize,
+    /// `--out PATH`: the report path.
+    pub out: Option<String>,
+    /// `--reps N` (positive); `--quick` sets 1.
+    pub reps: Option<usize>,
 }
 
-/// Parses a `--benchmarks a,b,c` / `--latency N` style argument list
-/// shared by the experiment binaries. Returns the workload selection
-/// and the value of `--latency` (if present).
-pub fn parse_args(args: &[String]) -> (Vec<Workload>, Option<u32>) {
-    let mut selected: Option<Vec<String>> = None;
-    let mut latency: Option<u32> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--benchmarks" => {
-                if let Some(list) = args.get(i + 1) {
-                    selected = Some(list.split(',').map(str::to_string).collect());
-                    i += 1;
+impl BenchArgs {
+    /// Parses `args`, accepting only the flags listed in `accepted`.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<BenchArgs, ArgError> {
+        let mut a = BenchArgs {
+            workloads: Vec::new(),
+            latency: None,
+            json: false,
+            quick: false,
+            metrics: false,
+            jobs: 0,
+            out: None,
+            reps: None,
+        };
+        let mut names: Option<String> = None;
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
+                _ if !accepted.contains(&flag) => return Err(Flags::unknown(flag)),
+                "--benchmarks" => names = Some(flags.value(flag, "a comma-separated list")?),
+                "--latency" => a.latency = Some(flags.value(flag, "a number")?),
+                "--json" => a.json = true,
+                "--quick" => {
+                    a.quick = true;
+                    a.reps = Some(1);
                 }
+                "--metrics" => a.metrics = true,
+                "--jobs" => a.jobs = flags.value(flag, "a number")?,
+                "--out" => a.out = Some(flags.value(flag, "a path")?),
+                "--reps" => a.reps = Some(flags.positive(flag, "a positive count")?),
+                other => return Err(Flags::unknown(other)),
             }
-            "--latency" => {
-                if let Some(v) = args.get(i + 1) {
-                    latency = v.parse().ok();
-                    i += 1;
-                }
-            }
-            _ => {}
         }
-        i += 1;
+        a.workloads = match names {
+            None => mcpart_workloads::all(),
+            Some(list) => list
+                .split(',')
+                .map(|n| {
+                    mcpart_workloads::by_name(n)
+                        .ok_or_else(|| ArgError(format!("unknown benchmark `{n}`")))
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        Ok(a)
     }
-    let workloads = match selected {
-        Some(names) => names.iter().filter_map(|n| mcpart_workloads::by_name(n)).collect(),
-        None => mcpart_workloads::all(),
-    };
-    (workloads, latency)
+
+    /// Parses the process's arguments; on error prints it with the
+    /// accepted flags and exits 2.
+    pub fn from_env(accepted: &[&str]) -> BenchArgs {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        BenchArgs::parse(&args, accepted).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: accepted flags: [{}]", accepted.join(" "));
+            std::process::exit(2)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--benchmarks", "rawcaudio,fft", "--latency", "10"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (ws, lat) = parse_args(&args);
-        assert_eq!(ws.len(), 2);
-        assert_eq!(lat, Some(10));
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn json_flag_detected() {
-        assert!(wants_json(&["--json".to_string()]));
-        assert!(!wants_json(&["--latency".to_string()]));
+    fn arg_parsing() {
+        let a = BenchArgs::parse(
+            &args(&["--benchmarks", "rawcaudio,fft", "--latency", "10", "--json"]),
+            SELECTION_FLAGS,
+        )
+        .expect("parses");
+        assert_eq!(a.workloads.len(), 2);
+        assert_eq!(a.latency, Some(10));
+        assert!(a.json);
     }
 
     #[test]
     fn no_args_selects_all() {
-        let (ws, lat) = parse_args(&[]);
-        assert!(ws.len() >= 15);
-        assert_eq!(lat, None);
+        let a = BenchArgs::parse(&[], SELECTION_FLAGS).expect("parses");
+        assert!(a.workloads.len() >= 15);
+        assert_eq!(a.latency, None);
+        assert!(!a.json);
+    }
+
+    #[test]
+    fn typos_and_foreign_flags_are_errors() {
+        for bad in [
+            &["--benchmarks", "rawcaudoi"][..],
+            &["--benchmarks", "rawcaudio,"],
+            &["--benchmarks"],
+            &["--latency", "fast"],
+            &["--latency"],
+            &["--bogus"],
+            &["--quick"],
+            &["rawcaudio"],
+        ] {
+            assert!(BenchArgs::parse(&args(bad), SELECTION_FLAGS).is_err(), "accepted {bad:?}");
+        }
+        let partition = ["--quick", "--reps", "--out", "--jobs", "--metrics"];
+        for bad in [&["--reps", "many"][..], &["--reps", "0"], &["--jobs", "x"], &["--json"]] {
+            assert!(BenchArgs::parse(&args(bad), &partition).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn quick_sets_one_rep_unless_reps_follows() {
+        let flags = ["--quick", "--reps", "--out"];
+        let a = BenchArgs::parse(&args(&["--reps", "5", "--quick"]), &flags).expect("parses");
+        assert_eq!((a.quick, a.reps), (true, Some(1)));
+        let a = BenchArgs::parse(&args(&["--quick", "--reps", "5", "--out", "x.json"]), &flags)
+            .expect("parses");
+        assert_eq!((a.reps, a.out.as_deref()), (Some(5), Some("x.json")));
     }
 }

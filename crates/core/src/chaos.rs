@@ -27,13 +27,11 @@
 //! Everything is a pure function of the scenario, so the whole soak is
 //! bit-identical across runs and `--jobs` counts.
 
-use crate::checkpoint::{
-    method_from_slug, method_slug, program_fingerprint, CheckpointHeader, UnitRecord,
-};
+use crate::checkpoint::{method_slug, program_fingerprint, CheckpointHeader, UnitRecord};
 use crate::oracle::{check_result, OracleReport};
 use crate::pipeline::{run_pipeline, Method, PipelineConfig, PipelineResult};
 use mcpart_ir::{ClusterId, Profile, Program};
-use mcpart_machine::{memory_slug, Machine, MemoryModel, SweepMatrix, SweepPoint, Topology};
+use mcpart_machine::{Machine, MemoryModel, SweepMatrix, SweepPoint, Topology};
 use mcpart_obs::{durable, Obs};
 use mcpart_par::fault::{FaultEntry, FaultPlan};
 use mcpart_rng::{derive_seed, Rng, SeedableRng, SmallRng};
@@ -137,10 +135,8 @@ impl Scenario {
                         .map_err(|message| ChaosError::Parse { line, message })?;
                 }
                 "method" => {
-                    method = method_from_slug(value).ok_or_else(|| ChaosError::Parse {
-                        line,
-                        message: format!("unknown method `{value}`"),
-                    })?;
+                    method =
+                        value.parse().map_err(|message| ChaosError::Parse { line, message })?;
                 }
                 "faults" => {
                     faults = FaultPlan::parse(value)
@@ -584,7 +580,7 @@ fn checkpoint_faults(
         seed: scenario.seed,
         clusters: scenario.point.clusters,
         latency: scenario.point.latency,
-        memory: memory_slug(scenario.point.memory),
+        memory: scenario.point.memory.to_string(),
         gdp_fuel: None,
     };
     let line = UnitRecord::from_result("chaos", result, &[]).to_json();

@@ -76,15 +76,21 @@ pub fn method_slug(method: Method) -> &'static str {
     }
 }
 
-/// Inverse of [`method_slug`].
-pub fn method_from_slug(slug: &str) -> Option<Method> {
-    Some(match slug {
-        "gdp" => Method::Gdp,
-        "profile-max" => Method::ProfileMax,
-        "naive" => Method::Naive,
-        "unified" => Method::Unified,
-        _ => return None,
-    })
+/// The one method parser, inverse of [`method_slug`]: used by
+/// `--method`, job files, checkpoints and chaos repros. Case-insensitive,
+/// and `pm`/`profilemax` name Profile Max too.
+impl std::str::FromStr for Method {
+    type Err = String;
+
+    fn from_str(slug: &str) -> Result<Self, String> {
+        Ok(match slug.to_ascii_lowercase().as_str() {
+            "gdp" => Method::Gdp,
+            "profile-max" | "profilemax" | "pm" => Method::ProfileMax,
+            "naive" => Method::Naive,
+            "unified" => Method::Unified,
+            _ => return Err(format!("unknown method `{slug}`")),
+        })
+    }
 }
 
 /// Everything a unit's result depends on; written as the checkpoint's
@@ -647,7 +653,7 @@ impl UnitRecord {
         };
         let method_field = |key: &str| -> Result<Method, String> {
             let slug = str_field(key)?;
-            method_from_slug(&slug).ok_or(format!("record '{key}': unknown method '{slug}'"))
+            slug.parse().map_err(|_| format!("record '{key}': unknown method '{slug}'"))
         };
         let mut downgrades = Vec::new();
         for d in arr_field("downgrades")? {
@@ -656,7 +662,7 @@ impl UnitRecord {
                     .get(key)
                     .and_then(JsonValue::as_str)
                     .ok_or(format!("downgrade missing '{key}'"))?;
-                method_from_slug(s).ok_or(format!("downgrade '{key}': unknown method '{s}'"))
+                s.parse().map_err(|_| format!("downgrade '{key}': unknown method '{s}'"))
             };
             downgrades.push(Downgrade {
                 from: slug_of("from")?,

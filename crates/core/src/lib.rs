@@ -66,10 +66,10 @@ pub use chaos::{
     ScenarioVerdict,
 };
 pub use checkpoint::{
-    load_checkpoint, load_checkpoint_any, method_from_slug, method_slug, parse_checkpoint,
-    parse_checkpoint_any, program_fingerprint, run_unit, run_unit_full, Checkpoint,
-    CheckpointError, CheckpointHeader, CheckpointWriter, Manifest, ManifestFunc, PinnedEvent,
-    UnitRecord, UnitRun, CHECKPOINT_VERSION, MANIFEST_KEY,
+    load_checkpoint, load_checkpoint_any, method_slug, parse_checkpoint, parse_checkpoint_any,
+    program_fingerprint, run_unit, run_unit_full, Checkpoint, CheckpointError, CheckpointHeader,
+    CheckpointWriter, Manifest, ManifestFunc, PinnedEvent, UnitRecord, UnitRun, CHECKPOINT_VERSION,
+    MANIFEST_KEY,
 };
 pub use dfg::{ProgramDfg, ProgramNode};
 pub use error::{
@@ -89,5 +89,5 @@ pub use rhop::{
 };
 pub use serve::{
     cache_key, parse_job, render_cache_entry, serve, verify_cache_entry, JobLoader, JobSpec,
-    MemoryModel, ServeConfig, ServeError, ServeSummary, JOB_VERSION,
+    ServeConfig, ServeError, ServeSummary, JOB_VERSION,
 };

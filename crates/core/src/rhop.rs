@@ -174,6 +174,22 @@ impl PanicPlan {
     }
 }
 
+/// `func` panics on every attempt, `func:n` on the first `n` (the
+/// `--inject-panic` and job-file `inject_panic` grammar).
+impl std::str::FromStr for PanicPlan {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.split_once(':') {
+            Some((func, count)) => Ok(PanicPlan {
+                func: func.to_string(),
+                panics: count.parse().map_err(|_| "count must be a number".to_string())?,
+            }),
+            None => Ok(PanicPlan::always(s)),
+        }
+    }
+}
+
 impl Default for RhopConfig {
     fn default() -> Self {
         RhopConfig {
@@ -757,12 +773,23 @@ fn partition_region(
 
     // Initial assignment at the coarsest level: try both a lock-seeded
     // single-cluster start and a balanced round-robin start, refine
-    // each, and keep the better one.
+    // each, and keep the better one. The single-cluster start puts an
+    // unlocked group on cluster 0 unless cluster 0 lacks a unit one of
+    // its members needs; then on the first cluster that has them all.
     let coarsest = levels.len() - 1;
     let mut assign_groups: Vec<u16> = {
         let level = &levels[coarsest];
-        let seed_a: Vec<u16> =
-            level.lock.iter().map(|l| l.map(|c| c.index() as u16).unwrap_or(0)).collect();
+        let start = |members: &[u32]| {
+            (0..nclusters as u16)
+                .find(|&c| members.iter().all(|&m| est.has_unit(m as usize, c)))
+                .unwrap_or(0)
+        };
+        let seed_a: Vec<u16> = level
+            .lock
+            .iter()
+            .zip(&level.members)
+            .map(|(l, members)| l.map(|c| c.index() as u16).unwrap_or_else(|| start(members)))
+            .collect();
         let mut seed_b = seed_a.clone();
         let mut next = 0usize;
         for (g, lock) in level.lock.iter().enumerate() {
@@ -1080,6 +1107,38 @@ mod tests {
         for (op_id, op) in p.functions[p.entry].ops.iter() {
             if op.opcode.fu_kind() == mcpart_ir::FuKind::Float {
                 assert_eq!(pl.cluster_of(p.entry, op_id), ClusterId::new(0), "{:?}", op.opcode);
+            }
+        }
+    }
+
+    /// The mirror image: cluster 0, where every group starts, has no
+    /// float unit, so the float ops must start (and stay) elsewhere.
+    #[test]
+    fn float_ops_leave_a_cluster_0_without_float_units() {
+        let mut p = Program::new("t");
+        let mut b = FunctionBuilder::entry(&mut p);
+        let mut f = b.fconst(1.5);
+        for _ in 0..8 {
+            f = b.fadd(f, f);
+            f = b.fmul(f, f);
+        }
+        b.fadd(f, f);
+        let mut n = b.iconst(1);
+        for _ in 0..8 {
+            n = b.add(n, n);
+        }
+        b.ret(Some(n));
+        let (profile, access) = analyze(&p);
+        let mut machine = Machine::homogeneous(2, 5);
+        machine.clusters[0].fu = mcpart_machine::FuMix::new(1, 0, 1, 1);
+        assert_eq!(machine.validate(), Ok(()));
+        let homes: EntityMap<ObjectId, Option<ClusterId>> = EntityMap::with_default(0, None);
+        let (pl, _) =
+            rhop_partition(&p, &access, &profile, &machine, &homes, &RhopConfig::default())
+                .expect("rhop");
+        for (op_id, op) in p.functions[p.entry].ops.iter() {
+            if op.opcode.fu_kind() == mcpart_ir::FuKind::Float {
+                assert_eq!(pl.cluster_of(p.entry, op_id), ClusterId::new(1), "{:?}", op.opcode);
             }
         }
     }

@@ -43,14 +43,14 @@
 //! byte-identical bytes on disk.
 
 use crate::checkpoint::{
-    method_from_slug, method_slug, parse_checkpoint, parse_checkpoint_any, program_fingerprint,
-    run_unit_full, CheckpointHeader, Manifest, UnitRecord,
+    method_slug, parse_checkpoint, parse_checkpoint_any, program_fingerprint, run_unit_full,
+    CheckpointHeader, Manifest, UnitRecord,
 };
 use crate::pipeline::{Method, PipelineConfig};
 use crate::repartition::RepartitionStats;
-use crate::rhop::PanicPlan;
+use crate::rhop::{PanicPlan, RhopConfig};
 use mcpart_ir::{Profile, Program};
-use mcpart_machine::Machine;
+use mcpart_machine::{Machine, MachineError, MemoryModel};
 use mcpart_obs::metrics::MetricsRegistry;
 use mcpart_obs::recorder::FlightRecorder;
 use mcpart_obs::{durable, json, Obs};
@@ -208,7 +208,11 @@ impl ServeSummary {
     }
 }
 
-/// A parsed job file: one JSON object per file.
+/// One run's spec: a job file fills it ([`parse_job`]), and so do the
+/// one-shot CLI's flags. It owns the machine, the checkpoint header
+/// and the pipeline configuration derived from those fields.
+///
+/// A job file is one JSON object:
 ///
 /// ```json
 /// {"mcpart_job":1,"program":"rawcaudio","method":"gdp","clusters":2,
@@ -228,8 +232,7 @@ pub struct JobSpec {
     pub clusters: usize,
     /// Intercluster move latency in cycles (default 5).
     pub latency: u32,
-    /// Memory model slug: `partitioned`, `unified`, or
-    /// `coherent:<penalty>`.
+    /// Memory model (default partitioned).
     pub memory: MemoryModel,
     /// RHOP seed override (default: the method's builtin seed).
     pub seed: Option<u64>,
@@ -239,51 +242,55 @@ pub struct JobSpec {
     pub inject_panic: Option<PanicPlan>,
 }
 
-/// The machine's memory model, as named in job files and checkpoint
-/// headers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemoryModel {
-    /// Per-cluster memories (the paper's machine).
-    Partitioned,
-    /// One shared memory.
-    Unified,
-    /// Shared memory with a remote-access penalty.
-    Coherent(u32),
-}
-
-impl MemoryModel {
-    /// Parses the slug used by `--memory`, job files, and checkpoint
-    /// headers.
-    pub fn parse(slug: &str) -> Result<MemoryModel, String> {
-        if slug == "partitioned" {
-            Ok(MemoryModel::Partitioned)
-        } else if slug == "unified" {
-            Ok(MemoryModel::Unified)
-        } else if let Some(p) = slug.strip_prefix("coherent:") {
-            p.parse().map(MemoryModel::Coherent).map_err(|_| {
-                format!("memory `coherent:{p}`: penalty must be a non-negative integer")
-            })
-        } else {
-            Err(format!("unknown memory model `{slug}` (partitioned|unified|coherent:<penalty>)"))
+impl JobSpec {
+    /// A job for `program` with every other field at the one-shot CLI
+    /// default: GDP on two partitioned clusters with 5-cycle moves.
+    pub fn new(program: impl Into<String>) -> Self {
+        JobSpec {
+            program: program.into(),
+            method: Method::Gdp,
+            clusters: 2,
+            latency: 5,
+            memory: MemoryModel::Partitioned,
+            seed: None,
+            gdp_fuel: None,
+            inject_panic: None,
         }
     }
 
-    /// The stable slug (inverse of [`MemoryModel::parse`]).
-    pub fn slug(&self) -> String {
-        match self {
-            MemoryModel::Partitioned => "partitioned".to_string(),
-            MemoryModel::Unified => "unified".to_string(),
-            MemoryModel::Coherent(p) => format!("coherent:{p}"),
+    /// The (validated) machine the job runs on.
+    pub fn machine(&self) -> Result<Machine, MachineError> {
+        let machine =
+            Machine { memory: self.memory, ..Machine::homogeneous(self.clusters, self.latency) };
+        machine.validate()?;
+        Ok(machine)
+    }
+
+    /// The checkpoint header of this job's results on `program`:
+    /// everything a result depends on except the method.
+    pub fn header(&self, program: &Program) -> CheckpointHeader {
+        CheckpointHeader {
+            program: program.name.clone(),
+            program_hash: program_fingerprint(program),
+            seed: self.seed.unwrap_or(RhopConfig::default().seed),
+            clusters: self.clusters,
+            latency: self.latency,
+            memory: self.memory.to_string(),
+            gdp_fuel: self.gdp_fuel,
         }
     }
 
-    /// Applies the model to a machine description.
-    pub fn apply(&self, machine: Machine) -> Machine {
-        match self {
-            MemoryModel::Partitioned => machine,
-            MemoryModel::Unified => machine.with_unified_memory(),
-            MemoryModel::Coherent(p) => machine.with_coherent_cache(*p),
+    /// The pipeline configuration of the job's method, GDP fuel, RHOP
+    /// seed and injected panic. Worker count, retries, timeout and the
+    /// observability sink are the runner's to set.
+    pub fn config(&self) -> PipelineConfig {
+        let mut cfg = PipelineConfig::new(self.method);
+        cfg.gdp.fuel = self.gdp_fuel;
+        if let Some(seed) = self.seed {
+            cfg.rhop.seed = seed;
         }
+        cfg.rhop.inject_panic = self.inject_panic.clone();
+        cfg
     }
 }
 
@@ -317,34 +324,24 @@ pub fn parse_job(text: &str) -> Result<JobSpec, String> {
         .and_then(json::JsonValue::as_str)
         .ok_or("job is missing the `program` field")?
         .to_string();
-    let method = match doc.get("method").and_then(json::JsonValue::as_str) {
-        None => Method::Gdp,
-        Some(slug) => method_from_slug(slug).ok_or_else(|| format!("unknown method `{slug}`"))?,
-    };
-    let clusters = num_field(&doc, "clusters")?.unwrap_or(2) as usize;
-    if clusters == 0 {
+    let mut spec = JobSpec::new(program);
+    if let Some(slug) = doc.get("method").and_then(json::JsonValue::as_str) {
+        spec.method = slug.parse()?;
+    }
+    spec.clusters = num_field(&doc, "clusters")?.unwrap_or(2) as usize;
+    if spec.clusters == 0 {
         return Err("`clusters` must be at least 1".to_string());
     }
-    let latency = num_field(&doc, "latency")?.unwrap_or(5) as u32;
-    let memory = match doc.get("memory").and_then(json::JsonValue::as_str) {
-        None => MemoryModel::Partitioned,
-        Some(slug) => MemoryModel::parse(slug)?,
-    };
-    let seed = num_field(&doc, "seed")?;
-    let gdp_fuel = num_field(&doc, "gdp_fuel")?;
-    let inject_panic = match doc.get("inject_panic").and_then(json::JsonValue::as_str) {
-        None => None,
-        Some(v) => Some(match v.split_once(':') {
-            Some((func, count)) => PanicPlan {
-                func: func.to_string(),
-                panics: count
-                    .parse()
-                    .map_err(|_| "`inject_panic` count must be a number".to_string())?,
-            },
-            None => PanicPlan::always(v),
-        }),
-    };
-    Ok(JobSpec { program, method, clusters, latency, memory, seed, gdp_fuel, inject_panic })
+    spec.latency = num_field(&doc, "latency")?.unwrap_or(5) as u32;
+    if let Some(slug) = doc.get("memory").and_then(json::JsonValue::as_str) {
+        spec.memory = slug.parse()?;
+    }
+    spec.seed = num_field(&doc, "seed")?;
+    spec.gdp_fuel = num_field(&doc, "gdp_fuel")?;
+    if let Some(v) = doc.get("inject_panic").and_then(json::JsonValue::as_str) {
+        spec.inject_panic = Some(v.parse().map_err(|e| format!("`inject_panic` {e}"))?);
+    }
+    Ok(spec)
 }
 
 /// The content address of a job's artifact: an FNV-1a fingerprint of
@@ -733,17 +730,11 @@ fn process_job(
         Ok(p) => p,
         Err(e) => return invalid(e),
     };
-    let machine = spec.memory.apply(Machine::homogeneous(spec.clusters, spec.latency));
-    let seed = spec.seed.unwrap_or_else(|| PipelineConfig::new(spec.method).rhop.seed);
-    let header = CheckpointHeader {
-        program: program.name.clone(),
-        program_hash: program_fingerprint(&program),
-        seed,
-        clusters: spec.clusters,
-        latency: spec.latency,
-        memory: spec.memory.slug(),
-        gdp_fuel: spec.gdp_fuel,
+    let machine = match spec.machine() {
+        Ok(m) => m,
+        Err(e) => return invalid(format!("machine configuration invalid: {e}")),
     };
+    let header = spec.header(&program);
     let unit = format!("{}/{}", program.name, method_slug(spec.method));
     let entry_path = dirs.cache.join(format!("{}.json", cache_key(&header, spec.method)));
 
@@ -762,13 +753,7 @@ fn process_job(
         }
     }
 
-    let mut pcfg = PipelineConfig::new(spec.method)
-        .with_jobs(1)
-        .with_retries(cfg.retries)
-        .with_obs(Obs::enabled());
-    pcfg.gdp.fuel = spec.gdp_fuel;
-    pcfg.rhop.seed = seed;
-    pcfg.rhop.inject_panic = spec.inject_panic.clone();
+    let mut pcfg = spec.config().with_jobs(1).with_retries(cfg.retries).with_obs(Obs::enabled());
     pcfg.unit_timeout = cfg.unit_timeout;
     // A miss on a program we have partitioned before (under this exact
     // configuration) degrades to an incremental run: replay the clean
@@ -1130,7 +1115,7 @@ mod tests {
         .expect("full job");
         assert_eq!(spec.method, Method::Naive);
         assert_eq!(spec.clusters, 4);
-        assert_eq!(spec.memory, MemoryModel::Coherent(3));
+        assert_eq!(spec.memory, MemoryModel::CoherentCache { remote_penalty: 3 });
         assert_eq!(spec.seed, Some(7));
         assert_eq!(spec.inject_panic.as_ref().map(|p| p.panics), Some(2));
 
@@ -1224,15 +1209,6 @@ mod tests {
         let mut wider = header.clone();
         wider.clusters = 4;
         assert_ne!(base, cache_key(&wider, Method::Gdp));
-    }
-
-    #[test]
-    fn memory_model_slug_roundtrip() {
-        for slug in ["partitioned", "unified", "coherent:7"] {
-            assert_eq!(MemoryModel::parse(slug).expect("parses").slug(), slug);
-        }
-        assert!(MemoryModel::parse("coherent:-1").is_err());
-        assert!(MemoryModel::parse("fast").is_err());
     }
 
     #[test]

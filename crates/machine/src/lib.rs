@@ -37,7 +37,4 @@ pub use error::MachineError;
 pub use latency::LatencyTable;
 pub use model::{Machine, MemoryModel};
 pub use network::{Interconnect, Topology};
-pub use sweep::{
-    memory_slug, parse_memory, SweepError, SweepMatrix, SweepPoint, DEFAULT_SWEEP,
-    MAX_SWEEP_CLUSTERS,
-};
+pub use sweep::{SweepError, SweepMatrix, SweepPoint, DEFAULT_SWEEP, MAX_SWEEP_CLUSTERS};

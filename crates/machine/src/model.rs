@@ -45,6 +45,42 @@ impl MemoryModel {
     }
 }
 
+/// The one memory-model grammar — `partitioned`, `unified` or
+/// `coherent:<penalty>` — shared by `--memory`, job files, checkpoint
+/// headers, sweep files and chaos repros.
+impl std::str::FromStr for MemoryModel {
+    type Err = String;
+
+    fn from_str(slug: &str) -> Result<Self, String> {
+        match slug {
+            "partitioned" => Ok(MemoryModel::Partitioned),
+            "unified" => Ok(MemoryModel::Unified),
+            _ => match slug.strip_prefix("coherent:") {
+                Some(p) => p
+                    .parse()
+                    .map(|remote_penalty| MemoryModel::CoherentCache { remote_penalty })
+                    .map_err(|_| {
+                        format!("memory `coherent:{p}`: penalty must be a non-negative integer")
+                    }),
+                None => Err(format!(
+                    "unknown memory model `{slug}` (partitioned|unified|coherent:<penalty>)"
+                )),
+            },
+        }
+    }
+}
+
+/// The stable slug, inverse of the [`FromStr`](std::str::FromStr) impl.
+impl std::fmt::Display for MemoryModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MemoryModel::Partitioned => f.write_str("partitioned"),
+            MemoryModel::Unified => f.write_str("unified"),
+            MemoryModel::CoherentCache { remote_penalty } => write!(f, "coherent:{remote_penalty}"),
+        }
+    }
+}
+
 /// A multicluster VLIW machine description.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Machine {
@@ -211,6 +247,16 @@ mod tests {
         assert!(!m.memory.is_partitioned());
         assert_eq!(m.memory.coherence_penalty(), Some(7));
         assert_eq!(MemoryModel::Unified.coherence_penalty(), None);
+    }
+
+    #[test]
+    fn memory_model_slug_roundtrip() {
+        for slug in ["partitioned", "unified", "coherent:7"] {
+            assert_eq!(slug.parse::<MemoryModel>().expect("parses").to_string(), slug);
+        }
+        for bad in ["coherent:-1", "coherent:", "fast", "Unified"] {
+            assert!(bad.parse::<MemoryModel>().is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl SweepPoint {
                 }
                 "topology" => point.topology = Topology::parse(value.trim())?,
                 "mix" => point.mix = FuMix::parse(value.trim())?,
-                "memory" => point.memory = parse_memory(value.trim())?,
+                "memory" => point.memory = value.trim().parse()?,
                 other => return Err(format!("unknown machine key `{other}`")),
             }
         }
@@ -129,39 +129,8 @@ impl fmt::Display for SweepPoint {
         write!(
             f,
             "clusters={},latency={},topology={},mix={},memory={}",
-            self.clusters,
-            self.latency,
-            self.topology,
-            self.mix,
-            memory_slug(self.memory)
+            self.clusters, self.latency, self.topology, self.mix, self.memory
         )
-    }
-}
-
-/// Renders a memory model in the sweep grammar (`partitioned`,
-/// `unified`, `coherent:<penalty>`).
-pub fn memory_slug(m: MemoryModel) -> String {
-    match m {
-        MemoryModel::Partitioned => "partitioned".to_string(),
-        MemoryModel::Unified => "unified".to_string(),
-        MemoryModel::CoherentCache { remote_penalty } => format!("coherent:{remote_penalty}"),
-    }
-}
-
-/// Parses a memory model written in the sweep grammar.
-pub fn parse_memory(s: &str) -> Result<MemoryModel, String> {
-    match s {
-        "partitioned" => Ok(MemoryModel::Partitioned),
-        "unified" => Ok(MemoryModel::Unified),
-        other => match other.strip_prefix("coherent:") {
-            Some(digits) => digits
-                .parse::<u32>()
-                .map(|remote_penalty| MemoryModel::CoherentCache { remote_penalty })
-                .map_err(|_| format!("bad coherence penalty `{digits}`")),
-            None => {
-                Err(format!("unknown memory model `{other}` (partitioned, unified, coherent:N)"))
-            }
-        },
     }
 }
 
@@ -315,7 +284,7 @@ impl SweepMatrix {
                     matrix.memory = items
                         .iter()
                         .map(|it| {
-                            parse_memory(it.string(line)?).map_err(|m| err(line, it.column, &m))
+                            it.string(line)?.parse().map_err(|m: String| err(line, it.column, &m))
                         })
                         .collect::<Result<_, _>>()?;
                 }

@@ -189,6 +189,12 @@ impl RegionEstimator {
         self.locked[node]
     }
 
+    /// Whether `cluster` has a unit of `node`'s kind (a node anywhere
+    /// else makes the estimate [`INFEASIBLE`]).
+    pub fn has_unit(&self, node: usize, cluster: u16) -> bool {
+        self.fu_counts[cluster as usize][self.fu_kind[node].index()] > 0
+    }
+
     /// Declares that `node` consumes a region live-in value homed on
     /// `cluster`; if the node is assigned elsewhere, the estimator
     /// delays it by the intercluster move latency. Used by the second

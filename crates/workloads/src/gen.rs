@@ -122,20 +122,6 @@ impl Workload {
     /// simulator run. Used by the synthetic generator, whose analytic
     /// profile makes executing a million-op program unnecessary.
     ///
-    /// # Panics
-    ///
-    /// Panics if the program fails verification.
-    pub fn from_parts(
-        name: impl Into<String>,
-        suite: Suite,
-        program: Program,
-        profile: Profile,
-    ) -> Self {
-        Workload::try_from_parts(name, suite, program, profile).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Workload::from_parts`].
-    ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::Verification`] when the program fails
@@ -473,21 +459,11 @@ impl SynthSpec {
     /// construction plus verification — no simulator run. See
     /// [`SynthSpec`] for the program shape.
     ///
-    /// # Panics
-    ///
-    /// Panics if the generated program fails verification (a generator
-    /// bug, not an input error — every parsed spec generates a valid
-    /// program). Untrusted paths use [`SynthSpec::try_generate`].
-    pub fn generate(&self, name: impl Into<String>) -> Workload {
-        self.try_generate(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`SynthSpec::generate`].
-    ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::Verification`] if the generated
-    /// program fails verification.
+    /// program fails verification (a generator bug, not an input error
+    /// — every parsed spec generates a valid program).
     pub fn try_generate(&self, name: impl Into<String>) -> Result<Workload, WorkloadError> {
         let funcs = self.funcs.max(self.depth).max(1);
         let depth = self.depth.min(funcs).max(1);
@@ -678,7 +654,7 @@ mod tests {
         // the analytic profile must agree exactly with the simulator's.
         let spec = SynthSpec::parse("funcs=9,depth=3,region=40,objects=6,trips=8,seed=11")
             .expect("valid spec");
-        let w = spec.generate("synth_test");
+        let w = spec.try_generate("synth_test").expect("generates");
         let actual = profile_run(&w.program, &[], ExecConfig::default()).expect("runs");
         assert_eq!(w.profile, actual);
     }
@@ -686,18 +662,22 @@ mod tests {
     #[test]
     fn synth_is_deterministic_and_seed_sensitive() {
         let spec = SynthSpec::parse("ops=2000,seed=5").expect("valid");
-        let a = spec.generate("a");
-        let b = spec.generate("b");
+        let a = spec.try_generate("a").expect("generates");
+        let b = spec.try_generate("b").expect("generates");
         assert_eq!(a.program, b.program);
         assert_eq!(a.profile, b.profile);
         let other = SynthSpec::parse("ops=2000,seed=6").expect("valid");
-        assert_ne!(other.generate("c").program, a.program, "seed must matter");
+        assert_ne!(
+            other.try_generate("c").expect("generates").program,
+            a.program,
+            "seed must matter"
+        );
     }
 
     #[test]
     fn synth_scales_to_target_ops() {
         for (target, lo, hi) in [(10_000usize, 8_000, 14_000), (50_000, 40_000, 65_000)] {
-            let w = SynthSpec::with_target_ops(target).generate("t");
+            let w = SynthSpec::with_target_ops(target).try_generate("t").expect("generates");
             let ops = w.num_ops();
             assert!((lo..hi).contains(&ops), "target {target}: ops = {ops}");
             assert!(w.program.functions.len() > 4);
@@ -779,7 +759,8 @@ mod tests {
         // objects, so table k renders as `addrof objk`.
         let w = SynthSpec::parse("funcs=12,depth=3,region=26,objects=8,sharing=2,trips=2,seed=7")
             .expect("valid")
-            .generate("spread");
+            .try_generate("spread")
+            .expect("generates");
         let text: String =
             w.program.functions.values().map(mcpart_ir::function_to_string).collect();
         for k in 0..8 {

@@ -28,6 +28,16 @@ echo "== scripts/bench.sh --quick (smoke)"
 scripts/bench.sh --quick --out /tmp/BENCH_partition.quick.json >/dev/null
 test -s /tmp/BENCH_partition.quick.json
 
+echo "== scripts/bench.sh rejects a typo before writing a report"
+rm -f /tmp/BENCH_partition.typo.json
+if scripts/bench.sh --quick --benchmarks no-such --out /tmp/BENCH_partition.typo.json \
+  >/dev/null 2>&1; then
+  echo "bench.sh accepted an unknown benchmark name"; exit 1
+fi
+if [ -e /tmp/BENCH_partition.typo.json ]; then
+  echo "bench.sh wrote a report for an unknown benchmark name"; exit 1
+fi
+
 echo "== trace export smoke (--trace-out + trace-check + stats)"
 target/release/mcpart run rawcaudio --trace-out /tmp/mcpart_trace.json --metrics >/dev/null
 target/release/mcpart trace-check /tmp/mcpart_trace.json \

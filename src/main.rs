@@ -9,18 +9,24 @@
 //! mcpart partition rawcaudio                    # object homes chosen by GDP
 //! ```
 //!
+//! Every subcommand parses its flags on the shared cursor
+//! ([`mcpart_bench::args::Flags`]); the one-shot commands fill the same
+//! run spec ([`JobSpec`]) a `serve` job file does.
+//!
 //! Exit codes: `0` success, `1` pipeline or input failure (unreadable
 //! file, parse error, partitioner failure), `2` usage error (unknown
 //! command or malformed flags).
 
 use mcpart::core::{
-    load_checkpoint, method_slug, program_fingerprint, run_pipeline, run_unit_full,
-    CheckpointError, CheckpointHeader, CheckpointWriter, Downgrade, Manifest, Method, PanicPlan,
-    PipelineConfig, RepartitionStats, ServeConfig, UnitRecord,
+    load_checkpoint, method_slug, run_pipeline, run_unit_full, CheckpointError, CheckpointWriter,
+    Downgrade, JobSpec, Manifest, Method, PipelineConfig, RepartitionStats, ServeConfig,
+    UnitRecord,
 };
 use mcpart::ir::{parse_program, program_to_string, Profile, Program};
 use mcpart::machine::Machine;
+use mcpart::obs::Obs;
 use mcpart::sim::{profile_run, ExecConfig};
+use mcpart_bench::args::{ArgError, Flags};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -45,7 +51,10 @@ gen <spec> [--out <path>]  generate a synthetic scale program: <spec> is
          (keys ops,funcs,depth,region,objects,sharing,trips,seed);
          prints size stats, --out writes the .mcir text. Synthetic
          names/specs also work as targets for partition/run/compare.
-options: --method gdp|profile-max|naive|unified  --latency <cycles>
+options of run, exec, compare, schedule, partition and repartition
+(run, serve and chaos share --jobs/--trace-out/--metrics; run and serve
+also --retries/--unit-timeout; anything else is a usage error):
+         --method gdp|profile-max|naive|unified  --latency <cycles>
          --clusters <n>  --memory partitioned|unified|coherent:<penalty>
          --gdp-fuel <n>  (cap GDP refinement; exhaustion triggers the
                           ProfileMax/Naive fallback ladder)
@@ -72,7 +81,9 @@ repartition <target> --baseline <checkpoint> [run options]
          error); an incompatible one (different name/seed/clusters/
          latency/memory/fuel) is rejected with exit 2
 serve <spool-dir> [--drain] [--batch n] [--queue n] [--poll-ms n]
-         [--telemetry-every n] [--max-requeues n]
+         [--telemetry-every n] [--max-requeues n] [--halt-after n]
+         [--jobs n] [--retries n] [--unit-timeout ms] [--trace-out path]
+         [--metrics]
          long-running partition service: submit jobs as
          <spool-dir>/*.job files, read results from <spool-dir>/out/;
          repeat submissions are integrity-verified cache hits; the
@@ -80,8 +91,9 @@ serve <spool-dir> [--drain] [--batch n] [--queue n] [--poll-ms n]
          <spool-dir>/telemetry/ every n committed jobs (0 disables);
          a job requeued by crash recovery more than n times (default 3)
          is quarantined to failed/ as poison instead of requeued
-chaos <scenarios> [--seed n] [--no-shrink] [--corpus dir] [--sweep file]
-         [--jobs n] [--metrics] [--trace-out path] | --replay <file>
+chaos <scenarios> [--seed n] [--shrink|--no-shrink] [--corpus dir]
+         [--sweep file] [--jobs n (default 4)] [--metrics]
+         [--trace-out path] [--inject-bad-placement] | --replay <file>
          deterministic soak: samples (program, machine, fault-plan)
          scenarios from a k-cluster sweep matrix, runs the pipeline
          under injected faults, and judges every outcome with an
@@ -121,6 +133,12 @@ impl CliError {
     fn usage(msg: impl Into<String>) -> Self {
         CliError::Usage(msg.into())
     }
+
+    fn into_message(self) -> String {
+        match self {
+            CliError::Usage(m) | CliError::Config(m) | CliError::Runtime(m) => m,
+        }
+    }
 }
 
 impl From<String> for CliError {
@@ -129,235 +147,159 @@ impl From<String> for CliError {
     }
 }
 
-struct Options {
-    latency: u32,
-    clusters: usize,
-    memory: MemoryChoice,
-    method: Method,
-    gdp_fuel: Option<u64>,
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
+        CliError::Usage(e.0)
+    }
+}
+
+/// The flags `run`, `serve` and `chaos` share: the worker count, the
+/// supervision knobs (not taken by chaos) and the observability outputs.
+struct Common {
     jobs: usize,
+    retries: u32,
+    unit_timeout: Option<Duration>,
     trace_out: Option<String>,
     metrics: bool,
-    retries: u32,
+}
+
+impl Common {
+    fn new(jobs: usize) -> Self {
+        Common { jobs, retries: 2, unit_timeout: None, trace_out: None, metrics: false }
+    }
+
+    /// Consumes `flag` and its value if it is a shared flag `command`
+    /// accepts; returns whether it was.
+    fn take(&mut self, command: &str, flag: &str, flags: &mut Flags) -> Result<bool, ArgError> {
+        match flag {
+            "--jobs" => self.jobs = flags.value(flag, "a number")?,
+            "--trace-out" => self.trace_out = Some(flags.value(flag, "a path")?),
+            "--metrics" => self.metrics = true,
+            "--retries" if command != "chaos" => self.retries = flags.value(flag, "a number")?,
+            "--unit-timeout" if command != "chaos" => {
+                let ms = flags.positive(flag, "a positive millisecond count")?;
+                self.unit_timeout = Some(Duration::from_millis(ms));
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// One observability sink per invocation: recording only when the
+    /// user asked for a trace file or the metrics table.
+    fn obs(&self) -> Obs {
+        if self.trace_out.is_some() || self.metrics {
+            Obs::enabled()
+        } else {
+            Obs::disabled()
+        }
+    }
+
+    /// Writes the Chrome trace and/or prints the summary table, as
+    /// requested by `--trace-out` / `--metrics`.
+    fn emit(&self, obs: &Obs) -> Result<(), CliError> {
+        if let Some(path) = &self.trace_out {
+            std::fs::write(path, obs.chrome_trace())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+        }
+        if self.metrics {
+            outln!("{}", obs.summary());
+        }
+        Ok(())
+    }
+}
+
+/// Options of the one-shot commands (`run`, `exec`, `compare`,
+/// `schedule`, `partition`, `repartition`): the run spec a job file
+/// would carry, plus the shared flags and checkpointing.
+struct Options {
+    spec: JobSpec,
+    common: Common,
     checkpoint: Option<String>,
     resume: bool,
-    unit_timeout_ms: Option<u64>,
     allow_quarantine: bool,
-    inject_panic: Option<PanicPlan>,
     halt_after: Option<u64>,
+    /// `repartition --baseline <checkpoint>`.
+    baseline: Option<String>,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum MemoryChoice {
-    Partitioned,
-    Unified,
-    Coherent(u32),
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            latency: 5,
-            clusters: 2,
-            memory: MemoryChoice::Partitioned,
-            method: Method::Gdp,
-            gdp_fuel: None,
-            jobs: 0,
-            trace_out: None,
-            metrics: false,
-            retries: 2,
-            checkpoint: None,
-            resume: false,
-            unit_timeout_ms: None,
-            allow_quarantine: false,
-            inject_panic: None,
-            halt_after: None,
-        }
-    }
-}
-
-fn parse_method(s: &str) -> Option<Method> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "gdp" => Method::Gdp,
-        "profile-max" | "profilemax" | "pm" => Method::ProfileMax,
-        "naive" => Method::Naive,
-        "unified" => Method::Unified,
-        _ => return None,
-    })
-}
-
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--latency" => {
-                o.latency = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--latency needs a number")?;
-                i += 1;
-            }
-            "--clusters" => {
-                o.clusters = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--clusters needs a number")?;
-                if o.clusters == 0 {
-                    return Err("--clusters must be at least 1".into());
-                }
-                i += 1;
-            }
-            "--method" => {
-                o.method = args
-                    .get(i + 1)
-                    .and_then(|v| parse_method(v))
-                    .ok_or("--method must be gdp|profile-max|naive|unified")?;
-                i += 1;
-            }
-            "--gdp-fuel" => {
-                o.gdp_fuel = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--gdp-fuel needs a number")?,
-                );
-                i += 1;
-            }
-            "--jobs" => {
-                o.jobs =
-                    args.get(i + 1).and_then(|v| v.parse().ok()).ok_or("--jobs needs a number")?;
-                i += 1;
-            }
-            "--trace-out" => {
-                o.trace_out = Some(args.get(i + 1).ok_or("--trace-out needs a path")?.to_string());
-                i += 1;
-            }
-            "--metrics" => {
-                o.metrics = true;
-            }
-            "--retries" => {
-                o.retries = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--retries needs a number")?;
-                i += 1;
-            }
-            "--checkpoint" => {
-                o.checkpoint =
-                    Some(args.get(i + 1).ok_or("--checkpoint needs a path")?.to_string());
-                i += 1;
-            }
-            "--resume" => {
-                o.resume = true;
-            }
-            "--unit-timeout" => {
-                o.unit_timeout_ms = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&ms| ms > 0)
-                        .ok_or("--unit-timeout needs a positive millisecond count")?,
-                );
-                i += 1;
-            }
-            "--allow-quarantine" => {
-                o.allow_quarantine = true;
-            }
-            "--halt-after" => {
-                o.halt_after = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--halt-after needs a positive count")?,
-                );
-                i += 1;
-            }
-            "--inject-panic" => {
-                let v = args.get(i + 1).ok_or("--inject-panic needs a function name")?;
-                o.inject_panic = Some(match v.split_once(':') {
-                    Some((func, count)) => PanicPlan {
-                        func: func.to_string(),
-                        panics: count
-                            .parse()
-                            .map_err(|_| "--inject-panic <func[:n]> needs a numeric count")?,
-                    },
-                    None => PanicPlan::always(v),
-                });
-                i += 1;
-            }
+fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options, ArgError> {
+    let mut o = Options {
+        spec: JobSpec::new(target),
+        common: Common::new(0),
+        checkpoint: None,
+        resume: false,
+        allow_quarantine: false,
+        halt_after: None,
+        baseline: None,
+    };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        let spec = &mut o.spec;
+        match flag {
+            _ if o.common.take(command, flag, &mut flags)? => {}
+            "--latency" => spec.latency = flags.value(flag, "a number")?,
+            "--clusters" => spec.clusters = flags.positive(flag, "a positive cluster count")?,
+            "--method" => spec.method = flags.value(flag, "gdp|profile-max|naive|unified")?,
             "--memory" => {
-                let v = args.get(i + 1).ok_or("--memory needs a value")?;
-                o.memory = if v == "partitioned" {
-                    MemoryChoice::Partitioned
-                } else if v == "unified" {
-                    MemoryChoice::Unified
-                } else if let Some(p) = v.strip_prefix("coherent:") {
-                    MemoryChoice::Coherent(
-                        p.parse().map_err(|_| "coherent:<penalty> needs a number")?,
-                    )
-                } else {
-                    return Err("--memory must be partitioned|unified|coherent:<penalty>".into());
-                };
-                i += 1;
+                spec.memory = flags.value(flag, "partitioned|unified|coherent:<penalty>")?;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            "--gdp-fuel" => spec.gdp_fuel = Some(flags.value(flag, "a number")?),
+            "--inject-panic" => spec.inject_panic = Some(flags.value(flag, "<func[:n]>")?),
+            "--checkpoint" => o.checkpoint = Some(flags.value(flag, "a path")?),
+            "--resume" => o.resume = true,
+            "--allow-quarantine" => o.allow_quarantine = true,
+            "--halt-after" => o.halt_after = Some(flags.positive(flag, "a positive count")?),
+            "--baseline" if command == "repartition" => {
+                o.baseline = Some(flags.value(flag, "a checkpoint path")?);
+            }
+            other => return Err(Flags::unknown(other)),
         }
-        i += 1;
     }
     if o.resume && o.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint <path>".into());
+        return Err(ArgError("--resume requires --checkpoint <path>".into()));
     }
     Ok(o)
 }
 
-fn config_of(o: &Options, method: Method) -> PipelineConfig {
-    let mut cfg = PipelineConfig::new(method).with_jobs(o.jobs).with_retries(o.retries);
-    cfg.gdp.fuel = o.gdp_fuel;
-    cfg.unit_timeout = o.unit_timeout_ms.map(Duration::from_millis);
-    cfg.rhop.inject_panic = o.inject_panic.clone();
-    cfg
-}
+impl Options {
+    /// The pipeline configuration of `method` under these options.
+    fn config(&self, method: Method) -> PipelineConfig {
+        let spec = JobSpec { method, ..self.spec.clone() };
+        let mut cfg = spec.config().with_jobs(self.common.jobs).with_retries(self.common.retries);
+        cfg.unit_timeout = self.common.unit_timeout;
+        cfg
+    }
 
-/// One observability sink per invocation: recording only when the user
-/// asked for a trace file or the metrics table.
-fn obs_of(o: &Options) -> mcpart::obs::Obs {
-    if o.trace_out.is_some() || o.metrics {
-        mcpart::obs::Obs::enabled()
-    } else {
-        mcpart::obs::Obs::disabled()
+    fn machine(&self) -> Result<Machine, CliError> {
+        self.spec
+            .machine()
+            .map_err(|e| CliError::Usage(format!("machine configuration invalid: {e}")))
     }
 }
 
-/// Writes the Chrome trace and/or prints the summary table, as
-/// requested by `--trace-out` / `--metrics`.
-fn emit_obs(o: &Options, obs: &mcpart::obs::Obs) -> Result<(), String> {
-    if let Some(path) = &o.trace_out {
-        std::fs::write(path, obs.chrome_trace())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if o.metrics {
-        outln!("{}", obs.summary());
-    }
-    Ok(())
+/// Parses a one-shot command's target and options and loads the target.
+fn prepare(args: &[String]) -> Result<(Options, Program, Profile), CliError> {
+    let command = &args[0];
+    let target = args
+        .get(1)
+        .ok_or_else(|| CliError::usage(format!("{command} needs a benchmark name or file")))?;
+    let o = parse_options(command, target, &args[2..])?;
+    let (program, profile) = load_target(target)?;
+    Ok((o, program, profile))
 }
 
-fn machine_of(o: &Options) -> Result<Machine, CliError> {
-    let m = Machine::homogeneous(o.clusters, o.latency);
-    let m = match o.memory {
-        MemoryChoice::Partitioned => m,
-        MemoryChoice::Unified => m.with_unified_memory(),
-        MemoryChoice::Coherent(p) => m.with_coherent_cache(p),
-    };
-    m.validate().map_err(|e| CliError::Usage(format!("machine configuration invalid: {e}")))?;
-    Ok(m)
-}
-
-fn load_target(name_or_path: &str) -> Result<(Program, Profile), String> {
+/// Resolves a target: a synthetic spec, a bundled benchmark, or a
+/// text-IR file. A malformed synthetic spec is a usage error (exit 2,
+/// with the parser's column diagnostic); everything else that fails is
+/// a runtime error.
+fn load_target(name_or_path: &str) -> Result<(Program, Profile), CliError> {
     // Synthetic specs first — a preset name or `key=value,...` string
     // (`mcpart partition ops=100000`) keeps its parse diagnostic
     // instead of degrading to the generic "unknown benchmark" message.
     if name_or_path.starts_with("synth_") || name_or_path.contains('=') {
         let w = mcpart::workloads::synth_result(name_or_path)
-            .map_err(|e| format!("`{name_or_path}`: {e}"))?;
+            .map_err(|e| CliError::Usage(format!("`{name_or_path}`: {e}")))?;
         return Ok((w.program, w.profile));
     }
     if let Some(w) = mcpart::workloads::by_name(name_or_path) {
@@ -372,23 +314,9 @@ fn load_target(name_or_path: &str) -> Result<(Program, Profile), String> {
             .map_err(|e| format!("{name_or_path}: execution failed: {e}"))?;
         return Ok((program, profile));
     }
-    Err(format!(
+    Err(CliError::Runtime(format!(
         "`{name_or_path}` is neither a known benchmark nor a readable file (try `mcpart list`)"
-    ))
-}
-
-/// CLI-side wrapper of [`load_target`]: a malformed synthetic spec is
-/// a *usage* error (exit 2, with the parser's column diagnostic);
-/// everything else stays a runtime error. `serve` keeps the plain
-/// [`load_target`] as its job loader — a service job never exits the
-/// process.
-fn load_target_cli(target: &str) -> Result<(Program, Profile), CliError> {
-    if target.starts_with("synth_") || target.contains('=') {
-        let w = mcpart::workloads::synth_result(target)
-            .map_err(|e| CliError::Usage(format!("`{target}`: {e}")))?;
-        return Ok((w.program, w.profile));
-    }
-    load_target(target).map_err(CliError::Runtime)
+    )))
 }
 
 /// Announces any degradation-ladder activity on stderr so scripted
@@ -396,30 +324,6 @@ fn load_target_cli(target: &str) -> Result<(Program, Profile), CliError> {
 fn report_downgrades(downgrades: &[Downgrade]) {
     for d in downgrades {
         eprintln!("warning: downgraded {d}");
-    }
-}
-
-/// Stable slug of the memory model, recorded in checkpoint headers.
-fn memory_slug(m: MemoryChoice) -> String {
-    match m {
-        MemoryChoice::Partitioned => "partitioned".to_string(),
-        MemoryChoice::Unified => "unified".to_string(),
-        MemoryChoice::Coherent(p) => format!("coherent:{p}"),
-    }
-}
-
-/// The checkpoint header this invocation would write: everything a
-/// unit's result depends on. A `--resume` against a file whose header
-/// differs is rejected before any unit is skipped.
-fn header_of(o: &Options, program: &Program) -> CheckpointHeader {
-    CheckpointHeader {
-        program: program.name.clone(),
-        program_hash: program_fingerprint(program),
-        seed: PipelineConfig::new(o.method).rhop.seed,
-        clusters: o.clusters,
-        latency: o.latency,
-        memory: memory_slug(o.memory),
-        gdp_fuel: o.gdp_fuel,
     }
 }
 
@@ -451,7 +355,7 @@ impl CheckpointSession {
     /// otherwise a fresh file is created.
     fn open(o: &Options, program: &Program) -> Result<Option<CheckpointSession>, CliError> {
         let Some(path) = &o.checkpoint else { return Ok(None) };
-        let header = header_of(o, program);
+        let header = o.spec.header(program);
         let (writer, resumed) = if o.resume && std::path::Path::new(path).exists() {
             let ck = load_checkpoint(path, &header).map_err(ck_err)?;
             if ck.dropped_partial_tail {
@@ -499,7 +403,7 @@ fn run_or_resume(
     machine: &Machine,
     o: &Options,
     method: Method,
-    obs: &mcpart::obs::Obs,
+    obs: &Obs,
     session: &mut Option<CheckpointSession>,
     baseline: Option<std::sync::Arc<Manifest>>,
 ) -> Result<(UnitRecord, Option<RepartitionStats>), CliError> {
@@ -510,7 +414,7 @@ fn run_or_resume(
             return Ok((rec, None));
         }
     }
-    let mut config = config_of(o, method).with_obs(obs.clone());
+    let mut config = o.config(method).with_obs(obs.clone());
     config.baseline = baseline;
     let run = run_unit_full(program, profile, machine, &config)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -531,7 +435,7 @@ fn report_quarantine(o: &Options, records: &[UnitRecord]) -> Result<(), CliError
     for q in &quarantined {
         eprintln!("warning: quarantined `{}` after {} attempts: {}", q.unit, q.attempts, q.reason);
     }
-    if o.metrics {
+    if o.common.metrics {
         outln!("quarantine report: {} unit(s)", quarantined.len());
         for q in &quarantined {
             outln!("  {} ({} attempts): {}", q.unit, q.attempts, q.reason);
@@ -554,14 +458,14 @@ fn report_run(
     o: &Options,
     baseline: Option<std::sync::Arc<Manifest>>,
 ) -> Result<(), CliError> {
-    let machine = machine_of(o)?;
-    let obs = obs_of(o);
+    let machine = o.machine()?;
+    let obs = o.common.obs();
     let mut session = CheckpointSession::open(o, program)?;
     let (rec, repartition) =
-        run_or_resume(program, profile, &machine, o, o.method, &obs, &mut session, baseline)?;
+        run_or_resume(program, profile, &machine, o, o.spec.method, &obs, &mut session, baseline)?;
     report_downgrades(&rec.downgrades);
     outln!("benchmark: {}", program.name);
-    outln!("machine:   {} clusters, {}-cycle moves", o.clusters, o.latency);
+    outln!("machine:   {} clusters, {}-cycle moves", o.spec.clusters, o.spec.latency);
     if rec.requested != rec.method {
         outln!("method:    {} (downgraded from {})", rec.method, rec.requested);
     } else {
@@ -573,7 +477,7 @@ fn report_run(
         outln!("remote:    {} dynamic remote accesses", rec.remote);
     }
     outln!("data:      {:?} bytes per cluster", rec.data_bytes);
-    outln!("ops:       {:?} per cluster", rec.placement().ops_per_cluster(o.clusters));
+    outln!("ops:       {:?} per cluster", rec.placement().ops_per_cluster(o.spec.clusters));
     outln!("pressure:  {} live registers at the worst block boundary", rec.pressure);
     outln!("partition: {:.1} ms", rec.partition_ms);
     // Dirty-cone counters land after the unit's pinned events, so the
@@ -591,104 +495,8 @@ fn report_run(
             rp.cone_frac_x1000() as f64 / 10.0
         );
     }
-    emit_obs(o, &obs)?;
+    o.common.emit(&obs)?;
     report_quarantine(o, std::slice::from_ref(&rec))
-}
-
-/// Options of `mcpart serve`, split from [`Options`] because most
-/// one-shot flags (checkpointing, per-run method/machine choices) are
-/// carried by the job files instead.
-struct ServeOptions {
-    cfg: ServeConfig,
-    trace_out: Option<String>,
-    metrics: bool,
-}
-
-fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
-    let mut cfg = ServeConfig::default();
-    let mut trace_out = None;
-    let mut metrics = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--drain" => cfg.drain = true,
-            "--jobs" => {
-                cfg.jobs =
-                    args.get(i + 1).and_then(|v| v.parse().ok()).ok_or("--jobs needs a number")?;
-                i += 1;
-            }
-            "--batch" => {
-                cfg.batch = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--batch needs a positive count")?;
-                i += 1;
-            }
-            "--queue" => {
-                cfg.queue = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--queue needs a positive count")?;
-                i += 1;
-            }
-            "--poll-ms" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--poll-ms needs a millisecond count")?;
-                cfg.poll = Duration::from_millis(ms);
-                i += 1;
-            }
-            "--retries" => {
-                cfg.retries = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--retries needs a number")?;
-                i += 1;
-            }
-            "--unit-timeout" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&ms| ms > 0)
-                    .ok_or("--unit-timeout needs a positive millisecond count")?;
-                cfg.unit_timeout = Some(Duration::from_millis(ms));
-                i += 1;
-            }
-            "--halt-after" => {
-                cfg.halt_after = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--halt-after needs a count")?,
-                );
-                i += 1;
-            }
-            "--telemetry-every" => {
-                cfg.telemetry_every = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--telemetry-every needs a job count (0 disables)")?;
-                i += 1;
-            }
-            "--max-requeues" => {
-                cfg.max_requeues = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--max-requeues needs a count")?;
-                i += 1;
-            }
-            "--trace-out" => {
-                trace_out = Some(args.get(i + 1).ok_or("--trace-out needs a path")?.to_string());
-                i += 1;
-            }
-            "--metrics" => metrics = true,
-            other => return Err(format!("unknown option `{other}`")),
-        }
-        i += 1;
-    }
-    Ok(ServeOptions { cfg, trace_out, metrics })
 }
 
 /// Set by the signal handler; polled by the serve loop, which drains
@@ -751,45 +559,22 @@ fn main() -> ExitCode {
             Ok(())
         }
         "run" | "exec" => (|| {
-            let target = args.get(1).ok_or_else(|| {
-                CliError::usage(format!("{command} needs a benchmark name or .mcir file"))
-            })?;
-            let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
-            report_run(&program, &profile, &o, None)?;
-            Ok(())
+            let (o, program, profile) = prepare(&args)?;
+            report_run(&program, &profile, &o, None)
         })(),
         "repartition" => (|| {
-            let target = args.get(1).ok_or_else(|| {
-                CliError::usage("repartition needs a benchmark name or .mcir file")
-            })?;
-            // `--baseline` is this command's own flag; everything else
-            // is the shared run-option vocabulary.
-            let mut baseline_path: Option<String> = None;
-            let mut rest: Vec<String> = Vec::new();
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                if a == "--baseline" {
-                    baseline_path = Some(
-                        it.next()
-                            .ok_or_else(|| CliError::usage("--baseline needs a checkpoint path"))?
-                            .clone(),
-                    );
-                } else {
-                    rest.push(a.clone());
-                }
-            }
-            let baseline_path = baseline_path
+            let (o, program, profile) = prepare(&args)?;
+            let baseline_path = o
+                .baseline
+                .as_deref()
                 .ok_or_else(|| CliError::usage("repartition requires --baseline <checkpoint>"))?;
-            let o = parse_options(&rest).map_err(CliError::Usage)?;
-            if o.method != Method::Gdp {
+            if o.spec.method != Method::Gdp {
                 return Err(CliError::usage(
                     "repartition only supports --method gdp (the manifest-bearing method)",
                 ));
             }
-            let (program, profile) = load_target_cli(target)?;
-            let header = header_of(&o, &program);
-            let ck = mcpart::core::load_checkpoint_any(&baseline_path).map_err(ck_err)?;
+            let header = o.spec.header(&program);
+            let ck = mcpart::core::load_checkpoint_any(baseline_path).map_err(ck_err)?;
             if !ck.header.compatible_baseline(&header) {
                 return Err(CliError::Config(format!(
                     "{baseline_path}: baseline is incompatible with this run (program name, \
@@ -797,7 +582,7 @@ fn main() -> ExitCode {
                      program content may differ)"
                 )));
             }
-            let unit = format!("{}/{}", program.name, method_slug(o.method));
+            let unit = format!("{}/{}", program.name, method_slug(o.spec.method));
             let manifest = ck.manifest_for(&unit).cloned();
             if manifest.is_none() {
                 eprintln!("note: {baseline_path}: no manifest for `{unit}`; running from scratch");
@@ -805,13 +590,9 @@ fn main() -> ExitCode {
             report_run(&program, &profile, &o, manifest.map(std::sync::Arc::new))
         })(),
         "compare" => (|| {
-            let target = args
-                .get(1)
-                .ok_or_else(|| CliError::usage("compare needs a benchmark name or file"))?;
-            let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
-            let machine = machine_of(&o)?;
-            let obs = obs_of(&o);
+            let (o, program, profile) = prepare(&args)?;
+            let machine = o.machine()?;
+            let obs = o.common.obs();
             let mut session = CheckpointSession::open(&o, &program)?;
             let mut unified = 0u64;
             let mut rows = Vec::new();
@@ -849,13 +630,13 @@ fn main() -> ExitCode {
                     unified as f64 / cycles as f64 * 100.0
                 );
             }
-            emit_obs(&o, &obs)?;
+            o.common.emit(&obs)?;
             report_quarantine(&o, &records)
         })(),
         "dump" => (|| {
             let target =
                 args.get(1).ok_or_else(|| CliError::usage("dump needs a benchmark name"))?;
-            let (program, _) = load_target_cli(target)?;
+            let (program, _) = load_target(target)?;
             print!("{}", program_to_string(&program));
             Ok(())
         })(),
@@ -863,18 +644,12 @@ fn main() -> ExitCode {
             let spec = args.get(1).ok_or_else(|| {
                 CliError::usage("gen needs a spec (synth_10k/synth_100k/synth_1m or key=value,...)")
             })?;
-            let mut out: Option<&str> = None;
-            let mut rest = args[2..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--out" => {
-                        out = Some(
-                            rest.next()
-                                .ok_or_else(|| CliError::usage("--out needs a path"))?
-                                .as_str(),
-                        );
-                    }
-                    other => return Err(CliError::usage(format!("unknown gen option {other}"))),
+            let mut out: Option<String> = None;
+            let mut flags = Flags::new(&args[2..]);
+            while let Some(flag) = flags.next_flag() {
+                match flag {
+                    "--out" => out = Some(flags.value(flag, "a path")?),
+                    other => return Err(Flags::unknown(other).into()),
                 }
             }
             let w = mcpart::workloads::synth_result(spec)
@@ -884,7 +659,7 @@ fn main() -> ExitCode {
             outln!("ops:       {}", w.num_ops());
             outln!("objects:   {}", w.num_objects());
             outln!("bytes:     {}", w.program.total_object_size());
-            if let Some(path) = out {
+            if let Some(path) = &out {
                 std::fs::write(path, program_to_string(&w.program))
                     .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
                 outln!("wrote:     {path}");
@@ -894,14 +669,10 @@ fn main() -> ExitCode {
         "schedule" => (|| {
             // Show the timeline of the hottest block under the chosen
             // method.
-            let target = args
-                .get(1)
-                .ok_or_else(|| CliError::usage("schedule needs a benchmark name or file"))?;
-            let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
-            let machine = machine_of(&o)?;
-            let obs = obs_of(&o);
-            let config = config_of(&o, o.method).with_obs(obs.clone());
+            let (o, program, profile) = prepare(&args)?;
+            let machine = o.machine()?;
+            let obs = o.common.obs();
+            let config = o.config(o.spec.method).with_obs(obs.clone());
             let run =
                 run_pipeline(&program, &profile, &machine, &config).map_err(|e| e.to_string())?;
             report_downgrades(&run.downgrades);
@@ -930,26 +701,24 @@ fn main() -> ExitCode {
                     fid,
                     &run.report.schedules[fid][bid],
                     &run.placement,
-                    o.clusters,
+                    o.spec.clusters,
                 )
             );
-            emit_obs(&o, &obs)?;
-            Ok(())
+            o.common.emit(&obs)
         })(),
         "partition" => (|| {
-            let target = args
-                .get(1)
-                .ok_or_else(|| CliError::usage("partition needs a benchmark name or file"))?;
-            let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
-            let machine = machine_of(&o)?;
+            let (o, program, profile) = prepare(&args)?;
+            let machine = o.machine()?;
             let program = profile.apply_heap_sizes(&program);
             let pts = mcpart::analysis::PointsTo::compute(&program);
             let access = mcpart::analysis::AccessInfo::compute(&program, &pts, &profile);
             let groups = mcpart::core::ObjectGroups::compute(&program, &access);
-            let obs = obs_of(&o);
-            let gcfg =
-                mcpart::core::GdpConfig { jobs: o.jobs, obs: obs.clone(), ..Default::default() };
+            let obs = o.common.obs();
+            let gcfg = mcpart::core::GdpConfig {
+                jobs: o.common.jobs,
+                obs: obs.clone(),
+                ..Default::default()
+            };
             let dp =
                 mcpart::core::gdp_partition(&program, &profile, &access, &groups, &machine, &gcfg)
                     .map_err(|e| e.to_string())?;
@@ -963,113 +732,69 @@ fn main() -> ExitCode {
                 "bytes per cluster: {:?}",
                 dp.bytes_per_cluster(&program, machine.num_clusters())
             );
-            emit_obs(&o, &obs)?;
-            Ok(())
+            o.common.emit(&obs)
         })(),
         "serve" => (|| {
             let spool =
                 args.get(1).ok_or_else(|| CliError::usage("serve needs a spool directory path"))?;
-            let so = parse_serve_options(&args[2..]).map_err(CliError::Usage)?;
-            let mut cfg = so.cfg;
-            if so.trace_out.is_some() || so.metrics {
-                cfg.obs = mcpart::obs::Obs::enabled();
+            // Most one-shot flags (checkpointing, per-run method and
+            // machine) are carried by the job files instead.
+            let mut common = Common::new(0);
+            let mut cfg = ServeConfig::default();
+            let mut flags = Flags::new(&args[2..]);
+            while let Some(flag) = flags.next_flag() {
+                match flag {
+                    _ if common.take(command, flag, &mut flags)? => {}
+                    "--drain" => cfg.drain = true,
+                    "--batch" => cfg.batch = flags.positive(flag, "a positive count")?,
+                    "--queue" => cfg.queue = flags.positive(flag, "a positive count")?,
+                    "--poll-ms" => {
+                        cfg.poll = Duration::from_millis(flags.value(flag, "a millisecond count")?);
+                    }
+                    "--halt-after" => cfg.halt_after = Some(flags.value(flag, "a count")?),
+                    "--telemetry-every" => {
+                        cfg.telemetry_every = flags.value(flag, "a job count (0 disables)")?;
+                    }
+                    "--max-requeues" => cfg.max_requeues = flags.value(flag, "a count")?,
+                    other => return Err(Flags::unknown(other).into()),
+                }
             }
+            cfg.jobs = common.jobs;
+            cfg.retries = common.retries;
+            cfg.unit_timeout = common.unit_timeout;
+            cfg.obs = common.obs();
             install_shutdown_handler();
-            mcpart::core::serve(std::path::Path::new(spool), &cfg, &load_target, &SERVE_SHUTDOWN)
+            let loader = |name: &str| load_target(name).map_err(CliError::into_message);
+            mcpart::core::serve(std::path::Path::new(spool), &cfg, &loader, &SERVE_SHUTDOWN)
                 .map_err(|e| CliError::Runtime(e.to_string()))?;
-            if let Some(path) = &so.trace_out {
-                std::fs::write(path, cfg.obs.chrome_trace())
-                    .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-            }
-            if so.metrics {
-                outln!("{}", cfg.obs.summary());
-            }
-            Ok(())
+            common.emit(&cfg.obs)
         })(),
         "chaos" => (|| {
-            let rest = &args[1..];
+            let mut common = Common::new(4);
+            let mut cfg = mcpart::core::ChaosConfig::new(0, 0xC4A05);
             let mut scenarios: Option<usize> = None;
-            let mut seed: u64 = 0xC4A05;
-            let mut shrink = true;
-            let mut corpus: Option<String> = None;
-            let mut replay: Option<String> = None;
-            let mut sweep_path: Option<String> = None;
-            let mut jobs_compare: usize = 4;
-            let mut trace_out: Option<String> = None;
-            let mut metrics = false;
-            let mut inject_bad = false;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--seed" => {
-                        seed = rest
-                            .get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| CliError::usage("--seed needs a number"))?;
-                        i += 1;
-                    }
-                    "--shrink" => shrink = true,
-                    "--no-shrink" => shrink = false,
-                    "--corpus" => {
-                        corpus = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::usage("--corpus needs a directory"))?
-                                .to_string(),
-                        );
-                        i += 1;
-                    }
-                    "--replay" => {
-                        replay = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::usage("--replay needs a repro file"))?
-                                .to_string(),
-                        );
-                        i += 1;
-                    }
-                    "--sweep" => {
-                        sweep_path = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::usage("--sweep needs a matrix file"))?
-                                .to_string(),
-                        );
-                        i += 1;
-                    }
-                    "--jobs" => {
-                        jobs_compare = rest
-                            .get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| CliError::usage("--jobs needs a number"))?;
-                        i += 1;
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::usage("--trace-out needs a path"))?
-                                .to_string(),
-                        );
-                        i += 1;
-                    }
-                    "--metrics" => metrics = true,
-                    "--inject-bad-placement" => inject_bad = true,
+            let (mut replay, mut sweep_path): (Option<String>, Option<String>) = (None, None);
+            let mut flags = Flags::new(&args[1..]);
+            while let Some(flag) = flags.next_flag() {
+                match flag {
+                    _ if common.take(command, flag, &mut flags)? => {}
+                    "--seed" => cfg.seed = flags.value(flag, "a number")?,
+                    "--shrink" => cfg.shrink = true,
+                    "--no-shrink" => cfg.shrink = false,
+                    "--corpus" => cfg.corpus = Some(flags.value(flag, "a directory")?),
+                    "--replay" => replay = Some(flags.value(flag, "a repro file")?),
+                    "--sweep" => sweep_path = Some(flags.value(flag, "a matrix file")?),
+                    "--inject-bad-placement" => cfg.inject_bad_placement = true,
                     other if !other.starts_with('-') && scenarios.is_none() => {
                         scenarios = Some(other.parse().map_err(|_| {
                             CliError::usage(format!("`{other}` is not a scenario count"))
                         })?);
                     }
-                    other => {
-                        return Err(CliError::usage(format!("unknown chaos option `{other}`")))
-                    }
+                    other => return Err(Flags::unknown(other).into()),
                 }
-                i += 1;
             }
-            let mut cfg = mcpart::core::ChaosConfig::new(scenarios.unwrap_or(0), seed);
-            cfg.shrink = shrink;
-            cfg.corpus = corpus.map(std::path::PathBuf::from);
-            cfg.jobs_compare = jobs_compare;
-            cfg.inject_bad_placement = inject_bad;
-            if trace_out.is_some() || metrics {
-                cfg.obs = mcpart::obs::Obs::enabled();
-            }
+            cfg.jobs_compare = common.jobs;
+            cfg.obs = common.obs();
             if let Some(path) = &sweep_path {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))?;
@@ -1082,16 +807,6 @@ fn main() -> ExitCode {
             let chaos_err = |e: mcpart::core::ChaosError| match e {
                 mcpart::core::ChaosError::Io { .. } => CliError::Runtime(e.to_string()),
                 other => CliError::Config(other.to_string()),
-            };
-            let emit = |obs: &mcpart::obs::Obs| -> Result<(), CliError> {
-                if let Some(path) = &trace_out {
-                    std::fs::write(path, obs.chrome_trace())
-                        .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-                }
-                if metrics {
-                    outln!("{}", obs.summary());
-                }
-                Ok(())
             };
             if let Some(path) = &replay {
                 let text = std::fs::read_to_string(path)
@@ -1107,7 +822,7 @@ fn main() -> ExitCode {
                 for line in result.detail.lines() {
                     outln!("  {line}");
                 }
-                emit(&cfg.obs)?;
+                common.emit(&cfg.obs)?;
                 if result.failed() {
                     return Err(CliError::Runtime(format!(
                         "replayed scenario failed: {}",
@@ -1135,7 +850,7 @@ fn main() -> ExitCode {
                 outln!("repro written: {}", p.display());
             }
             outln!("{}", sum.line());
-            emit(&cfg.obs)?;
+            common.emit(&cfg.obs)?;
             if sum.failures.is_empty() {
                 Ok(())
             } else {
@@ -1153,15 +868,12 @@ fn main() -> ExitCode {
             // `cat/name=v` (the counter's last sample must equal v).
             let mut require: Vec<(String, Option<i64>)> = Vec::new();
             let mut forbid: Vec<String> = Vec::new();
-            let rest = &args[2..];
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
+            let mut flags = Flags::new(&args[2..]);
+            while let Some(flag) = flags.next_flag() {
+                let mut list = || flags.value::<String>(flag, "a comma-separated counter list");
+                match flag {
                     "--require" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::usage("--require needs a comma-separated counter list")
-                        })?;
-                        for item in v.split(',').filter(|s| !s.is_empty()) {
+                        for item in list()?.split(',').filter(|s| !s.is_empty()) {
                             match item.split_once('=') {
                                 Some((label, want)) => {
                                     let want: i64 = want.parse().map_err(|_| {
@@ -1175,18 +887,14 @@ fn main() -> ExitCode {
                                 None => require.push((item.to_string(), None)),
                             }
                         }
-                        i += 1;
                     }
                     "--forbid" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::usage("--forbid needs a comma-separated counter list")
-                        })?;
-                        forbid.extend(v.split(',').filter(|s| !s.is_empty()).map(str::to_string));
-                        i += 1;
+                        forbid.extend(
+                            list()?.split(',').filter(|s| !s.is_empty()).map(str::to_string),
+                        );
                     }
-                    other => return Err(CliError::usage(format!("unknown option `{other}`"))),
+                    other => return Err(Flags::unknown(other).into()),
                 }
-                i += 1;
             }
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1241,10 +949,11 @@ fn main() -> ExitCode {
                 CliError::usage("stats needs a telemetry directory or trace file path")
             })?;
             let mut pinned_only = false;
-            for a in &args[2..] {
-                match a.as_str() {
+            let mut flags = Flags::new(&args[2..]);
+            while let Some(flag) = flags.next_flag() {
+                match flag {
                     "--pinned" => pinned_only = true,
-                    other => return Err(CliError::usage(format!("unknown option `{other}`"))),
+                    other => return Err(Flags::unknown(other).into()),
                 }
             }
             let path = std::path::Path::new(target);
@@ -1306,30 +1015,15 @@ fn main() -> ExitCode {
                 }
             };
             let mut cfg = mcpart_bench::diff::DiffConfig::default();
-            let rest = &args[3..];
-            let mut i = 0;
-            while i < rest.len() {
-                let pct_arg = |flag: &str| -> Result<f64, CliError> {
-                    rest.get(i + 1)
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|p| *p >= 0.0)
-                        .map(|p| p / 100.0)
-                        .ok_or_else(|| {
-                            CliError::usage(format!("{flag} needs a non-negative percentage"))
-                        })
-                };
-                match rest[i].as_str() {
-                    "--threshold" => {
-                        cfg.work_threshold = pct_arg("--threshold")?;
-                        i += 1;
-                    }
-                    "--time-threshold" => {
-                        cfg.time_threshold = pct_arg("--time-threshold")?;
-                        i += 1;
-                    }
-                    other => return Err(CliError::usage(format!("unknown option `{other}`"))),
+            let mut flags = Flags::new(&args[3..]);
+            while let Some(flag) = flags.next_flag() {
+                let mut pct =
+                    || flags.value_if(flag, "a non-negative percentage", |p: &f64| *p >= 0.0);
+                match flag {
+                    "--threshold" => cfg.work_threshold = pct()? / 100.0,
+                    "--time-threshold" => cfg.time_threshold = pct()? / 100.0,
+                    other => return Err(Flags::unknown(other).into()),
                 }
-                i += 1;
             }
             let read = |path: &str| -> Result<String, CliError> {
                 std::fs::read_to_string(path)
@@ -1482,79 +1176,71 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcpart::machine::MemoryModel;
+
+    fn parse(args: &[&str]) -> Result<Options, ArgError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_options("run", "fir", &args)
+    }
 
     #[test]
     fn option_parsing() {
-        let args: Vec<String> = ["--latency", "10", "--method", "pm", "--memory", "coherent:7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse_options(&args).unwrap();
-        assert_eq!(o.latency, 10);
-        assert_eq!(o.method, Method::ProfileMax);
-        assert!(matches!(o.memory, MemoryChoice::Coherent(7)));
+        let o = parse(&["--latency", "10", "--method", "pm", "--memory", "coherent:7"]).unwrap();
+        assert_eq!(o.spec.latency, 10);
+        assert_eq!(o.spec.method, Method::ProfileMax);
+        assert_eq!(o.spec.memory, MemoryModel::CoherentCache { remote_penalty: 7 });
     }
 
     #[test]
     fn rejects_unknown_option() {
-        let args = vec!["--bogus".to_string()];
-        assert!(parse_options(&args).is_err());
+        assert!(parse(&["--bogus"]).is_err());
     }
 
     #[test]
     fn rejects_zero_clusters() {
-        let args: Vec<String> = ["--clusters", "0"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_options(&args).is_err());
+        assert!(parse(&["--clusters", "0"]).is_err());
     }
 
     #[test]
     fn rejects_non_numeric_latency() {
-        let args: Vec<String> = ["--latency", "fast"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_options(&args).is_err());
+        assert!(parse(&["--latency", "fast"]).is_err());
     }
 
     #[test]
     fn gdp_fuel_option_feeds_the_config() {
-        let args: Vec<String> = ["--gdp-fuel", "0"].iter().map(|s| s.to_string()).collect();
-        let o = parse_options(&args).unwrap();
-        assert_eq!(o.gdp_fuel, Some(0));
-        assert_eq!(config_of(&o, Method::Gdp).gdp.fuel, Some(0));
-        let bad: Vec<String> = ["--gdp-fuel", "lots"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_options(&bad).is_err());
+        let o = parse(&["--gdp-fuel", "0"]).unwrap();
+        assert_eq!(o.spec.gdp_fuel, Some(0));
+        assert_eq!(o.config(Method::Gdp).gdp.fuel, Some(0));
+        assert!(parse(&["--gdp-fuel", "lots"]).is_err());
     }
 
     #[test]
     fn jobs_option_feeds_the_config() {
-        let args: Vec<String> = ["--jobs", "4"].iter().map(|s| s.to_string()).collect();
-        let o = parse_options(&args).unwrap();
-        assert_eq!(o.jobs, 4);
-        assert_eq!(config_of(&o, Method::Gdp).rhop.jobs, 4);
-        assert_eq!(config_of(&o, Method::Gdp).gdp.jobs, 4);
+        let o = parse(&["--jobs", "4"]).unwrap();
+        assert_eq!(o.common.jobs, 4);
+        assert_eq!(o.config(Method::Gdp).rhop.jobs, 4);
+        assert_eq!(o.config(Method::Gdp).gdp.jobs, 4);
         // Default is 0 = auto.
-        assert_eq!(parse_options(&[]).unwrap().jobs, 0);
-        let bad: Vec<String> = ["--jobs", "many"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_options(&bad).is_err());
+        assert_eq!(parse(&[]).unwrap().common.jobs, 0);
+        assert!(parse(&["--jobs", "many"]).is_err());
     }
 
     #[test]
     fn trace_and_metrics_options() {
-        let args: Vec<String> =
-            ["--trace-out", "t.json", "--metrics"].iter().map(|s| s.to_string()).collect();
-        let o = parse_options(&args).unwrap();
-        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
-        assert!(o.metrics);
-        assert!(obs_of(&o).is_enabled());
+        let o = parse(&["--trace-out", "t.json", "--metrics"]).unwrap();
+        assert_eq!(o.common.trace_out.as_deref(), Some("t.json"));
+        assert!(o.common.metrics);
+        assert!(o.common.obs().is_enabled());
         // Either flag alone turns the sink on; neither leaves it off.
-        let just_metrics = parse_options(&["--metrics".to_string()]).unwrap();
-        assert!(obs_of(&just_metrics).is_enabled());
-        assert!(!obs_of(&Options::default()).is_enabled());
-        assert!(parse_options(&["--trace-out".to_string()]).is_err());
+        assert!(parse(&["--metrics"]).unwrap().common.obs().is_enabled());
+        assert!(!parse(&[]).unwrap().common.obs().is_enabled());
+        assert!(parse(&["--trace-out"]).is_err());
     }
 
     #[test]
     fn obs_flows_into_every_stage_config() {
-        let o = parse_options(&["--metrics".to_string()]).unwrap();
-        let cfg = config_of(&o, Method::Gdp).with_obs(obs_of(&o));
+        let o = parse(&["--metrics"]).unwrap();
+        let cfg = o.config(Method::Gdp).with_obs(o.common.obs());
         assert!(cfg.obs.is_enabled());
         assert!(cfg.gdp.obs.is_enabled());
         assert!(cfg.rhop.obs.is_enabled());
@@ -1562,8 +1248,9 @@ mod tests {
 
     #[test]
     fn method_names() {
-        assert_eq!(parse_method("gdp"), Some(Method::Gdp));
-        assert_eq!(parse_method("profile-max"), Some(Method::ProfileMax));
-        assert_eq!(parse_method("nonsense"), None);
+        assert_eq!("gdp".parse::<Method>(), Ok(Method::Gdp));
+        assert_eq!("profile-max".parse::<Method>(), Ok(Method::ProfileMax));
+        assert_eq!("PM".parse::<Method>(), Ok(Method::ProfileMax));
+        assert!("nonsense".parse::<Method>().is_err());
     }
 }
