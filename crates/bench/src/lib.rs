@@ -39,7 +39,8 @@ pub const SELECTION_FLAGS: &[&str] = &["--benchmarks", "--latency", "--json"];
 /// benchmark name — is an error.
 #[derive(Debug)]
 pub struct BenchArgs {
-    /// `--benchmarks a,b,c` (default: every bundled workload).
+    /// `--benchmarks a,b,c` (default: every bundled workload; none for a
+    /// binary that does not take `--benchmarks`).
     pub workloads: Vec<Workload>,
     /// `--latency N`.
     pub latency: Option<u32>,
@@ -90,7 +91,8 @@ impl BenchArgs {
             }
         }
         a.workloads = match names {
-            None => mcpart_workloads::all(),
+            None if accepted.contains(&"--benchmarks") => mcpart_workloads::all(),
+            None => Vec::new(),
             Some(list) => list
                 .split(',')
                 .map(|n| {

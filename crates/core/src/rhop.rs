@@ -180,13 +180,9 @@ impl std::str::FromStr for PanicPlan {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        match s.split_once(':') {
-            Some((func, count)) => Ok(PanicPlan {
-                func: func.to_string(),
-                panics: count.parse().map_err(|_| "count must be a number".to_string())?,
-            }),
-            None => Ok(PanicPlan::always(s)),
-        }
+        let Some((func, count)) = s.split_once(':') else { return Ok(PanicPlan::always(s)) };
+        let panics = count.parse().map_err(|_| "count must be a number".to_string())?;
+        Ok(PanicPlan { func: func.to_string(), panics })
     }
 }
 

@@ -328,11 +328,11 @@ pub fn parse_job(text: &str) -> Result<JobSpec, String> {
     if let Some(slug) = doc.get("method").and_then(json::JsonValue::as_str) {
         spec.method = slug.parse()?;
     }
-    spec.clusters = num_field(&doc, "clusters")?.unwrap_or(2) as usize;
+    spec.clusters = num_field(&doc, "clusters")?.map_or(spec.clusters, |n| n as usize);
     if spec.clusters == 0 {
         return Err("`clusters` must be at least 1".to_string());
     }
-    spec.latency = num_field(&doc, "latency")?.unwrap_or(5) as u32;
+    spec.latency = num_field(&doc, "latency")?.map_or(spec.latency, |n| n as u32);
     if let Some(slug) = doc.get("memory").and_then(json::JsonValue::as_str) {
         spec.memory = slug.parse()?;
     }
