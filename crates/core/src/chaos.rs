@@ -9,7 +9,9 @@
 //!   latency, topology, unit mix, memory model);
 //! * a **fault plan** — a [`FaultPlan`] arming the repo's existing
 //!   injectors (unit panics, GDP fuel, estimator budgets, watchdog
-//!   timeouts, checkpoint corruption, spool kills).
+//!   timeouts, checkpoint corruption, crashes mid-write), plus the
+//!   terms of [`ChaosConfig::faults`] (e.g. `misplace`, which corrupts
+//!   every placement so the oracle must catch it).
 //!
 //! The scenario runs the full pipeline under the plan and the oracle
 //! judges the outcome: the run must end in a valid placement (all
@@ -139,8 +141,9 @@ impl Scenario {
                         value.parse().map_err(|message| ChaosError::Parse { line, message })?;
                 }
                 "faults" => {
-                    faults = FaultPlan::parse(value)
-                        .map_err(|e| ChaosError::Parse { line, message: e.to_string() })?;
+                    let plan = value.parse::<FaultPlan>();
+                    faults =
+                        plan.map_err(|e| ChaosError::Parse { line, message: e.to_string() })?;
                 }
                 "seed" => {
                     seed = value.parse().map_err(|_| ChaosError::Parse {
@@ -247,10 +250,10 @@ pub struct ChaosConfig {
     /// Second worker count for the jobs-invariance re-run (`<= 1`
     /// skips the re-run).
     pub jobs_compare: usize,
-    /// Test hook: corrupt every successful placement before judging,
-    /// so the oracle must catch it (exercises the failure path
-    /// end-to-end).
-    pub inject_bad_placement: bool,
+    /// Terms appended to every sampled scenario's plan (`--fault`), so
+    /// shrinking keeps them and repro files record them; e.g.
+    /// `misplace` exercises the failure path end to end.
+    pub faults: FaultPlan,
     /// Simulator bounds for the oracle's semantics check.
     pub exec: ExecConfig,
     /// Observability sink for the `chaos/*` counters.
@@ -268,7 +271,7 @@ impl ChaosConfig {
             shrink: true,
             corpus: None,
             jobs_compare: 4,
-            inject_bad_placement: false,
+            faults: FaultPlan::none(),
             exec: ExecConfig::default(),
             obs: Obs::default(),
         }
@@ -373,28 +376,13 @@ fn load_target(target: &str, cache: &mut TargetCache) -> Result<(Program, Profil
     Ok(loaded)
 }
 
-fn pipeline_config(scenario: &Scenario, program: &Program, jobs: usize) -> PipelineConfig {
+fn pipeline_config(scenario: &Scenario, jobs: usize) -> PipelineConfig {
     let mut pcfg = PipelineConfig::new(scenario.method).with_jobs(jobs);
     pcfg.rhop.seed = scenario.seed;
+    // RHOP applies the `panic:` terms itself.
+    pcfg.rhop.faults = scenario.faults.clone();
     for entry in &scenario.faults.entries {
         match entry {
-            FaultEntry::UnitPanic { unit, times } => {
-                // `#k` references resolve against the function list so
-                // plans stay meaningful across shrunk programs.
-                let func = match unit.strip_prefix('#').and_then(|d| d.parse::<usize>().ok()) {
-                    Some(k) => {
-                        let n = program.functions.len().max(1);
-                        program
-                            .functions
-                            .iter()
-                            .nth(k % n)
-                            .map(|(_, f)| f.name.clone())
-                            .unwrap_or_else(|| unit.clone())
-                    }
-                    None => unit.clone(),
-                };
-                pcfg.rhop.inject_panic = Some(crate::rhop::PanicPlan { func, panics: *times });
-            }
             FaultEntry::Fuel { budget } => pcfg.gdp.fuel = Some(*budget),
             FaultEntry::EstimatorBudget { calls } => {
                 pcfg.rhop.max_estimator_calls = Some(*calls);
@@ -402,10 +390,12 @@ fn pipeline_config(scenario: &Scenario, program: &Program, jobs: usize) -> Pipel
             FaultEntry::Timeout { ms } => {
                 pcfg.unit_timeout = Some(std::time::Duration::from_millis(*ms));
             }
-            // Checkpoint and spool faults act after the pipeline run.
-            FaultEntry::CheckpointTruncate { .. }
+            // Panics are RHOP's (above); the rest act after the run.
+            FaultEntry::UnitPanic { .. }
+            | FaultEntry::CheckpointTruncate { .. }
             | FaultEntry::CheckpointBitflip { .. }
-            | FaultEntry::ServeKill { .. } => {}
+            | FaultEntry::Halt { .. }
+            | FaultEntry::Misplace => {}
         }
     }
     pcfg
@@ -419,7 +409,7 @@ fn run_scenario_cached(
     let (program, profile) = load_target(&scenario.target, cache)?;
     let machine = scenario.point.machine();
     machine.validate().map_err(|e| ChaosError::Machine { message: e.to_string() })?;
-    let pcfg = pipeline_config(scenario, &program, 1);
+    let pcfg = pipeline_config(scenario, 1);
     let run = catch_unwind(AssertUnwindSafe(|| run_pipeline(&program, &profile, &machine, &pcfg)));
     let verdict = |verdict, checks_run, detail| {
         Ok(ScenarioResult { scenario: scenario.clone(), verdict, checks_run, detail })
@@ -430,49 +420,24 @@ fn run_scenario_cached(
         }
         Ok(outcome) => outcome,
     };
+    let loaded = (&program, &profile, &machine);
     match outcome {
         Err(e) => {
             // A typed error is allowed — but it must be *stable*: the
             // same scenario at another worker count must fail the same
             // way, or the determinism contract is broken.
             if cfg.jobs_compare > 1 {
-                let pcfg2 = pipeline_config(scenario, &program, cfg.jobs_compare);
-                let second = catch_unwind(AssertUnwindSafe(|| {
-                    run_pipeline(&program, &profile, &machine, &pcfg2)
-                }));
-                match second {
-                    Err(payload) => {
-                        return verdict(
-                            ScenarioVerdict::Panicked,
-                            0,
-                            format!(
-                                "jobs={} re-run panicked: {}",
-                                cfg.jobs_compare,
-                                panic_message(payload.as_ref())
-                            ),
-                        );
-                    }
-                    Ok(Err(e2)) if e2.to_string() == e.to_string() => {}
-                    Ok(other) => {
-                        return verdict(
-                            ScenarioVerdict::OracleFailure,
-                            0,
-                            format!(
-                                "jobs=1 failed (`{e}`) but jobs={} produced {}",
-                                cfg.jobs_compare,
-                                match other {
-                                    Ok(_) => "a placement".to_string(),
-                                    Err(e2) => format!("a different error (`{e2}`)"),
-                                }
-                            ),
-                        );
-                    }
+                if let Some((v, detail)) =
+                    jobs_divergence(scenario, cfg, loaded, Err(e.to_string()))
+                {
+                    return verdict(v, 0, detail);
                 }
             }
             verdict(ScenarioVerdict::TypedError, 0, e.to_string())
         }
         Ok(mut result) => {
-            if cfg.inject_bad_placement {
+            let misplace = scenario.faults.entries.contains(&FaultEntry::Misplace);
+            if misplace {
                 corrupt_placement(&mut result, machine.num_clusters());
             }
             let report = check_result(&program, &profile, &machine, &result, cfg.exec);
@@ -480,11 +445,10 @@ fn run_scenario_cached(
             if !report.passed() {
                 return verdict(ScenarioVerdict::OracleFailure, checks_run, oracle_detail(&report));
             }
-            if cfg.jobs_compare > 1 && !cfg.inject_bad_placement {
-                if let Some(detail) =
-                    jobs_divergence(scenario, cfg, &program, &profile, &machine, &result)
-                {
-                    return verdict(ScenarioVerdict::OracleFailure, checks_run, detail);
+            if cfg.jobs_compare > 1 && !misplace {
+                let first = Ok(record_bytes(&result));
+                if let Some((v, detail)) = jobs_divergence(scenario, cfg, loaded, first) {
+                    return verdict(v, checks_run, detail);
                 }
             }
             if let Some(detail) = checkpoint_faults(scenario, &result, &program) {
@@ -522,36 +486,40 @@ fn record_bytes(result: &PipelineResult) -> String {
     record.to_json()
 }
 
+/// Re-runs the scenario at `cfg.jobs_compare` workers and compares its
+/// outcome — zeroed-clock record bytes or typed error — with the first
+/// run's: any difference breaks the determinism contract. Returns the
+/// failing verdict and its evidence.
 fn jobs_divergence(
     scenario: &Scenario,
     cfg: &ChaosConfig,
-    program: &Program,
-    profile: &Profile,
-    machine: &Machine,
-    first: &PipelineResult,
-) -> Option<String> {
-    let pcfg = pipeline_config(scenario, program, cfg.jobs_compare);
+    (program, profile, machine): (&Program, &Profile, &Machine),
+    first: Result<String, String>,
+) -> Option<(ScenarioVerdict, String)> {
+    let jobs = cfg.jobs_compare;
+    let pcfg = pipeline_config(scenario, jobs);
     let second = catch_unwind(AssertUnwindSafe(|| run_pipeline(program, profile, machine, &pcfg)));
-    match second {
-        Err(payload) => Some(format!(
-            "jobs={} re-run panicked: {}",
-            cfg.jobs_compare,
-            panic_message(payload.as_ref())
-        )),
-        Ok(Err(e)) => {
-            Some(format!("jobs=1 produced a placement but jobs={} failed: {e}", cfg.jobs_compare))
+    let second = match second {
+        Err(payload) => {
+            let detail =
+                format!("jobs={jobs} re-run panicked: {}", panic_message(payload.as_ref()));
+            return Some((ScenarioVerdict::Panicked, detail));
         }
-        Ok(Ok(again)) => {
-            let a = record_bytes(first);
-            let b = record_bytes(&again);
-            if a == b {
-                None
-            } else {
-                let at = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
-                Some(format!("jobs=1 and jobs={} records diverge at byte {at}", cfg.jobs_compare))
-            }
+        Ok(second) => second.as_ref().map(record_bytes).map_err(|e| e.to_string()),
+    };
+    let detail = match (first, second) {
+        (a, b) if a == b => return None,
+        (Ok(a), Ok(b)) => {
+            let at = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+            format!("jobs=1 and jobs={jobs} records diverge at byte {at}")
         }
-    }
+        (Ok(_), Err(e)) => format!("jobs=1 produced a placement but jobs={jobs} failed: {e}"),
+        (Err(e), Ok(_)) => format!("jobs=1 failed (`{e}`) but jobs={jobs} produced a placement"),
+        (Err(e), Err(e2)) => {
+            format!("jobs=1 failed (`{e}`) but jobs={jobs} produced a different error (`{e2}`)")
+        }
+    };
+    Some((ScenarioVerdict::OracleFailure, detail))
 }
 
 /// In-memory checkpoint corruption sub-checks: the parser must survive
@@ -568,7 +536,7 @@ fn checkpoint_faults(
             e,
             FaultEntry::CheckpointTruncate { .. }
                 | FaultEntry::CheckpointBitflip { .. }
-                | FaultEntry::ServeKill { .. }
+                | FaultEntry::Halt { .. }
         )
     });
     if !wants {
@@ -619,11 +587,11 @@ fn checkpoint_faults(
                     }
                 }
             }
-            FaultEntry::ServeKill { after } => {
-                // A spool kill after `after` commits: the file holds
-                // `after` whole record lines plus one the crash cut in
-                // half. Recovery must return exactly the committed
-                // prefix and flag the dropped tail.
+            FaultEntry::Halt { after } => {
+                // A crash after `after` commits: the file holds `after`
+                // whole record lines plus one the crash cut in half.
+                // Recovery must return exactly the committed prefix and
+                // flag the dropped tail.
                 let killed = format!(
                     "{}\n{}{}",
                     header.to_json(),
@@ -662,8 +630,8 @@ fn checkpoint_faults(
     None
 }
 
-/// Corrupts a placement the way a buggy partitioner would (test hook
-/// behind `--inject-bad-placement`): flip a homed object to another
+/// Corrupts a placement the way a buggy partitioner would (the
+/// `misplace` term): flip a homed object to another
 /// cluster, or — when there is none to flip — park an op on a cluster
 /// the machine does not have.
 fn corrupt_placement(result: &mut PipelineResult, n: usize) {
@@ -735,8 +703,9 @@ fn sample_scenario(
         });
     }
     if rng.gen_bool(0.15) {
-        entries.push(FaultEntry::ServeKill { after: rng.gen_range(0u32..3) });
+        entries.push(FaultEntry::Halt { after: rng.gen_range(0u32..3).into() });
     }
+    entries.extend(cfg.faults.entries.iter().cloned());
     Scenario {
         target,
         point,
@@ -882,7 +851,7 @@ mod tests {
             target: "funcs=2,depth=1,region=9,objects=3,sharing=1,trips=2,seed=7".to_string(),
             point: SweepPoint { clusters: 4, topology: Topology::Ring, ..SweepPoint::paper() },
             method: Method::ProfileMax,
-            faults: FaultPlan::parse("fuel:3+panic:#1x2").expect("plan"),
+            faults: "fuel:3+panic:#1x2".parse::<FaultPlan>().expect("plan"),
             seed: 99,
         };
         let parsed = Scenario::parse(&s.to_string()).expect("roundtrip");
@@ -930,7 +899,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mcpart-chaos-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = quiet_cfg(3, 0xBAD);
-        cfg.inject_bad_placement = true;
+        cfg.faults = "misplace".parse::<FaultPlan>().expect("plan");
         cfg.corpus = Some(dir.clone());
         let summary = run_chaos(&cfg).expect("soak");
         assert!(!summary.failures.is_empty(), "the oracle must catch corrupted placements");
@@ -940,6 +909,7 @@ mod tests {
         for path in &summary.repro_files {
             let text = std::fs::read_to_string(path).expect("read repro");
             let scenario = Scenario::parse(&text).expect("parse repro");
+            assert!(scenario.faults.entries.contains(&FaultEntry::Misplace), "{text}");
             let replay = run_scenario(&scenario, &cfg).expect("replay");
             assert!(replay.failed(), "replayed repro must still fail: {}", replay.detail);
         }
@@ -955,7 +925,8 @@ mod tests {
             target: "funcs=2,depth=1,region=10,objects=3,sharing=1,trips=2,seed=5".to_string(),
             point: SweepPoint { clusters: 2, ..SweepPoint::paper() },
             method: Method::Gdp,
-            faults: FaultPlan::parse("panic:#0+fuel:0+estimator:1+truncate:500+bitflip:500.3")
+            faults: "panic:#0+fuel:0+estimator:1+truncate:500+bitflip:500.3"
+                .parse::<FaultPlan>()
                 .expect("plan"),
             seed: 17,
         };
@@ -965,8 +936,7 @@ mod tests {
 
     #[test]
     fn shrink_reduces_a_failing_scenario() {
-        let mut cfg = quiet_cfg(1, 2);
-        cfg.inject_bad_placement = true;
+        let cfg = quiet_cfg(1, 2);
         let scenario = Scenario {
             target: "funcs=3,depth=2,region=20,objects=6,sharing=2,trips=8,seed=3".to_string(),
             point: SweepPoint {
@@ -978,7 +948,7 @@ mod tests {
             method: Method::Gdp,
             // A fault that downgrades one rung but leaves the ladder
             // able to finish, so the corrupted placement gets judged.
-            faults: FaultPlan::parse("fuel:0+timeout:120000").expect("plan"),
+            faults: "fuel:0+timeout:120000+misplace".parse::<FaultPlan>().expect("plan"),
             seed: 5,
         };
         let first = run_scenario(&scenario, &cfg).expect("run");
@@ -990,6 +960,7 @@ mod tests {
         // The shrunk machine is simpler and the fault plan no larger.
         assert!(shrunk.scenario.point.clusters <= scenario.point.clusters);
         assert!(shrunk.scenario.faults.entries.len() <= scenario.faults.entries.len());
+        assert!(shrunk.scenario.faults.entries.contains(&FaultEntry::Misplace));
         assert_eq!(shrunk.scenario.point.topology, Topology::Bus);
     }
 }

@@ -993,7 +993,7 @@ impl CheckpointWriter {
         self.append_line(&manifest.to_json())
     }
 
-    /// The `--halt-after` crash hook: tears the record's line as a kill
+    /// The `halt:<n>` fault's crash hook: tears the record's line as a kill
     /// mid-append would, then aborts ([`durable::crash_torn`]).
     pub fn crash_mid_append(&mut self, record: &UnitRecord) -> ! {
         durable::crash_torn(&mut self.file, &record.to_json())

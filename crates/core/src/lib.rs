@@ -84,8 +84,8 @@ pub use oracle::{check_result, OracleCheck, OracleReport};
 pub use pipeline::{run_all_methods, run_pipeline, Method, PipelineConfig, PipelineResult};
 pub use repartition::{build_manifest, compute_reuse, RepartitionStats};
 pub use rhop::{
-    rhop_partition, rhop_partition_detailed, FuncPartitionOutcome, PanicPlan, RegionScope,
-    ReuseEntry, RhopConfig, RhopStats,
+    rhop_partition, rhop_partition_detailed, FuncPartitionOutcome, RegionScope, ReuseEntry,
+    RhopConfig, RhopStats,
 };
 pub use serve::{
     cache_key, parse_job, render_cache_entry, serve, verify_cache_entry, JobLoader, JobSpec,

@@ -40,6 +40,7 @@ use mcpart_ir::{
     BlockId, ClusterId, EntityId, EntityMap, FuncId, ObjectId, OpId, Opcode, Profile, Program, VReg,
 };
 use mcpart_machine::Machine;
+use mcpart_par::fault::{FaultEntry, FaultPlan};
 use mcpart_par::supervise::{
     supervise_unit, AbortHandle, QuarantineReport, RetryPolicy, UnitOutcome,
 };
@@ -115,10 +116,12 @@ pub struct RhopConfig {
     /// retry (doubling per retry). Fuel-denominated so the retry
     /// decision never consults a clock: `--jobs N` stays bit-identical.
     pub backoff_fuel: u64,
-    /// Fault injection: panic inside the named function's partition
-    /// while the 0-based attempt number is below `panics`. Used by the
-    /// supervision tests and the CLI's `--inject-panic`.
-    pub inject_panic: Option<PanicPlan>,
+    /// Fault injection: each `panic:<unit>[xN]` term panics inside the
+    /// named function's partition while the 0-based attempt number is
+    /// below N. A `#k` unit names function `k` modulo the function
+    /// count, so a plan stays meaningful across shrunk programs. Other
+    /// terms are applied by the pipeline and its callers.
+    pub faults: FaultPlan,
     /// Abort handle checked by every budget charge; a watchdog fires it
     /// to stop a runaway unit at its next fuel spend. Disarmed by
     /// default.
@@ -156,36 +159,6 @@ pub struct FuncPartitionOutcome {
     pub replayed: bool,
 }
 
-/// A deterministic injected fault: panic in `func` while the attempt
-/// number is below `panics` (so `panics = 1` exercises
-/// retry-then-succeed, `u32::MAX` exercises quarantine).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PanicPlan {
-    /// Name of the function whose partition panics.
-    pub func: String,
-    /// Number of leading attempts that panic.
-    pub panics: u32,
-}
-
-impl PanicPlan {
-    /// A plan that panics on every attempt (quarantine path).
-    pub fn always(func: &str) -> Self {
-        PanicPlan { func: func.to_string(), panics: u32::MAX }
-    }
-}
-
-/// `func` panics on every attempt, `func:n` on the first `n` (the
-/// `--inject-panic` and job-file `inject_panic` grammar).
-impl std::str::FromStr for PanicPlan {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        let Some((func, count)) = s.split_once(':') else { return Ok(PanicPlan::always(s)) };
-        let panics = count.parse().map_err(|_| "count must be a number".to_string())?;
-        Ok(PanicPlan { func: func.to_string(), panics })
-    }
-}
-
 impl Default for RhopConfig {
     fn default() -> Self {
         RhopConfig {
@@ -199,7 +172,7 @@ impl Default for RhopConfig {
             obs: mcpart_obs::Obs::disabled(),
             retries: 2,
             backoff_fuel: 16,
-            inject_panic: None,
+            faults: FaultPlan::none(),
             abort: AbortHandle::default(),
             reuse: None,
         }
@@ -429,6 +402,20 @@ fn replay_function(
     UnitOutcome::Completed { value: (op_clusters, stats, buf), retries: 0, backoff_spent: 0 }
 }
 
+/// Whether a `panic:` term of `faults` fires in function `fid` on the
+/// 0-based `attempt`.
+fn panic_injected(faults: &FaultPlan, program: &Program, fid: FuncId, attempt: u32) -> bool {
+    faults.entries.iter().any(|e| match e {
+        FaultEntry::UnitPanic { unit, times } if attempt < *times => {
+            match unit.strip_prefix('#').and_then(|k| k.parse::<usize>().ok()) {
+                Some(k) => k % program.functions.len().max(1) == fid.index(),
+                None => *unit == program.functions[fid].name,
+            }
+        }
+        _ => false,
+    })
+}
+
 /// Partitions all regions of one function (all three sweeps). Pure in
 /// `(program, fid, config, attempt)` plus the shared budget: reads only
 /// `fid`'s operations and returns only `fid`'s cluster map, which is
@@ -449,10 +436,8 @@ fn partition_function(
     let clock = std::time::Instant::now();
     let mut buf = config.obs.buffer();
     let func = &program.functions[fid];
-    if let Some(plan) = &config.inject_panic {
-        if plan.func == func.name && attempt < plan.panics {
-            panic!("injected fault in `{}` (attempt {attempt})", func.name);
-        }
+    if panic_injected(&config.faults, program, fid, attempt) {
+        panic!("injected fault in `{}` (attempt {attempt})", func.name);
     }
     let mut op_clusters: EntityMap<OpId, ClusterId> =
         EntityMap::with_default(func.num_ops(), ClusterId::new(0));

@@ -48,12 +48,13 @@ use crate::checkpoint::{
 };
 use crate::pipeline::{Method, PipelineConfig};
 use crate::repartition::RepartitionStats;
-use crate::rhop::{PanicPlan, RhopConfig};
+use crate::rhop::RhopConfig;
 use mcpart_ir::{Profile, Program};
 use mcpart_machine::{Machine, MachineError, MemoryModel};
 use mcpart_obs::metrics::MetricsRegistry;
 use mcpart_obs::recorder::FlightRecorder;
 use mcpart_obs::{durable, json, Obs};
+use mcpart_par::fault::FaultPlan;
 use mcpart_par::supervise::{supervise_unit, RetryPolicy, UnitOutcome};
 use mcpart_par::{parallel_map, resolve_jobs};
 use std::fmt;
@@ -113,11 +114,12 @@ pub struct ServeConfig {
     pub retries: u32,
     /// Wall-clock ceiling per partition attempt (`--unit-timeout`).
     pub unit_timeout: Option<Duration>,
-    /// Crash-injection hook for the crash-consistency tests: after
-    /// committing this many jobs, abort the process with the next
-    /// job's output half-written and its claimed work file still in
-    /// place — exactly the on-disk state `kill -9` mid-commit leaves.
-    pub halt_after: Option<u64>,
+    /// Crash injection for the crash-consistency tests (`--fault`,
+    /// `halt` terms only): after committing `halt:<n>`'s n jobs, abort
+    /// the process with the next job's output half-written and its
+    /// claimed work file still in place — exactly the on-disk state
+    /// `kill -9` mid-commit leaves.
+    pub faults: FaultPlan,
     /// Flight-recorder cadence: append a telemetry snapshot to
     /// `<spool>/telemetry/` after this many committed jobs (and once
     /// more on exit). `0` disables the recorder entirely.
@@ -143,7 +145,7 @@ impl Default for ServeConfig {
             drain: false,
             retries: 2,
             unit_timeout: None,
-            halt_after: None,
+            faults: FaultPlan::none(),
             telemetry_every: 1,
             max_requeues: 3,
             obs: Obs::disabled(),
@@ -220,8 +222,10 @@ impl ServeSummary {
 /// ```
 ///
 /// Only `program` is required; everything else defaults to the
-/// one-shot CLI defaults. Unknown keys are ignored (forward
-/// compatibility), an unknown *value* is an invalid job.
+/// one-shot CLI defaults. A `"fault"` key takes a fault plan of
+/// `panic` terms (for poison-job tests); a faulted job bypasses the
+/// artifact cache. Unknown keys are ignored (forward compatibility),
+/// an unknown *value* is an invalid job.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// Benchmark name or `.mcir` path, resolved by the [`JobLoader`].
@@ -238,8 +242,8 @@ pub struct JobSpec {
     pub seed: Option<u64>,
     /// GDP refinement fuel cap (default unlimited).
     pub gdp_fuel: Option<u64>,
-    /// Fault injection (`"func"` or `"func:n"`), for poison-job tests.
-    pub inject_panic: Option<PanicPlan>,
+    /// Injected faults (`panic` terms, applied by RHOP).
+    pub faults: FaultPlan,
 }
 
 impl JobSpec {
@@ -254,7 +258,7 @@ impl JobSpec {
             memory: MemoryModel::Partitioned,
             seed: None,
             gdp_fuel: None,
-            inject_panic: None,
+            faults: FaultPlan::none(),
         }
     }
 
@@ -281,7 +285,7 @@ impl JobSpec {
     }
 
     /// The pipeline configuration of the job's method, GDP fuel, RHOP
-    /// seed and injected panic. Worker count, retries, timeout and the
+    /// seed and injected faults. Worker count, retries, timeout and the
     /// observability sink are the runner's to set.
     pub fn config(&self) -> PipelineConfig {
         let mut cfg = PipelineConfig::new(self.method);
@@ -289,7 +293,7 @@ impl JobSpec {
         if let Some(seed) = self.seed {
             cfg.rhop.seed = seed;
         }
-        cfg.rhop.inject_panic = self.inject_panic.clone();
+        cfg.rhop.faults = self.faults.clone();
         cfg
     }
 }
@@ -338,8 +342,9 @@ pub fn parse_job(text: &str) -> Result<JobSpec, String> {
     }
     spec.seed = num_field(&doc, "seed")?;
     spec.gdp_fuel = num_field(&doc, "gdp_fuel")?;
-    if let Some(v) = doc.get("inject_panic").and_then(json::JsonValue::as_str) {
-        spec.inject_panic = Some(v.parse().map_err(|e| format!("`inject_panic` {e}"))?);
+    if let Some(v) = doc.get("fault").and_then(json::JsonValue::as_str) {
+        spec.faults = v.parse().map_err(|e| format!("`fault` {e}"))?;
+        spec.faults.accept_only(&["panic"]).map_err(|e| format!("`fault`: {e}"))?;
     }
     Ok(spec)
 }
@@ -737,9 +742,12 @@ fn process_job(
     let header = spec.header(&program);
     let unit = format!("{}/{}", program.name, method_slug(spec.method));
     let entry_path = dirs.cache.join(format!("{}.json", cache_key(&header, spec.method)));
+    // The cache key does not cover the fault plan, so a faulted job
+    // neither reads nor publishes entries or baseline pointers.
+    let cached = spec.faults.is_empty();
 
     let mut cache = CacheNote::Miss;
-    if let Ok(bytes) = fs::read(&entry_path) {
+    if let Some(bytes) = fs::read(&entry_path).ok().filter(|_| cached) {
         match verify_cache_entry(&bytes, &header, &unit) {
             Ok(record) => {
                 let hit = JobOutcome::bare(file_name, JobStatus::Ok, String::new(), CacheNote::Hit);
@@ -759,8 +767,10 @@ fn process_job(
     // configuration) degrades to an incremental run: replay the clean
     // functions from the prior entry's manifest, recompute the dirty
     // cone. Byte-identity to a cold run is RHOP's purity contract.
-    pcfg.baseline =
-        load_baseline_manifest(&dirs.cache, &header, spec.method, &unit).map(std::sync::Arc::new);
+    if cached {
+        pcfg.baseline = load_baseline_manifest(&dirs.cache, &header, spec.method, &unit)
+            .map(std::sync::Arc::new);
+    }
 
     match supervise_unit(
         &unit,
@@ -780,7 +790,7 @@ fn process_job(
                     .collect();
                 (JobStatus::Quarantined, units.join("; "))
             };
-            let (entry, pointer) = if status == JobStatus::Ok {
+            let (entry, pointer) = if status == JobStatus::Ok && cached {
                 let pointer_path = baseline_pointer_path(&dirs.cache, &header, spec.method);
                 let key = cache_key(&header, spec.method);
                 (Some((entry_path, header)), Some((pointer_path, key)))
@@ -833,7 +843,7 @@ fn commit(
     }
 
     let committed = sum.completed + sum.quarantined + sum.failed;
-    if cfg.halt_after == Some(committed) {
+    if cfg.faults.halt() == Some(committed) {
         // Crash injection: die with this job's output half-written
         // and its work file still claimed — the exact state kill -9
         // leaves — so the restart path is exercised deterministically.
@@ -1110,14 +1120,15 @@ mod tests {
         let spec = parse_job(
             r#"{"mcpart_job":1,"program":"fir","method":"naive","clusters":4,
                 "latency":9,"memory":"coherent:3","seed":7,"gdp_fuel":100,
-                "inject_panic":"main:2"}"#,
+                "fault":"panic:mainx2"}"#,
         )
         .expect("full job");
         assert_eq!(spec.method, Method::Naive);
         assert_eq!(spec.clusters, 4);
         assert_eq!(spec.memory, MemoryModel::CoherentCache { remote_penalty: 3 });
         assert_eq!(spec.seed, Some(7));
-        assert_eq!(spec.inject_panic.as_ref().map(|p| p.panics), Some(2));
+        assert_eq!(spec.faults.to_string(), "panic:mainx2");
+        assert_eq!(spec.config().rhop.faults, spec.faults);
 
         for bad in [
             "not json",
@@ -1128,6 +1139,8 @@ mod tests {
             r#"{"mcpart_job":1,"program":"fir","clusters":0}"#,
             r#"{"mcpart_job":1,"program":"fir","memory":"ram"}"#,
             r#"{"mcpart_job":1,"program":"fir","seed":-3}"#,
+            r#"{"mcpart_job":1,"program":"fir","fault":"panic:"}"#,
+            r#"{"mcpart_job":1,"program":"fir","fault":"halt:1"}"#,
         ] {
             assert!(parse_job(bad).is_err(), "accepted {bad}");
         }

@@ -115,7 +115,7 @@ pub fn torn_prefix(record: &str) -> &str {
     &record[..record.floor_char_boundary(record.len() / 2)]
 }
 
-/// The `--halt-after` crash hook: writes the [`torn_prefix`] of
+/// The `halt:<n>` fault's crash hook: writes the [`torn_prefix`] of
 /// `record` to `file`, syncs it and aborts — a kill mid-write, minus
 /// the scheduling race of a real SIGKILL.
 pub fn crash_torn(file: &mut File, record: &str) -> ! {

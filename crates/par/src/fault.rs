@@ -1,22 +1,24 @@
-//! Composable fault plans for the chaos harness.
+//! Composable fault plans: the one representation of an injected fault.
 //!
 //! A [`FaultPlan`] is plain data: an ordered list of [`FaultEntry`]
-//! values describing which of the repo's existing fault injectors a
-//! chaos scenario arms — unit panics, fuel exhaustion, estimator
-//! budgets, unit timeouts, checkpoint corruption and serve-spool kills.
-//! The plan itself injects nothing; `mcpart-core` translates entries
-//! into the corresponding pipeline/serve knobs. Keeping the type here
-//! (the crate that owns supervision) lets both `core` and the CLI share
-//! one grammar without a dependency cycle.
+//! values naming the fault injectors a run arms — unit panics, fuel
+//! exhaustion, estimator budgets, unit timeouts, checkpoint corruption,
+//! a crash mid-write and placement corruption. The plan itself injects
+//! nothing. Each entry point applies the terms it can and rejects the
+//! rest ([`FaultPlan::accept_only`]): the one-shot CLI commands take
+//! `panic` and `halt`, `serve` takes `halt` and its job files `panic`,
+//! and `chaos` takes every term. Keeping the type here (the crate that
+//! owns supervision) lets `core` and the CLI share one grammar.
 //!
-//! The textual grammar is `+`-separated entries, each `kind:args`:
+//! The textual grammar is `+`-separated entries, each `kind:args` or,
+//! for `misplace`, a bare `kind`:
 //!
 //! ```text
 //! panic:f0x2 + fuel:500 + estimator:64 + timeout:30000
-//!   + truncate:125 + bitflip:40.3 + servekill:2
+//!   + truncate:125 + bitflip:40.3 + halt:2 + misplace
 //! ```
 //!
-//! `none` (or the empty string) is the empty plan. [`FaultPlan::parse`]
+//! `none` (or the empty string) is the empty plan. Parsing (`str::parse`)
 //! rejects malformed plans with a column-carrying [`FaultPlanError`],
 //! and `Display` renders the exact grammar back, so plans round-trip
 //! through chaos repro files.
@@ -27,9 +29,9 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FaultEntry {
     /// The named compilation unit's partitioning task panics on its
-    /// first `times` attempts (`u32::MAX` = always). Unit names of the
-    /// form `#k` are resolved by the harness against the scenario's
-    /// function list, so plans stay valid across shrunk programs.
+    /// first `times` attempts (`u32::MAX` = always). A unit named `#k`
+    /// is function `k` modulo the function count, so plans stay valid
+    /// across shrunk programs.
     UnitPanic {
         /// Unit (function) name or `#k` index reference.
         unit: String,
@@ -68,32 +70,47 @@ pub enum FaultEntry {
         /// Bit index within the byte (0..=7).
         bit: u8,
     },
-    /// The serve spool is killed (crash simulated) after `after`
-    /// committed jobs, then recovered.
-    ServeKill {
-        /// Jobs committed before the kill.
-        after: u32,
+    /// The process commits `after` records (checkpoint units, serve
+    /// results), then writes the torn half of the next one and aborts —
+    /// the on-disk state `kill -9` mid-write leaves.
+    Halt {
+        /// Records committed before the crash.
+        after: u64,
     },
+    /// Every successful placement is corrupted before the oracle judges
+    /// it, the way a buggy partitioner would (chaos only).
+    Misplace,
+}
+
+impl FaultEntry {
+    /// The entry's kind: the grammar keyword before the `:`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FaultEntry::UnitPanic { .. } => "panic",
+            FaultEntry::Fuel { .. } => "fuel",
+            FaultEntry::EstimatorBudget { .. } => "estimator",
+            FaultEntry::Timeout { .. } => "timeout",
+            FaultEntry::CheckpointTruncate { .. } => "truncate",
+            FaultEntry::CheckpointBitflip { .. } => "bitflip",
+            FaultEntry::Halt { .. } => "halt",
+            FaultEntry::Misplace => "misplace",
+        }
+    }
 }
 
 impl fmt::Display for FaultEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.kind())?;
         match self {
-            FaultEntry::UnitPanic { unit, times } => {
-                if *times == u32::MAX {
-                    write!(f, "panic:{unit}")
-                } else {
-                    write!(f, "panic:{unit}x{times}")
-                }
-            }
-            FaultEntry::Fuel { budget } => write!(f, "fuel:{budget}"),
-            FaultEntry::EstimatorBudget { calls } => write!(f, "estimator:{calls}"),
-            FaultEntry::Timeout { ms } => write!(f, "timeout:{ms}"),
-            FaultEntry::CheckpointTruncate { permille } => write!(f, "truncate:{permille}"),
-            FaultEntry::CheckpointBitflip { permille, bit } => {
-                write!(f, "bitflip:{permille}.{bit}")
-            }
-            FaultEntry::ServeKill { after } => write!(f, "servekill:{after}"),
+            FaultEntry::UnitPanic { unit, times: u32::MAX } => write!(f, ":{unit}"),
+            FaultEntry::UnitPanic { unit, times } => write!(f, ":{unit}x{times}"),
+            FaultEntry::Fuel { budget } => write!(f, ":{budget}"),
+            FaultEntry::EstimatorBudget { calls } => write!(f, ":{calls}"),
+            FaultEntry::Timeout { ms } => write!(f, ":{ms}"),
+            FaultEntry::CheckpointTruncate { permille } => write!(f, ":{permille}"),
+            FaultEntry::CheckpointBitflip { permille, bit } => write!(f, ":{permille}.{bit}"),
+            FaultEntry::Halt { after } => write!(f, ":{after}"),
+            FaultEntry::Misplace => Ok(()),
         }
     }
 }
@@ -134,14 +151,30 @@ impl FaultPlan {
         self.entries.is_empty()
     }
 
-    /// First entry of the given shape, if armed.
-    pub fn find<T>(&self, pick: impl FnMut(&FaultEntry) -> Option<T>) -> Option<T> {
-        self.entries.iter().find_map(pick)
+    /// The first `halt:<n>` term's commit count, if armed.
+    pub fn halt(&self) -> Option<u64> {
+        self.entries.iter().find_map(|e| match e {
+            FaultEntry::Halt { after } => Some(*after),
+            _ => None,
+        })
     }
+
+    /// Checks that every entry is of a kind in `accepted`; the error
+    /// names the first entry that is not.
+    pub fn accept_only(&self, accepted: &[&str]) -> Result<(), String> {
+        match self.entries.iter().find(|e| !accepted.contains(&e.kind())) {
+            None => Ok(()),
+            Some(e) => Err(format!("`{e}` does not apply here (takes {})", accepted.join(", "))),
+        }
+    }
+}
+
+impl std::str::FromStr for FaultPlan {
+    type Err = FaultPlanError;
 
     /// Parses the `+`-separated grammar (see the module docs); `none`
     /// and the empty string parse to the empty plan.
-    pub fn parse(s: &str) -> Result<FaultPlan, FaultPlanError> {
+    fn from_str(s: &str) -> Result<FaultPlan, FaultPlanError> {
         let trimmed = s.trim();
         if trimmed.is_empty() || trimmed == "none" {
             return Ok(FaultPlan::none());
@@ -182,6 +215,9 @@ fn err(column: usize, message: impl Into<String>) -> FaultPlanError {
 }
 
 fn parse_entry(text: &str, column: usize) -> Result<FaultEntry, FaultPlanError> {
+    if text == "misplace" {
+        return Ok(FaultEntry::Misplace);
+    }
     let (kind, args) = text
         .split_once(':')
         .ok_or_else(|| err(column, format!("expected `kind:args`, got `{text}`")))?;
@@ -237,14 +273,13 @@ fn parse_entry(text: &str, column: usize) -> Result<FaultEntry, FaultPlanError> 
             }
             Ok(FaultEntry::CheckpointBitflip { permille, bit: bit as u8 })
         }
-        "servekill" => {
-            Ok(FaultEntry::ServeKill { after: int(args, args_col, "kill point")? as u32 })
-        }
+        "halt" => Ok(FaultEntry::Halt { after: int(args, args_col, "commit count")? }),
+        "misplace" => Err(err(args_col, "misplace takes no argument")),
         other => Err(err(
             column,
             format!(
                 "unknown fault kind `{other}` (panic, fuel, estimator, timeout, truncate, \
-                 bitflip, servekill)"
+                 bitflip, halt, misplace)"
             ),
         )),
     }
@@ -260,8 +295,8 @@ mod tests {
 
     #[test]
     fn empty_and_none_parse_to_the_empty_plan() {
-        assert_eq!(FaultPlan::parse(""), Ok(FaultPlan::none()));
-        assert_eq!(FaultPlan::parse("none"), Ok(FaultPlan::none()));
+        assert_eq!("".parse::<FaultPlan>(), Ok(FaultPlan::none()));
+        assert_eq!("none".parse::<FaultPlan>(), Ok(FaultPlan::none()));
         assert_eq!(FaultPlan::none().to_string(), "none");
         assert!(FaultPlan::none().is_empty());
     }
@@ -269,23 +304,23 @@ mod tests {
     #[test]
     fn full_grammar_roundtrips() {
         let text =
-            "panic:f0x2+fuel:500+estimator:64+timeout:30000+truncate:125+bitflip:40.3+servekill:2";
-        let plan = FaultPlan::parse(text).expect("parse");
-        assert_eq!(plan.entries.len(), 7);
+            "panic:f0x2+fuel:500+estimator:64+timeout:30000+truncate:125+bitflip:40.3+halt:2+misplace";
+        let plan = text.parse::<FaultPlan>().expect("parse");
+        assert_eq!(plan.entries.len(), 8);
         assert_eq!(plan.to_string(), text);
-        assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan));
+        assert_eq!(plan.to_string().parse(), Ok(plan));
     }
 
     #[test]
     fn panic_without_count_means_always() {
-        let plan = FaultPlan::parse("panic:main").expect("parse");
+        let plan = "panic:main".parse::<FaultPlan>().expect("parse");
         assert_eq!(
             plan.entries[0],
             FaultEntry::UnitPanic { unit: "main".to_string(), times: u32::MAX }
         );
         assert_eq!(plan.to_string(), "panic:main");
         // Unit names containing `x` survive when no integer suffix follows.
-        let plan = FaultPlan::parse("panic:fxy").expect("parse");
+        let plan = "panic:fxy".parse::<FaultPlan>().expect("parse");
         assert_eq!(
             plan.entries[0],
             FaultEntry::UnitPanic { unit: "fxy".to_string(), times: u32::MAX }
@@ -294,54 +329,69 @@ mod tests {
 
     #[test]
     fn whitespace_around_entries_is_tolerated() {
-        let plan = FaultPlan::parse(" fuel:9 + timeout:50 ").expect("parse");
+        let plan = " fuel:9 + timeout:50 ".parse::<FaultPlan>().expect("parse");
         assert_eq!(plan.entries.len(), 2);
         assert_eq!(plan.to_string(), "fuel:9+timeout:50");
     }
 
     #[test]
-    fn find_picks_the_first_matching_entry() {
-        let plan = FaultPlan::parse("fuel:9+fuel:10").expect("parse");
-        let budget = plan.find(|e| match e {
-            FaultEntry::Fuel { budget } => Some(*budget),
-            _ => None,
-        });
-        assert_eq!(budget, Some(9));
-        assert_eq!(
-            plan.find(|e| match e {
-                FaultEntry::ServeKill { after } => Some(*after),
-                _ => None,
-            }),
-            None
-        );
+    fn halt_and_misplace_terms_roundtrip() {
+        let plan: FaultPlan = "halt:0 + misplace".parse().expect("parse");
+        assert_eq!(plan.entries, [FaultEntry::Halt { after: 0 }, FaultEntry::Misplace]);
+        assert_eq!(plan.to_string(), "halt:0+misplace");
+        assert_eq!(plan.to_string().parse::<FaultPlan>(), Ok(plan.clone()));
+        assert_eq!(plan.halt(), Some(0));
+        assert_eq!("fuel:1+halt:3+halt:4".parse::<FaultPlan>().expect("parse").halt(), Some(3));
+        assert_eq!(FaultPlan::none().halt(), None);
+        let kinds: Vec<_> = plan.entries.iter().map(FaultEntry::kind).collect();
+        assert_eq!(kinds, ["halt", "misplace"]);
+
+        let e = "misplace:1".parse::<FaultPlan>().expect_err("argument");
+        assert_eq!(e.column, 10);
+        assert!(e.message.contains("no argument"), "{e}");
+        let e = "halt:-1".parse::<FaultPlan>().expect_err("negative");
+        assert_eq!(e.column, 6);
+        let e = "halt".parse::<FaultPlan>().expect_err("no count");
+        assert!(e.message.contains("kind:args"), "{e}");
+        let e = "crash:1".parse::<FaultPlan>().expect_err("unknown kind");
+        assert!(e.message.contains("halt, misplace"), "{e}");
+    }
+
+    #[test]
+    fn accept_only_names_the_first_foreign_term() {
+        let plan = "panic:main+fuel:3+misplace".parse::<FaultPlan>().expect("parse");
+        assert_eq!(plan.accept_only(&["panic", "fuel", "misplace"]), Ok(()));
+        let e = plan.accept_only(&["panic", "halt"]).expect_err("fuel is foreign");
+        assert!(e.contains("`fuel:3`") && e.contains("panic, halt"), "{e}");
+        assert_eq!(FaultPlan::none().accept_only(&[]), Ok(()));
     }
 
     #[test]
     fn errors_carry_the_offending_column() {
-        let e = FaultPlan::parse("fuel:9+warp:1").expect_err("unknown kind");
+        let e = "fuel:9+warp:1".parse::<FaultPlan>().expect_err("unknown kind");
         assert_eq!(e.column, 8);
         assert!(e.to_string().contains("column 8"), "{e}");
         assert!(e.message.contains("warp"));
 
-        let e = FaultPlan::parse("fuel:x").expect_err("bad int");
+        let e = "fuel:x".parse::<FaultPlan>().expect_err("bad int");
         assert_eq!(e.column, 6);
 
-        let e = FaultPlan::parse("bitflip:40").expect_err("missing bit");
+        let e = "bitflip:40".parse::<FaultPlan>().expect_err("missing bit");
         assert!(e.message.contains("bitflip"));
 
-        let e = FaultPlan::parse("bitflip:40.9").expect_err("bit too big");
+        let e = "bitflip:40.9".parse::<FaultPlan>().expect_err("bit too big");
         assert_eq!(e.column, 12);
 
-        let e = FaultPlan::parse("truncate:2000").expect_err("permille range");
+        let e = "truncate:2000".parse::<FaultPlan>().expect_err("permille range");
         assert!(e.message.contains("1000"));
 
-        let e = FaultPlan::parse("fuel:1++fuel:2").expect_err("empty entry");
+        let e = "fuel:1++fuel:2".parse::<FaultPlan>().expect_err("empty entry");
         assert!(e.message.contains("empty"));
 
-        let e = FaultPlan::parse("timeout:0").expect_err("zero timeout");
+        let e = "timeout:0".parse::<FaultPlan>().expect_err("zero timeout");
         assert!(e.message.contains("at least 1"));
 
-        let e = FaultPlan::parse("panic:").expect_err("no unit");
+        let e = "panic:".parse::<FaultPlan>().expect_err("no unit");
         assert!(e.message.contains("unit name"));
     }
 }

@@ -62,12 +62,12 @@ if target/release/mcpart bench-diff /tmp/BENCH_partition.quick.json /tmp/BENCH_p
 fi
 
 echo "== kill-and-resume smoke (deterministic mid-append halt, --resume, checkpoint-diff)"
-# --halt-after 2 dies mid-append of the second unit record (half a
-# line, no terminator, then abort) — the exact artifact kill -9 leaves,
-# with none of the scheduling race a real SIGKILL has.
+# --fault halt:1 commits one unit record, then dies mid-append of the
+# second (half a line, no terminator, then abort) — the exact artifact
+# kill -9 leaves, with none of the scheduling race a real SIGKILL has.
 rm -f /tmp/mcpart_ck_clean.json /tmp/mcpart_ck_killed.json
 target/release/mcpart compare rawcaudio --checkpoint /tmp/mcpart_ck_clean.json >/dev/null
-if target/release/mcpart compare rawcaudio --checkpoint /tmp/mcpart_ck_killed.json --halt-after 2 >/dev/null 2>&1; then
+if target/release/mcpart compare rawcaudio --checkpoint /tmp/mcpart_ck_killed.json --fault halt:1 >/dev/null 2>&1; then
   echo "halted run unexpectedly survived"; exit 1
 fi
 RESUME_NOTES=$(target/release/mcpart compare rawcaudio --checkpoint /tmp/mcpart_ck_killed.json --resume 2>&1 >/dev/null)
@@ -87,7 +87,7 @@ done
 target/release/mcpart serve "$SERVE_CLEAN" --drain >/dev/null
 # Die mid-batch: one job committed, the next output half-written, the
 # rest still claimed in work/ — what kill -9 leaves, deterministically.
-if target/release/mcpart serve "$SERVE_KILLED" --drain --halt-after 1 >/dev/null 2>&1; then
+if target/release/mcpart serve "$SERVE_KILLED" --drain --fault halt:1 >/dev/null 2>&1; then
   echo "halted serve run unexpectedly survived"; exit 1
 fi
 RESTART_LOG=$(target/release/mcpart serve "$SERVE_KILLED" --drain --metrics \
@@ -160,19 +160,25 @@ cmp /tmp/mcpart_chaos_a.txt /tmp/mcpart_chaos_b.txt \
   || { echo "chaos soak is not deterministic across runs/worker counts"; exit 1; }
 target/release/mcpart trace-check /tmp/mcpart_chaos_trace.json \
   --require chaos/scenarios=500,chaos/failures=0,chaos/shrink_steps=0,chaos/oracle_checks
-# The oracle actually bites: an injected bad placement must fail the
-# soak, shrink, and replay from the corpus.
+# The oracle actually bites: an injected bad placement (the misplace
+# term) must fail the soak, shrink, and replay from the corpus, which
+# records the term; with the term stripped the repro must pass.
 CHAOS_CORPUS=/tmp/mcpart_chaos_corpus
 rm -rf "$CHAOS_CORPUS"
-if target/release/mcpart chaos 2 --seed 3 --inject-bad-placement \
+if target/release/mcpart chaos 2 --seed 3 --fault misplace \
     --corpus "$CHAOS_CORPUS" >/dev/null 2>&1; then
   echo "chaos soak missed an injected bad placement"; exit 1
 fi
 CHAOS_REPRO=$(ls "$CHAOS_CORPUS"/*.repro | head -1)
-if target/release/mcpart chaos --replay "$CHAOS_REPRO" --inject-bad-placement >/dev/null; then
+if target/release/mcpart chaos --replay "$CHAOS_REPRO" >/dev/null; then
   echo "corpus repro did not reproduce the injected failure"; exit 1
 fi
-target/release/mcpart chaos --replay "$CHAOS_REPRO" >/dev/null \
+CHAOS_STRIPPED="$CHAOS_CORPUS/stripped.txt"
+sed -e '/^faults = /s/+misplace//' -e 's/^faults = misplace$/faults = none/' \
+  "$CHAOS_REPRO" > "$CHAOS_STRIPPED"
+cmp -s "$CHAOS_REPRO" "$CHAOS_STRIPPED" \
+  && { echo "corpus repro does not record the misplace term"; exit 1; }
+target/release/mcpart chaos --replay "$CHAOS_STRIPPED" >/dev/null \
   || { echo "corpus repro fails even without the injected bug"; exit 1; }
 
 echo "== hardened-profile tests (overflow-checks + debug-assertions pinned)"

@@ -25,6 +25,8 @@ use mcpart::core::{
 use mcpart::ir::{parse_program, program_to_string, Profile, Program};
 use mcpart::machine::Machine;
 use mcpart::obs::Obs;
+use mcpart::par::fault::FaultPlan;
+use mcpart::par::supervise::QuarantinedUnit;
 use mcpart::sim::{profile_run, ExecConfig};
 use mcpart_bench::args::{ArgError, Flags};
 use std::collections::BTreeSet;
@@ -51,9 +53,10 @@ gen <spec> [--out <path>]  generate a synthetic scale program: <spec> is
          (keys ops,funcs,depth,region,objects,sharing,trips,seed);
          prints size stats, --out writes the .mcir text. Synthetic
          names/specs also work as targets for partition/run/compare.
-options of run, exec, compare, schedule, partition and repartition
-(run, serve and chaos share --jobs/--trace-out/--metrics; run and serve
-also --retries/--unit-timeout; anything else is a usage error):
+options of run, exec, compare, schedule and repartition (partition takes
+only --clusters/--latency/--memory/--jobs/--trace-out/--metrics; run, serve
+and chaos share --jobs/--trace-out/--metrics/--fault, run and serve also
+--retries/--unit-timeout; anything else is a usage error):
          --method gdp|profile-max|naive|unified  --latency <cycles>
          --clusters <n>  --memory partitioned|unified|coherent:<penalty>
          --gdp-fuel <n>  (cap GDP refinement; exhaustion triggers the
@@ -63,15 +66,16 @@ also --retries/--unit-timeout; anything else is a usage error):
          --trace-out <path>  (write a Chrome trace_event JSON of the run)
          --metrics           (print the observability summary table)
          --retries <n>       (panic retry budget per work unit; default 2)
-         --checkpoint <path> (append one JSON record per finished unit)
+         --checkpoint <path> (append one JSON record per finished unit;
+                              not schedule)
          --resume            (with --checkpoint: skip recorded units and
                               replay their results; crash-safe)
          --unit-timeout <ms> (wall-clock ceiling per partition attempt)
          --allow-quarantine  (exit 0 even when units were quarantined)
-         --inject-panic <func[:n]> (testing: panic while partitioning
-                              `func`, the first n attempts; default all)
-         --halt-after <n>    (testing: die mid-write after n completed
-                              units/jobs, simulating kill -9)
+         --fault <plan>      (testing: panic:<func>[xN] panics in `func`'s
+                              first N attempts, default all; halt:<n> (with
+                              --checkpoint) commits n units, then dies
+                              mid-write)
 repartition <target> --baseline <checkpoint> [run options]
          incremental re-partition against a prior GDP run's manifest:
          functions whose content, accessed data groups, and merge
@@ -81,7 +85,7 @@ repartition <target> --baseline <checkpoint> [run options]
          error); an incompatible one (different name/seed/clusters/
          latency/memory/fuel) is rejected with exit 2
 serve <spool-dir> [--drain] [--batch n] [--queue n] [--poll-ms n]
-         [--telemetry-every n] [--max-requeues n] [--halt-after n]
+         [--telemetry-every n] [--max-requeues n] [--fault halt:<n>]
          [--jobs n] [--retries n] [--unit-timeout ms] [--trace-out path]
          [--metrics]
          long-running partition service: submit jobs as
@@ -93,16 +97,17 @@ serve <spool-dir> [--drain] [--batch n] [--queue n] [--poll-ms n]
          is quarantined to failed/ as poison instead of requeued
 chaos <scenarios> [--seed n] [--shrink|--no-shrink] [--corpus dir]
          [--sweep file] [--jobs n (default 4)] [--metrics]
-         [--trace-out path] [--inject-bad-placement] | --replay <file>
+         [--trace-out path] [--fault plan] | --replay <file>
          deterministic soak: samples (program, machine, fault-plan)
          scenarios from a k-cluster sweep matrix, runs the pipeline
          under injected faults, and judges every outcome with an
          independent placement oracle (well-formedness, recounted
          bytes/cut, move accounting, ladder soundness, semantics,
-         jobs-invariance at --jobs workers). Failures are shrunk to
-         minimal repros written to --corpus; --replay re-runs one
-         repro file exactly; --sweep replaces the built-in machine
-         matrix (malformed files exit 2 with line/column)
+         jobs-invariance at --jobs workers); --fault appends its terms
+         (e.g. misplace, corrupting each placement) to every scenario.
+         Failures are shrunk to minimal repros written to --corpus;
+         --replay re-runs one repro file exactly; --sweep replaces the
+         built-in machine matrix (malformed files exit 2 with line/column)
 stats <telemetry-dir|trace.json> [--pinned]  per-stage latency and
          work-distribution percentile tables (p50/p90/p99) from a serve
          telemetry directory or a Chrome trace file; --pinned prints
@@ -154,18 +159,21 @@ impl From<ArgError> for CliError {
 }
 
 /// The flags `run`, `serve` and `chaos` share: the worker count, the
-/// supervision knobs (not taken by chaos) and the observability outputs.
+/// supervision knobs (not taken by chaos), the observability outputs
+/// and the injected faults.
 struct Common {
     jobs: usize,
     retries: u32,
     unit_timeout: Option<Duration>,
     trace_out: Option<String>,
     metrics: bool,
+    faults: FaultPlan,
 }
 
 impl Common {
     fn new(jobs: usize) -> Self {
-        Common { jobs, retries: 2, unit_timeout: None, trace_out: None, metrics: false }
+        let faults = FaultPlan::none();
+        Common { jobs, retries: 2, unit_timeout: None, trace_out: None, metrics: false, faults }
     }
 
     /// Consumes `flag` and its value if it is a shared flag `command`
@@ -179,6 +187,19 @@ impl Common {
             "--unit-timeout" if command != "chaos" => {
                 let ms = flags.positive(flag, "a positive millisecond count")?;
                 self.unit_timeout = Some(Duration::from_millis(ms));
+            }
+            "--fault" => {
+                self.faults = flags.value(flag, "a fault plan")?;
+                // Each command takes the terms it can apply; chaos takes all.
+                let accepted: &[&str] = match command {
+                    "chaos" => return Ok(true),
+                    "serve" => &["halt"],
+                    "schedule" => &["panic"],
+                    _ => &["panic", "halt"],
+                };
+                self.faults
+                    .accept_only(accepted)
+                    .map_err(|e| ArgError(format!("{command} {flag}: {e}")))?;
             }
             _ => return Ok(false),
         }
@@ -218,10 +239,13 @@ struct Options {
     checkpoint: Option<String>,
     resume: bool,
     allow_quarantine: bool,
-    halt_after: Option<u64>,
     /// `repartition --baseline <checkpoint>`.
     baseline: Option<String>,
 }
+
+/// The only flags `partition` (GDP's object homes, nothing after) uses.
+const PARTITION_FLAGS: [&str; 6] =
+    ["--clusters", "--latency", "--memory", "--jobs", "--trace-out", "--metrics"];
 
 fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options, ArgError> {
     let mut o = Options {
@@ -230,13 +254,17 @@ fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options
         checkpoint: None,
         resume: false,
         allow_quarantine: false,
-        halt_after: None,
         baseline: None,
     };
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
         let spec = &mut o.spec;
+        let foreign = || ArgError(format!("{command} does not take {flag}"));
         match flag {
+            _ if command == "partition" && !PARTITION_FLAGS.contains(&flag) => {
+                return Err(foreign())
+            }
+            "--checkpoint" | "--resume" if command == "schedule" => return Err(foreign()),
             _ if o.common.take(command, flag, &mut flags)? => {}
             "--latency" => spec.latency = flags.value(flag, "a number")?,
             "--clusters" => spec.clusters = flags.positive(flag, "a positive cluster count")?,
@@ -245,19 +273,20 @@ fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options
                 spec.memory = flags.value(flag, "partitioned|unified|coherent:<penalty>")?;
             }
             "--gdp-fuel" => spec.gdp_fuel = Some(flags.value(flag, "a number")?),
-            "--inject-panic" => spec.inject_panic = Some(flags.value(flag, "<func[:n]>")?),
             "--checkpoint" => o.checkpoint = Some(flags.value(flag, "a path")?),
             "--resume" => o.resume = true,
             "--allow-quarantine" => o.allow_quarantine = true,
-            "--halt-after" => o.halt_after = Some(flags.positive(flag, "a positive count")?),
             "--baseline" if command == "repartition" => {
                 o.baseline = Some(flags.value(flag, "a checkpoint path")?);
             }
             other => return Err(Flags::unknown(other)),
         }
     }
-    if o.resume && o.checkpoint.is_none() {
-        return Err(ArgError("--resume requires --checkpoint <path>".into()));
+    let halt = o.common.faults.halt().is_some();
+    for (set, what) in [(o.resume, "--resume"), (halt, "--fault halt:<n>")] {
+        if set && o.checkpoint.is_none() {
+            return Err(ArgError(format!("{what} requires --checkpoint <path>")));
+        }
     }
     Ok(o)
 }
@@ -265,7 +294,7 @@ fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options
 impl Options {
     /// The pipeline configuration of `method` under these options.
     fn config(&self, method: Method) -> PipelineConfig {
-        let spec = JobSpec { method, ..self.spec.clone() };
+        let spec = JobSpec { method, faults: self.common.faults.clone(), ..self.spec.clone() };
         let mut cfg = spec.config().with_jobs(self.common.jobs).with_retries(self.common.retries);
         cfg.unit_timeout = self.common.unit_timeout;
         cfg
@@ -342,9 +371,9 @@ fn ck_err(e: CheckpointError) -> CliError {
 struct CheckpointSession {
     writer: CheckpointWriter,
     resumed: Vec<UnitRecord>,
-    /// `--halt-after n`: appends left until the nth, which the crash
-    /// hook tears instead ([`CheckpointWriter::crash_mid_append`]).
-    halt_in: Option<u64>,
+    /// `--fault halt:<n>`: records left to commit before the crash
+    /// hook tears the next one ([`CheckpointWriter::crash_mid_append`]).
+    halt: Option<u64>,
 }
 
 impl CheckpointSession {
@@ -367,18 +396,18 @@ impl CheckpointSession {
         } else {
             (CheckpointWriter::create(path, &header).map_err(ck_err)?, Vec::new())
         };
-        Ok(Some(CheckpointSession { writer, resumed, halt_in: o.halt_after }))
+        Ok(Some(CheckpointSession { writer, resumed, halt: o.common.faults.halt() }))
     }
 
     /// Appends a finished unit (and its manifest, when the run
-    /// produced one), honouring the `--halt-after` crash injection
-    /// point. The manifest goes second: a crash between the two lines
-    /// loses only the incremental-replay hint, never the result.
+    /// produced one), honouring the `halt` crash injection point. The
+    /// manifest goes second: a crash between the two lines loses only
+    /// the incremental-replay hint, never the result.
     fn append(&mut self, rec: &UnitRecord, manifest: Option<&Manifest>) -> Result<(), CliError> {
-        self.halt_in = self.halt_in.map(|left| left.saturating_sub(1));
-        if self.halt_in == Some(0) {
+        if self.halt == Some(0) {
             self.writer.crash_mid_append(rec);
         }
+        self.halt = self.halt.map(|left| left - 1);
         self.writer.append(rec).map_err(ck_err)?;
         if let Some(m) = manifest {
             self.writer.append_manifest(m).map_err(ck_err)?;
@@ -427,8 +456,7 @@ fn run_or_resume(
 /// Surfaces quarantined function units: one warning per unit on
 /// stderr, a report in `--metrics` output, and exit 1 unless
 /// `--allow-quarantine` accepts the fallback placement.
-fn report_quarantine(o: &Options, records: &[UnitRecord]) -> Result<(), CliError> {
-    let quarantined: Vec<_> = records.iter().flat_map(|r| r.quarantine.iter()).collect();
+fn report_quarantine(o: &Options, quarantined: Vec<&QuarantinedUnit>) -> Result<(), CliError> {
     if quarantined.is_empty() {
         return Ok(());
     }
@@ -496,7 +524,7 @@ fn report_run(
         );
     }
     o.common.emit(&obs)?;
-    report_quarantine(o, std::slice::from_ref(&rec))
+    report_quarantine(o, rec.quarantine.iter().collect())
 }
 
 /// Set by the signal handler; polled by the serve loop, which drains
@@ -631,7 +659,7 @@ fn main() -> ExitCode {
                 );
             }
             o.common.emit(&obs)?;
-            report_quarantine(&o, &records)
+            report_quarantine(&o, records.iter().flat_map(|r| &r.quarantine).collect())
         })(),
         "dump" => (|| {
             let target =
@@ -704,7 +732,8 @@ fn main() -> ExitCode {
                     o.spec.clusters,
                 )
             );
-            o.common.emit(&obs)
+            o.common.emit(&obs)?;
+            report_quarantine(&o, run.quarantine().units.iter().collect())
         })(),
         "partition" => (|| {
             let (o, program, profile) = prepare(&args)?;
@@ -751,7 +780,6 @@ fn main() -> ExitCode {
                     "--poll-ms" => {
                         cfg.poll = Duration::from_millis(flags.value(flag, "a millisecond count")?);
                     }
-                    "--halt-after" => cfg.halt_after = Some(flags.value(flag, "a count")?),
                     "--telemetry-every" => {
                         cfg.telemetry_every = flags.value(flag, "a job count (0 disables)")?;
                     }
@@ -762,6 +790,7 @@ fn main() -> ExitCode {
             cfg.jobs = common.jobs;
             cfg.retries = common.retries;
             cfg.unit_timeout = common.unit_timeout;
+            cfg.faults = common.faults.clone();
             cfg.obs = common.obs();
             install_shutdown_handler();
             let loader = |name: &str| load_target(name).map_err(CliError::into_message);
@@ -784,7 +813,6 @@ fn main() -> ExitCode {
                     "--corpus" => cfg.corpus = Some(flags.value(flag, "a directory")?),
                     "--replay" => replay = Some(flags.value(flag, "a repro file")?),
                     "--sweep" => sweep_path = Some(flags.value(flag, "a matrix file")?),
-                    "--inject-bad-placement" => cfg.inject_bad_placement = true,
                     other if !other.starts_with('-') && scenarios.is_none() => {
                         scenarios = Some(other.parse().map_err(|_| {
                             CliError::usage(format!("`{other}` is not a scenario count"))
@@ -794,6 +822,7 @@ fn main() -> ExitCode {
                 }
             }
             cfg.jobs_compare = common.jobs;
+            cfg.faults = common.faults.clone();
             cfg.obs = common.obs();
             if let Some(path) = &sweep_path {
                 let text = std::fs::read_to_string(path)
@@ -809,6 +838,11 @@ fn main() -> ExitCode {
                 other => CliError::Config(other.to_string()),
             };
             if let Some(path) = &replay {
+                if !cfg.faults.is_empty() {
+                    return Err(CliError::usage(
+                        "--replay runs the repro file exactly; drop --fault",
+                    ));
+                }
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))?;
                 let scenario = mcpart::core::Scenario::parse(&text)
@@ -908,25 +942,14 @@ fn main() -> ExitCode {
             }
             for (label, want) in &require {
                 if !stats.has_counter(label) {
-                    return Err(CliError::Runtime(format!(
-                        "{path}: missing required counter `{label}`"
-                    )));
+                    let missing = format!("{path}: missing required counter `{label}`");
+                    return Err(CliError::Runtime(missing));
                 }
-                if let Some(want) = want {
-                    match stats.counter_value(label) {
-                        Some(got) if got == *want => {}
-                        Some(got) => {
-                            return Err(CliError::Runtime(format!(
-                                "{path}: counter `{label}` is {got}, expected {want}"
-                            )));
-                        }
-                        None => {
-                            return Err(CliError::Runtime(format!(
-                                "{path}: counter `{label}` has no numeric sample to compare \
-                                 against {want}"
-                            )));
-                        }
-                    }
+                let got = stats.counter_value(label);
+                if let Some(want) = want.filter(|w| got != Some(*w)) {
+                    let got = got.map_or("not numeric".to_string(), |g| g.to_string());
+                    let wrong = format!("{path}: counter `{label}` is {got}, expected {want}");
+                    return Err(CliError::Runtime(wrong));
                 }
             }
             for label in &forbid {
@@ -1006,13 +1029,8 @@ fn main() -> ExitCode {
             Ok(())
         })(),
         "bench-diff" => (|| {
-            let (old, new) = match (args.get(1), args.get(2)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => {
-                    return Err(CliError::usage(
-                        "bench-diff needs two BENCH_partition.json paths (old, new)",
-                    ))
-                }
+            let (Some(old), Some(new)) = (args.get(1), args.get(2)) else {
+                return Err(CliError::usage("bench-diff needs two BENCH_partition.json paths"));
             };
             let mut cfg = mcpart_bench::diff::DiffConfig::default();
             let mut flags = Flags::new(&args[3..]);
@@ -1042,9 +1060,8 @@ fn main() -> ExitCode {
             Ok(())
         })(),
         "checkpoint-diff" => (|| {
-            let (a, b) = match (args.get(1), args.get(2)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err(CliError::usage("checkpoint-diff needs two checkpoint paths")),
+            let (Some(a), Some(b)) = (args.get(1), args.get(2)) else {
+                return Err(CliError::usage("checkpoint-diff needs two checkpoint paths"));
             };
             let load = |path: &str| -> Result<(Vec<UnitRecord>, Vec<Manifest>), CliError> {
                 let ck = mcpart::core::load_checkpoint_any(path).map_err(|e| match e {
@@ -1091,61 +1108,36 @@ fn main() -> ExitCode {
                 ms.into_iter().map(|m| (m.unit.clone(), m)).collect()
             };
             let (ma, mb) = (index(a_manifests), index(b_manifests));
-            let units: BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
             let mut deltas: Vec<String> = Vec::new();
-            for unit in units {
-                match (ma.get(unit), mb.get(unit)) {
-                    (Some(x), Some(y)) if x == y => {}
-                    (Some(x), Some(y)) => {
-                        let mut lines = Vec::new();
-                        for i in 0..x.funcs.len().max(y.funcs.len()) {
-                            match (x.funcs.get(i), y.funcs.get(i)) {
-                                (Some(fa), Some(fb)) if fa == fb => {}
-                                (Some(fa), Some(fb)) => {
-                                    let mut what = Vec::new();
-                                    if fa.name != fb.name {
-                                        what.push("name");
-                                    }
-                                    if fa.hash != fb.hash {
-                                        what.push("ir");
-                                    }
-                                    if fa.groups != fb.groups {
-                                        what.push("groups");
-                                    }
-                                    if fa.op_cluster != fb.op_cluster {
-                                        what.push("placement");
-                                    }
-                                    if fa.stats != fb.stats || fa.retries != fb.retries {
-                                        what.push("stats");
-                                    }
-                                    lines.push(format!(
-                                        "  #{i} {}: {} changed",
-                                        fa.name,
-                                        what.join("+")
-                                    ));
-                                }
-                                (Some(fa), None) => {
-                                    lines.push(format!("  #{i} {}: only in {a}", fa.name));
-                                }
-                                (None, Some(fb)) => {
-                                    lines.push(format!("  #{i} {}: only in {b}", fb.name));
-                                }
-                                (None, None) => {}
-                            }
+            for (unit, x) in &ma {
+                let Some(y) = mb.get(unit).filter(|y| *y != x) else { continue };
+                let mut lines = Vec::new();
+                for i in 0..x.funcs.len().max(y.funcs.len()) {
+                    match (x.funcs.get(i), y.funcs.get(i)) {
+                        (Some(fa), Some(fb)) if fa != fb => {
+                            let what = [
+                                (fa.name != fb.name, "name"),
+                                (fa.hash != fb.hash, "ir"),
+                                (fa.groups != fb.groups, "groups"),
+                                (fa.op_cluster != fb.op_cluster, "placement"),
+                                (fa.stats != fb.stats || fa.retries != fb.retries, "stats"),
+                            ];
+                            let what: Vec<_> = what.iter().filter(|w| w.0).map(|w| w.1).collect();
+                            lines.push(format!("  #{i} {}: {} changed", fa.name, what.join("+")));
                         }
-                        if x.groups != y.groups {
-                            lines.push("  (group content/home table differs)".to_string());
-                        }
-                        deltas.push(format!("manifest `{unit}`: {} delta(s)", lines.len()));
-                        deltas.append(&mut lines);
+                        (Some(fa), None) => lines.push(format!("  #{i} {}: only in {a}", fa.name)),
+                        (None, Some(fb)) => lines.push(format!("  #{i} {}: only in {b}", fb.name)),
+                        _ => {}
                     }
-                    (Some(_), None) | (None, Some(_)) | (None, None) => {}
                 }
+                if x.groups != y.groups {
+                    lines.push("  (group content/home table differs)".to_string());
+                }
+                deltas.push(format!("manifest `{unit}`: {} delta(s)", lines.len()));
+                deltas.append(&mut lines);
             }
             if !deltas.is_empty() {
-                for line in &deltas {
-                    eprintln!("{line}");
-                }
+                deltas.iter().for_each(|line| eprintln!("{line}"));
                 return Err(CliError::Runtime(
                     "checkpoints differ: manifest deltas (see above)".to_string(),
                 ));

@@ -7,6 +7,7 @@
 
 use mcpart::core::{check_result, run_pipeline, Method, PipelineConfig};
 use mcpart::machine::SweepMatrix;
+use mcpart::par::fault::FaultEntry;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -64,23 +65,16 @@ fn seeded_soak_finds_zero_oracle_violations() {
     assert!(stdout.contains("0 failure(s)"), "oracle violation on clean code: {stdout}");
 }
 
-/// Acceptance: an injected oracle-violating bug (the test-only
-/// `--inject-bad-placement` hook) is caught, shrunk, written to the
-/// corpus, and the repro file replays to the same failure — while the
-/// same repro replays clean without the injection.
+/// Acceptance: an injected oracle-violating bug (the `misplace` fault
+/// term) is caught, shrunk, written to the corpus with the term in its
+/// plan, and the repro file alone replays to the same failure — while
+/// the same repro with the term stripped replays clean.
 #[test]
 fn injected_bug_is_caught_shrunk_and_replays_from_the_corpus() {
     let corpus = scratch("corpus");
     let corpus_str = corpus.to_str().expect("utf8 path");
-    let (stdout, _, code) = mcpart_cli(&[
-        "chaos",
-        "2",
-        "--seed",
-        "3",
-        "--inject-bad-placement",
-        "--corpus",
-        corpus_str,
-    ]);
+    let (stdout, _, code) =
+        mcpart_cli(&["chaos", "2", "--seed", "3", "--fault", "misplace", "--corpus", corpus_str]);
     assert_eq!(code, Some(1), "injected bugs must fail the soak: {stdout}");
     assert!(stdout.contains("failure 0: oracle-failure"), "{stdout}");
     assert!(stdout.contains("shrink step(s)"), "{stdout}");
@@ -92,13 +86,22 @@ fn injected_bug_is_caught_shrunk_and_replays_from_the_corpus() {
     assert!(!repros.is_empty(), "no repro files in the corpus");
     let repro = repros[0].to_str().expect("utf8 path");
 
-    // With the bug injected, the repro reproduces the oracle failure.
-    let (stdout, _, code) = mcpart_cli(&["chaos", "--replay", repro, "--inject-bad-placement"]);
-    assert_eq!(code, Some(1), "repro must reproduce: {stdout}");
+    // The repro records the injected term, so replaying the file alone
+    // reproduces the oracle failure.
+    let text = fs::read_to_string(repro).expect("repro reads");
+    let (stdout, _, code) = mcpart_cli(&["chaos", "--replay", repro]);
+    assert_eq!(code, Some(1), "repro must reproduce: {stdout}\n{text}");
     assert!(stdout.contains("oracle-failure"), "{stdout}");
-    // Without it, the same scenario passes: the bug, not the scenario,
-    // was at fault.
-    let (stdout, stderr, code) = mcpart_cli(&["chaos", "--replay", repro]);
+    // Without the term, the same scenario passes: the bug, not the
+    // scenario, was at fault.
+    let mut scenario = mcpart::core::Scenario::parse(&text).expect("repro parses");
+    let before = scenario.faults.entries.len();
+    scenario.faults.entries.retain(|e| *e != FaultEntry::Misplace);
+    assert_eq!(scenario.faults.entries.len(), before - 1, "no misplace term in:\n{text}");
+    let stripped = corpus.join("stripped.txt");
+    fs::write(&stripped, scenario.to_string()).expect("write stripped repro");
+    let stripped = stripped.to_str().expect("utf8 path");
+    let (stdout, stderr, code) = mcpart_cli(&["chaos", "--replay", stripped]);
     assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains(": pass"), "{stdout}");
     let _ = fs::remove_dir_all(&corpus);
@@ -192,8 +195,7 @@ fn ladder_terminates_valid_or_typed_under_combined_faults_at_both_jobs_counts() 
                 cfg.gdp.fuel = fuel;
                 cfg.rhop.max_estimator_calls = estimator;
                 if panic {
-                    cfg.rhop.inject_panic =
-                        Some(mcpart::core::PanicPlan { func: "main".to_string(), panics: 1 });
+                    cfg.rhop.faults = "panic:mainx1".parse().expect("plan");
                 }
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     run_pipeline(&w.program, &w.profile, &machine, &cfg)
@@ -229,7 +231,8 @@ fn repro_files_roundtrip_through_parse_and_display() {
         "1",
         "--seed",
         "3",
-        "--inject-bad-placement",
+        "--fault",
+        "misplace",
         "--no-shrink",
         "--corpus",
         corpus_str,

@@ -283,10 +283,10 @@ fn stats_pinned_payload_is_identical_fresh_vs_resume() {
         "--checkpoint",
         ck.to_str().unwrap(),
         "--metrics",
-        "--halt-after",
-        "2",
+        "--fault",
+        "halt:1",
     ]);
-    assert_ne!(code, Some(0), "--halt-after must abort");
+    assert_ne!(code, Some(0), "--fault halt must abort");
     let (_, stderr, ok) = mcpart(&[
         "compare",
         "fir",
@@ -304,6 +304,47 @@ fn stats_pinned_payload_is_identical_fresh_vs_resume() {
     assert!(ok, "stderr: {stderr}");
     assert!(!a.trim().is_empty());
     assert_eq!(a, b, "pinned histograms differ between fresh and resumed runs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--fault halt:<n>` means one thing on every surface: commit n
+/// records, then tear the next one and die. Here n = 1 for a
+/// checkpointed `compare`, a `serve` spool and chaos's in-memory check.
+#[test]
+fn halt_commits_the_same_record_count_everywhere() {
+    let dir = std::env::temp_dir().join(format!("mcpart_cli_halt_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let ck = dir.join("ck.jsonl");
+    let (_, code) =
+        mcpart_code(&["compare", "fir", "--checkpoint", ck.to_str().unwrap(), "--fault", "halt:1"]);
+    assert_ne!(code, Some(0), "the halted compare must die");
+    let loaded = mcpart::core::load_checkpoint_any(ck.to_str().unwrap()).expect("crash artifact");
+    assert_eq!(loaded.records.len(), 1, "compare committed {} records", loaded.records.len());
+    assert!(loaded.dropped_partial_tail, "compare left no torn record");
+
+    let spool = dir.join("spool");
+    std::fs::create_dir_all(&spool).unwrap();
+    for p in ["fir", "latnrm", "rawcaudio"] {
+        let job = format!("{{\"mcpart_job\":1,\"program\":\"{p}\"}}");
+        std::fs::write(spool.join(format!("{p}.job")), job).unwrap();
+    }
+    let (_, code) =
+        mcpart_code(&["serve", spool.to_str().unwrap(), "--drain", "--fault", "halt:1"]);
+    assert_ne!(code, Some(0), "the halted serve must die");
+    let out: Vec<String> = std::fs::read_dir(spool.join("out"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let committed = out.iter().filter(|n| n.ends_with(".json")).count();
+    assert_eq!(committed, 1, "serve committed {committed} results: {out:?}");
+    assert_eq!(out.len(), 2, "serve left no torn result: {out:?}");
+
+    let scenario = mcpart::core::Scenario::parse("target = fir\nfaults = halt:1\n").unwrap();
+    let cfg = mcpart::core::ChaosConfig::new(1, 0);
+    let result = mcpart::core::run_scenario(&scenario, &cfg).expect("scenario runs");
+    assert_eq!(result.verdict, mcpart::core::ScenarioVerdict::Pass, "{}", result.detail);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -451,10 +492,12 @@ fn flag_surface_of_every_subcommand() {
         ("run fir --checkpoint {dir}/ck --resume", Ok),
         ("run fir --unit-timeout 60000", Ok),
         ("run fir --allow-quarantine", Ok),
-        ("run fir --inject-panic nosuch:1", Ok),
-        ("run fir --inject-panic main --allow-quarantine", Ok),
-        ("run fir --inject-panic main", Runtime),
-        ("run fir --halt-after 3", Ok),
+        ("run fir --fault panic:nosuchx1", Ok),
+        ("run fir --fault panic:main --allow-quarantine", Ok),
+        ("run fir --fault panic:main", Runtime),
+        ("run fir --fault panic:#0", Runtime),
+        ("run fir --checkpoint {dir}/ck --fault halt:3", Ok),
+        ("run fir --checkpoint {dir}/ck --fault panic:mainx1+halt:1", Ok),
         ("run fir --latency", Usage),
         ("run fir --clusters", Usage),
         ("run fir --method", Usage),
@@ -465,8 +508,7 @@ fn flag_surface_of_every_subcommand() {
         ("run fir --retries", Usage),
         ("run fir --checkpoint", Usage),
         ("run fir --unit-timeout", Usage),
-        ("run fir --halt-after", Usage),
-        ("run fir --inject-panic", Usage),
+        ("run fir --fault", Usage),
         ("run fir --latency fast", Usage),
         ("run fir --latency -1", Usage),
         ("run fir --clusters 0", Usage),
@@ -477,8 +519,11 @@ fn flag_surface_of_every_subcommand() {
         ("run fir --jobs many", Usage),
         ("run fir --retries x", Usage),
         ("run fir --unit-timeout 0", Usage),
-        ("run fir --halt-after 0", Usage),
-        ("run fir --inject-panic main:x", Usage),
+        ("run fir --fault halt:0", Usage),
+        ("run fir --fault fuel:3", Usage),
+        ("run fir --fault misplace", Usage),
+        ("run fir --fault panic:", Usage),
+        ("run fir --fault warp:1", Usage),
         ("run fir --resume", Usage),
         ("run fir --bogus", Usage),
         ("run fir --drain", Usage),
@@ -497,17 +542,29 @@ fn flag_surface_of_every_subcommand() {
         ("exec", Usage),
         ("compare fir --clusters 4", Ok),
         ("compare fir --checkpoint {dir}/ck", Ok),
+        ("compare fir --checkpoint {dir}/ck --fault halt:9", Ok),
+        ("compare fir --fault halt:1", Usage),
         ("compare fir --gdp-fuel", Usage),
         ("compare fir --memory", Usage),
         ("compare fir --drain", Usage),
         ("compare", Usage),
         ("schedule fir --method unified", Ok),
-        ("schedule fir --checkpoint {dir}/ck", Ok),
+        ("schedule fir --fault panic:main --allow-quarantine", Ok),
+        ("schedule fir --fault panic:main", Runtime),
+        ("schedule fir --checkpoint {dir}/ck", Usage),
+        ("schedule fir --checkpoint {dir}/ck --resume", Usage),
+        ("schedule fir --checkpoint {dir}/ck --fault halt:1", Usage),
         ("schedule fir --jobs", Usage),
         ("schedule fir --bogus", Usage),
         ("schedule", Usage),
         ("partition fir --jobs 1 --metrics", Ok),
-        ("partition fir --retries 5", Ok),
+        ("partition fir --clusters 4 --latency 1 --memory unified", Ok),
+        ("partition fir --retries 5", Usage),
+        ("partition fir --method naive", Usage),
+        ("partition fir --gdp-fuel 0", Usage),
+        ("partition fir --fault panic:main", Usage),
+        ("partition fir --checkpoint {dir}/p.ck", Usage),
+        ("partition fir --allow-quarantine", Usage),
         ("partition fir --method", Usage),
         ("partition fir --seed 1", Usage),
         ("partition", Usage),
@@ -515,6 +572,7 @@ fn flag_surface_of_every_subcommand() {
         ("repartition fir --baseline {base}", Ok),
         ("repartition fir --jobs 2 --baseline {base} --metrics", Ok),
         ("repartition fir --baseline {base} --latency 1", Config),
+        ("repartition fir --baseline {base} --fault panic:nosuch", Ok),
         ("repartition fir", Usage),
         ("repartition fir --baseline", Usage),
         ("repartition fir --baseline {base} --method naive", Usage),
@@ -537,7 +595,7 @@ fn flag_surface_of_every_subcommand() {
         ("serve {dir} --drain --poll-ms 5", Ok),
         ("serve {dir} --drain --retries 1", Ok),
         ("serve {dir} --drain --unit-timeout 100", Ok),
-        ("serve {dir} --drain --halt-after 0", Ok),
+        ("serve {dir} --drain --fault halt:0", Ok),
         ("serve {dir} --drain --telemetry-every 0", Ok),
         ("serve {dir} --drain --max-requeues 1", Ok),
         ("serve {dir} --drain --trace-out {dir}/t.json", Ok),
@@ -549,7 +607,8 @@ fn flag_surface_of_every_subcommand() {
         ("serve {dir} --drain --poll-ms x", Usage),
         ("serve {dir} --drain --retries x", Usage),
         ("serve {dir} --drain --unit-timeout 0", Usage),
-        ("serve {dir} --drain --halt-after x", Usage),
+        ("serve {dir} --drain --fault halt:x", Usage),
+        ("serve {dir} --drain --fault panic:main", Usage),
         ("serve {dir} --drain --telemetry-every x", Usage),
         ("serve {dir} --drain --max-requeues x", Usage),
         ("serve {dir} --drain --trace-out", Usage),
@@ -572,7 +631,9 @@ fn flag_surface_of_every_subcommand() {
         ("chaos 1 --metrics", Ok),
         ("chaos --replay {repro}", Ok),
         ("chaos --replay {repro} --metrics", Ok),
-        ("chaos 2 --seed 3 --inject-bad-placement --no-shrink", Runtime),
+        ("chaos 1 --fault misplace --no-shrink", Runtime),
+        ("chaos 1 --fault fuel:3+halt:1", Ok),
+        ("chaos --replay {repro} --fault misplace", Usage),
         ("chaos", Usage),
         ("chaos many", Usage),
         ("chaos 1 2", Usage),
@@ -586,7 +647,8 @@ fn flag_surface_of_every_subcommand() {
         ("chaos 1 --trace-out", Usage),
         ("chaos 1 --retries 2", Usage),
         ("chaos 1 --unit-timeout 5", Usage),
-        ("chaos 1 --halt-after 1", Usage),
+        ("chaos 1 --fault", Usage),
+        ("chaos 1 --fault warp:1", Usage),
         ("chaos 1 --bogus", Usage),
         // trace-check
         ("trace-check {trace}", Ok),

@@ -231,7 +231,7 @@ fn spool_pointer_and_requeue_sidecar_bytes_are_pinned() {
     // second startup, which tallies it in a `.requeues` sidecar.
     fs::write(dir.join("b.job"), &job).expect("job");
     for _ in 0..2 {
-        assert_ne!(serve(&dir, &["--halt-after", "0"]), Some(0), "the halted run must die");
+        assert_ne!(serve(&dir, &["--fault", "halt:0"]), Some(0), "the halted run must die");
     }
     assert_eq!(fs::read_to_string(dir.join("b.requeues")).expect("sidecar"), "1\n");
     let _ = fs::remove_dir_all(&dir);

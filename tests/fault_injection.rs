@@ -191,7 +191,6 @@ fn cli_exec_parse_errors_carry_line_and_column() {
 /// degradation ladder — must not leak worker-count nondeterminism.
 #[test]
 fn every_injection_scenario_is_jobs_invariant() {
-    use mcpart::core::PanicPlan;
     type Mutate = fn(&mut Program, &mut Profile, &mut PipelineConfig);
     let scenarios: [(&str, &str, Mutate); 7] = [
         ("truncated-block", "fir", |p, _, _| fault::truncate_entry_block(p)),
@@ -207,7 +206,7 @@ fn every_injection_scenario_is_jobs_invariant() {
         }),
         ("starved-gdp-ladder", "fir", |_, _, cfg| cfg.gdp.fuel = Some(0)),
         ("quarantined-panic", "rawcaudio", |_, _, cfg| {
-            cfg.rhop.inject_panic = Some(PanicPlan::always("main"));
+            cfg.rhop.faults = "panic:main".parse().expect("plan");
         }),
     ];
     let machine = Machine::paper_2cluster(5);

@@ -113,7 +113,7 @@ fn corrupted_cache_entry_is_evicted_and_recomputed() {
     assert!(stdout.contains("cache hit"), "{stdout}");
 }
 
-/// Acceptance (c): a crash mid-batch (the `--halt-after` hook aborts
+/// Acceptance (c): a crash mid-batch (the `--fault halt:1` hook aborts
 /// the process with one output half-written and claimed jobs still in
 /// `work/` — the state kill -9 leaves) followed by a restart drains
 /// all spooled jobs with outputs byte-identical to an uninterrupted
@@ -133,7 +133,7 @@ fn crash_mid_batch_then_restart_drains_byte_identical_outputs() {
     for p in &programs {
         submit(&crashed, p, &job(p));
     }
-    let (stdout, _, code) = serve(&crashed, &["--drain", "--halt-after", "1"]);
+    let (stdout, _, code) = serve(&crashed, &["--drain", "--fault", "halt:1"]);
     assert_ne!(code, Some(0), "the halted run must die: {stdout}");
     // The crash left tolerated artifacts only: claimed jobs and a
     // half-written output.
@@ -166,7 +166,7 @@ fn crash_mid_batch_then_restart_drains_byte_identical_outputs() {
 #[test]
 fn poison_job_quarantines_while_the_queue_continues() {
     let dir = spool("poison");
-    submit(&dir, "a_poison", r#"{"mcpart_job":1,"program":"fir","inject_panic":"main"}"#);
+    submit(&dir, "a_poison", r#"{"mcpart_job":1,"program":"fir","fault":"panic:main"}"#);
     submit(&dir, "b_good", &job("latnrm"));
     let (stdout, stderr, code) = serve(&dir, &["--drain"]);
     assert_eq!(code, Some(0), "a poison job must not take the service down: {stderr}");
@@ -181,14 +181,49 @@ fn poison_job_quarantines_while_the_queue_continues() {
     let result = result_of(&dir, "a_poison");
     assert!(result.contains("\"status\":\"quarantined\",\"exit\":1"), "{result}");
     // The poisoned result is never cached: resubmission recomputes.
-    submit(&dir, "a_poison", r#"{"mcpart_job":1,"program":"fir","inject_panic":"main"}"#);
+    submit(&dir, "a_poison", r#"{"mcpart_job":1,"program":"fir","fault":"panic:main"}"#);
     let (stdout, _, code) = serve(&dir, &["--drain"]);
     assert_eq!(code, Some(0));
     assert!(!stdout.contains("cache hit"), "served a quarantined result from cache: {stdout}");
 }
 
+/// The cache key does not cover a job's fault plan, so a faulted job
+/// bypasses the cache both ways: it publishes no entry or baseline
+/// pointer a clean job could hit, and it is never served a clean
+/// job's entry. A clean job after a faulted one computes exactly what
+/// it computes on a fresh spool.
+#[test]
+fn faulted_jobs_neither_read_nor_publish_the_cache() {
+    let faulted = r#"{"mcpart_job":1,"program":"fir","fault":"panic:mainx1"}"#;
+    let cold = spool("fault_cache_cold");
+    submit(&cold, "b", &job("fir"));
+    assert_eq!(serve(&cold, &["--drain"]).2, Some(0));
+
+    let dir = spool("fault_cache");
+    submit(&dir, "a", faulted);
+    let (stdout, stderr, code) = serve(&dir, &["--drain"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("job a: ok (computed)"), "{stdout}");
+    assert!(result_of(&dir, "a").contains("\"retries\":1"), "{}", result_of(&dir, "a"));
+    let published: Vec<_> = fs::read_dir(dir.join("cache")).expect("cache dir").collect();
+    assert!(published.is_empty(), "a faulted job published to the cache: {published:?}");
+
+    submit(&dir, "b", &job("fir"));
+    let (stdout, _, code) = serve(&dir, &["--drain"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("job b: ok (computed)"), "{stdout}");
+    assert_eq!(result_of(&dir, "b"), result_of(&cold, "b"), "the faulted job poisoned b");
+
+    // Now a clean entry exists; the faulted job still recomputes.
+    submit(&dir, "a", faulted);
+    let (stdout, _, code) = serve(&dir, &["--drain"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("job a: ok (computed)"), "served a clean entry: {stdout}");
+    assert!(result_of(&dir, "a").contains("\"retries\":1"), "{}", result_of(&dir, "a"));
+}
+
 /// Acceptance (satellite): a job that takes the process down before it
-/// can ever commit (here via the `--halt-after 0` crash hook) is
+/// can ever commit (here via the `--fault halt:0` crash hook) is
 /// requeued by startup recovery only `--max-requeues` times; the next
 /// startup quarantines it to `failed/` as poison, counts it in the
 /// summary, and the queue flows on.
@@ -200,7 +235,7 @@ fn crash_looping_job_is_quarantined_after_the_requeue_budget() {
     // The budget of 2 is spent by the second and third startups.
     for round in 0..3 {
         let (stdout, _, code) =
-            serve(&dir, &["--drain", "--halt-after", "0", "--max-requeues", "2"]);
+            serve(&dir, &["--drain", "--fault", "halt:0", "--max-requeues", "2"]);
         assert_ne!(code, Some(0), "round {round}: the halted run must die: {stdout}");
     }
     assert!(
@@ -220,7 +255,7 @@ fn crash_looping_job_is_quarantined_after_the_requeue_budget() {
     // A job that survives a crash and then commits sheds its tally:
     // the budget only counts *consecutive* failures to commit.
     submit(&dir, "q", &job("latnrm"));
-    let (_, _, code) = serve(&dir, &["--drain", "--halt-after", "0", "--max-requeues", "2"]);
+    let (_, _, code) = serve(&dir, &["--drain", "--fault", "halt:0", "--max-requeues", "2"]);
     assert_ne!(code, Some(0), "the halted run must die");
     let (stdout, _, code) = serve(&dir, &["--drain", "--max-requeues", "2"]);
     assert_eq!(code, Some(0));
@@ -346,7 +381,7 @@ fn telemetry_survives_kill_mid_append_and_restart() {
     for p in ["fir", "latnrm", "rawcaudio"] {
         submit(&dir, p, &job(p));
     }
-    let (_, _, code) = serve(&dir, &["--drain", "--halt-after", "1"]);
+    let (_, _, code) = serve(&dir, &["--drain", "--fault", "halt:1"]);
     assert_ne!(code, Some(0), "the halted run must die");
 
     // Simulate the worst tail: a record cut mid-write.

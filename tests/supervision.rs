@@ -32,7 +32,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// `--allow-quarantine`, exit 1 without it.
 #[test]
 fn injected_panic_quarantines_with_the_documented_exit_codes() {
-    let (_, stderr, code) = mcpart_cli(&["run", "rawcaudio", "--inject-panic", "main"]);
+    let (_, stderr, code) = mcpart_cli(&["run", "rawcaudio", "--fault", "panic:main"]);
     assert_eq!(code, Some(1), "quarantine without --allow-quarantine is a failure\n{stderr}");
     assert!(stderr.contains("quarantined `main`"), "no quarantine warning in `{stderr}`");
     assert!(stderr.contains("injected fault"), "no panic payload in `{stderr}`");
@@ -40,8 +40,8 @@ fn injected_panic_quarantines_with_the_documented_exit_codes() {
     let (stdout, stderr, code) = mcpart_cli(&[
         "run",
         "rawcaudio",
-        "--inject-panic",
-        "main",
+        "--fault",
+        "panic:main",
         "--allow-quarantine",
         "--metrics",
     ]);
@@ -65,7 +65,7 @@ fn retry_then_succeed_matches_a_clean_run() {
     let clean = run_pipeline(&w.program, &w.profile, &machine, &PipelineConfig::new(Method::Gdp))
         .expect("clean pipeline");
     let mut cfg = PipelineConfig::new(Method::Gdp);
-    cfg.rhop.inject_panic = Some(mcpart::core::PanicPlan { func: "main".to_string(), panics: 1 });
+    cfg.rhop.faults = "panic:mainx1".parse().expect("plan");
     let retried = run_pipeline(&w.program, &w.profile, &machine, &cfg).expect("retry recovers");
     assert_eq!(retried.rhop_stats.retries, 1, "exactly one retry was injected");
     assert!(retried.quarantine().is_empty(), "a clearing panic must not quarantine");
@@ -75,7 +75,7 @@ fn retry_then_succeed_matches_a_clean_run() {
     assert_eq!(clean.report.dynamic_moves, retried.report.dynamic_moves);
 
     // Same through the CLI: one retryable panic, exit 0, no quarantine.
-    let (_, stderr, code) = mcpart_cli(&["run", "rawcaudio", "--inject-panic", "main:1"]);
+    let (_, stderr, code) = mcpart_cli(&["run", "rawcaudio", "--fault", "panic:mainx1"]);
     assert_eq!(code, Some(0), "retry did not recover: {stderr}");
     assert!(!stderr.contains("quarantined"), "one retryable panic must not quarantine: {stderr}");
 }
