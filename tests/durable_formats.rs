@@ -1,7 +1,8 @@
 //! Byte-exact pins of every durable on-disk format: a checkpoint
 //! (header, unit record, manifest), a serve cache entry with its
-//! checksum footer, a sealed flight-recorder line, and the spool's
-//! `.ptr` baseline pointer and `.requeues` sidecar.
+//! checksum footer, a sealed flight-recorder line, the spool's `.ptr`
+//! baseline pointer and `.requeues` sidecar, and the four kinds of
+//! serve result file.
 //!
 //! The round-trip tests elsewhere would not notice a format drift (a
 //! writer and reader that change together still agree); these tests
@@ -236,3 +237,41 @@ fn spool_pointer_and_requeue_sidecar_bytes_are_pinned() {
     assert_eq!(fs::read_to_string(dir.join("b.requeues")).expect("sidecar"), "1\n");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The four shapes of a serve result file: `ok` with its record,
+/// `quarantined` (a record plus the quarantine reason), `invalid` (an
+/// unusable job file) and `overloaded` (shed by admission control).
+#[test]
+fn serve_result_file_bytes_are_pinned() {
+    let dir = scratch("results");
+    let program = dir.join("pin.mcir");
+    fs::write(&program, program_to_string(&pin_program())).expect("program");
+    let job = |extra: &str| {
+        format!("{{\"mcpart_job\":1,\"program\":\"{}\"{extra}}}\n", program.display())
+    };
+    fs::write(dir.join("a_ok.job"), job("")).expect("job");
+    fs::write(dir.join("b_quarantined.job"), job(",\"fault\":\"panic:main\"")).expect("job");
+    fs::write(dir.join("c_invalid.job"), "not json\n").expect("job");
+    fs::write(dir.join("d_overloaded.job"), job("")).expect("job");
+    assert_eq!(serve(&dir, &["--queue", "3"]), Some(0));
+    let out = |stem: &str| {
+        fs::read_to_string(dir.join("out").join(format!("{stem}.json"))).expect("result file")
+    };
+    assert_eq!(out("a_ok"), OK_RESULT);
+    assert_eq!(out("b_quarantined"), QUARANTINED_RESULT);
+    assert_eq!(out("c_invalid"), INVALID_RESULT);
+    assert_eq!(out("d_overloaded"), OVERLOADED_RESULT);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+const OK_RESULT: &str = r#"{"mcpart_result":1,"job":"a_ok","status":"ok","exit":0,"unit":"pin/gdp","requested":"gdp","method":"gdp","downgrades":0,"cycles":6,"dynamic_moves":0,"remote":0,"moves_inserted":0,"retries":0,"pressure":0,"quarantine":[],"data_bytes":[64,0]}
+"#;
+
+const QUARANTINED_RESULT: &str = r#"{"mcpart_result":1,"job":"b_quarantined","status":"quarantined","exit":1,"unit":"pin/gdp","requested":"gdp","method":"gdp","downgrades":0,"cycles":6,"dynamic_moves":0,"remote":0,"moves_inserted":0,"retries":0,"pressure":0,"quarantine":["main"],"data_bytes":[64,0],"reason":"main (3 attempts): injected fault in `main` (attempt 2)"}
+"#;
+
+const INVALID_RESULT: &str = r#"{"mcpart_result":1,"job":"c_invalid","status":"invalid","exit":2,"reason":"not a JSON job file: invalid literal at byte 0"}
+"#;
+
+const OVERLOADED_RESULT: &str = r#"{"mcpart_result":1,"job":"d_overloaded","status":"overloaded","exit":1,"reason":"admission queue full (bound 3)"}
+"#;
