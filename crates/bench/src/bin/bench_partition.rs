@@ -8,9 +8,9 @@
 //! `--quick` runs one repetition on a three-workload subset for smoke
 //! testing.
 
-use mcpart_bench::report::Json;
 use mcpart_core::{run_pipeline, Method, PipelineConfig};
 use mcpart_machine::Machine;
+use mcpart_obs::json::JsonWriter;
 use mcpart_workloads::Workload;
 use std::time::{Duration, Instant};
 
@@ -95,7 +95,18 @@ fn main() {
     let jobs = mcpart_par::resolve_jobs(opts.jobs);
     let machine = Machine::paper_2cluster(5);
 
-    let mut rows: Vec<Json> = Vec::new();
+    // The report streams: the header fields are known up front, and
+    // each workload's row is written as it finishes.
+    let mut doc = JsonWriter::new();
+    doc.open_obj()
+        .field("schema_version", &mcpart_bench::diff::BENCH_SCHEMA_VERSION)
+        .field("benchmark", "partition-pipeline")
+        .field("jobs", &jobs)
+        .field("quick", &opts.quick)
+        .field("metrics", &opts.metrics)
+        .field("host_parallelism", &mcpart_par::available_jobs())
+        .key("workloads")
+        .open_arr();
     let mut suite_seq = Duration::ZERO;
     let mut suite_seq_full = Duration::ZERO;
     for w in &workloads {
@@ -120,42 +131,38 @@ fn main() {
             w.name
         );
         let st = &r.rhop_stats;
-        let mut row = vec![
-            ("benchmark".into(), Json::Str(w.name.to_string())),
-            ("partition_secs".into(), Json::Num(secs(part))),
-            ("pipeline_secs".into(), Json::Num(secs(total))),
-            ("pipeline_secs_no_incremental".into(), Json::Num(secs(full_total))),
-            ("regions".into(), Json::Int(st.regions as i64)),
-            ("estimator_calls".into(), Json::Int(st.estimator_calls as i64)),
-            ("full_evals".into(), Json::Int(st.full_evals as i64)),
-            ("pruned_evals".into(), Json::Int(st.pruned_evals as i64)),
-            ("pruned_lock".into(), Json::Int(st.pruned_lock as i64)),
-            ("pruned_bound".into(), Json::Int(st.pruned_bound as i64)),
-            ("moves_accepted".into(), Json::Int(st.moves_accepted as i64)),
-            ("cycles".into(), Json::Int(r.report.total_cycles as i64)),
-            ("stall_cycles".into(), Json::Int(r.report.stall_cycles as i64)),
-            ("transfer_cycles".into(), Json::Int(r.report.transfer_cycles as i64)),
+        doc.open_obj()
+            .field("benchmark", &w.name)
+            .field("partition_secs", &secs(part))
+            .field("pipeline_secs", &secs(total))
+            .field("pipeline_secs_no_incremental", &secs(full_total))
+            .field("regions", &st.regions)
+            .field("estimator_calls", &st.estimator_calls)
+            .field("full_evals", &st.full_evals)
+            .field("pruned_evals", &st.pruned_evals)
+            .field("pruned_lock", &st.pruned_lock)
+            .field("pruned_bound", &st.pruned_bound)
+            .field("moves_accepted", &st.moves_accepted)
+            .field("cycles", &r.report.total_cycles)
+            .field("stall_cycles", &r.report.stall_cycles)
+            .field("transfer_cycles", &r.report.transfer_cycles)
             // Supervision accounting: unit retries plus method
             // downgrades, and the quarantine outcome. All zero on a
             // healthy suite — nonzero values in a benchmark report
             // flag that the numbers were produced on degraded paths.
-            ("retries".into(), Json::Int(st.retries as i64 + r.downgrades.len() as i64)),
-            ("quarantined".into(), Json::Int(st.quarantine.len() as i64)),
-        ];
+            .field("retries", &(st.retries + r.downgrades.len() as u64))
+            .field("quarantined", &st.quarantine.len());
         if !st.quarantine.is_empty() {
-            row.push((
-                "quarantine".into(),
-                Json::Arr(st.quarantine.names().iter().map(|n| Json::Str(n.to_string())).collect()),
-            ));
+            doc.field("quarantine", &st.quarantine.names());
         }
         if opts.metrics {
             for (counter, key) in [("cut", "gdp_cut"), ("balance_x1000", "gdp_balance_x1000")] {
                 if let Some(v) = obs.last_counter("gdp", counter) {
-                    row.push((key.into(), Json::Int(v)));
+                    doc.field(key, &v);
                 }
             }
         }
-        rows.push(Json::Obj(row));
+        doc.close_obj();
         eprintln!(
             "{:<16} partition {:>8.3}s  pipeline {:>8.3}s (no-incr {:>8.3}s)  \
              probes {} = {} full + {} pruned",
@@ -308,40 +315,27 @@ fn main() {
         rp.cone_frac_x1000() as f64 / 10.0,
     );
 
-    let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::Int(mcpart_bench::diff::BENCH_SCHEMA_VERSION)),
-        ("benchmark".into(), Json::Str("partition-pipeline".to_string())),
-        ("jobs".into(), Json::Int(jobs as i64)),
-        ("quick".into(), Json::Bool(opts.quick)),
-        ("metrics".into(), Json::Bool(opts.metrics)),
-        ("host_parallelism".into(), Json::Int(mcpart_par::available_jobs() as i64)),
-        ("workloads".into(), Json::Arr(rows)),
-        ("suite_secs_sequential".into(), Json::Num(secs(best_seq))),
-        ("suite_secs_parallel".into(), Json::Num(secs(best_par))),
-        ("parallel_speedup".into(), Json::Num(speedup)),
-        ("incremental_speedup".into(), Json::Num(incr_speedup)),
-        ("serve_cold_secs".into(), Json::Num(secs(serve_cold))),
-        ("serve_warm_secs".into(), Json::Num(secs(serve_warm))),
-        ("serve_cache_hit_rate".into(), Json::Num(hit_rate)),
-        ("serve_warm_jobs_per_sec".into(), Json::Num(warm_jobs_per_sec)),
-        ("serve_admitted".into(), Json::Int(serve_admitted as i64)),
-        ("serve_rejected".into(), Json::Int((cold_sum.rejected + warm_sum.rejected) as i64)),
-        ("serve_cache_hits".into(), Json::Int((cold_sum.cache_hits + warm_sum.cache_hits) as i64)),
-        (
-            "serve_cache_evictions".into(),
-            Json::Int((cold_sum.cache_evictions + warm_sum.cache_evictions) as i64),
-        ),
-        (
-            "serve_quarantined".into(),
-            Json::Int((cold_sum.quarantined + warm_sum.quarantined) as i64),
-        ),
-        ("repartition_scratch_secs".into(), Json::Num(secs(scratch_secs))),
-        ("repartition_incremental_secs".into(), Json::Num(secs(inc_secs))),
-        ("repartition_speedup".into(), Json::Num(repartition_speedup)),
-        ("repartition_dirty_funcs".into(), Json::Int(rp.dirty_funcs as i64)),
-        ("repartition_replayed_funcs".into(), Json::Int(rp.replayed_funcs as i64)),
-        ("repartition_cone_frac_x1000".into(), Json::Int(rp.cone_frac_x1000() as i64)),
-    ]);
-    std::fs::write(out, doc.render() + "\n").expect("write report");
+    doc.close_arr()
+        .field("suite_secs_sequential", &secs(best_seq))
+        .field("suite_secs_parallel", &secs(best_par))
+        .field("parallel_speedup", &speedup)
+        .field("incremental_speedup", &incr_speedup)
+        .field("serve_cold_secs", &secs(serve_cold))
+        .field("serve_warm_secs", &secs(serve_warm))
+        .field("serve_cache_hit_rate", &hit_rate)
+        .field("serve_warm_jobs_per_sec", &warm_jobs_per_sec)
+        .field("serve_admitted", &serve_admitted)
+        .field("serve_rejected", &(cold_sum.rejected + warm_sum.rejected))
+        .field("serve_cache_hits", &(cold_sum.cache_hits + warm_sum.cache_hits))
+        .field("serve_cache_evictions", &(cold_sum.cache_evictions + warm_sum.cache_evictions))
+        .field("serve_quarantined", &(cold_sum.quarantined + warm_sum.quarantined))
+        .field("repartition_scratch_secs", &secs(scratch_secs))
+        .field("repartition_incremental_secs", &secs(inc_secs))
+        .field("repartition_speedup", &repartition_speedup)
+        .field("repartition_dirty_funcs", &rp.dirty_funcs)
+        .field("repartition_replayed_funcs", &rp.replayed_funcs)
+        .field("repartition_cone_frac_x1000", &rp.cone_frac_x1000())
+        .close_obj();
+    std::fs::write(out, doc.finish() + "\n").expect("write report");
     eprintln!("wrote {out}");
 }

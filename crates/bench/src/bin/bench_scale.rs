@@ -9,9 +9,9 @@
 //! this binary. `--quick` drops the 10⁶ point and runs one repetition
 //! for smoke testing.
 
-use mcpart_bench::report::Json;
 use mcpart_core::{gdp_partition, DataPartition, GdpConfig, ObjectGroups};
 use mcpart_machine::Machine;
+use mcpart_obs::json::JsonWriter;
 use mcpart_workloads::Workload;
 use std::time::{Duration, Instant};
 
@@ -47,7 +47,16 @@ fn main() {
     // the recorded speedup is whatever the host's parallelism allows.
     let jobs_curve: [usize; 3] = [1, 2, 4];
 
-    let mut rows: Vec<Json> = Vec::new();
+    // The report streams: the header fields are known up front, and
+    // each point's row is written as it finishes.
+    let mut doc = JsonWriter::new();
+    doc.open_obj()
+        .field("schema_version", &mcpart_bench::diff::BENCH_SCHEMA_VERSION)
+        .field("benchmark", "scale-trajectory")
+        .field("quick", &opts.quick)
+        .field("host_parallelism", &mcpart_par::available_jobs())
+        .key("workloads")
+        .open_arr();
     let mut speedup_at_max = 1.0f64;
     for &(name, target_ops) in &points {
         let gen_start = Instant::now();
@@ -93,24 +102,23 @@ fn main() {
         let levels = obs.last_counter("metis", "coarsen_levels").unwrap_or(0);
         let cut = obs.last_counter("gdp", "cut").unwrap_or(0);
 
-        let mut row = vec![
-            ("benchmark".into(), Json::Str(name.to_string())),
-            ("target_ops".into(), Json::Int(target_ops as i64)),
-            ("ops".into(), Json::Int(ops as i64)),
-            ("objects".into(), Json::Int(w.num_objects() as i64)),
-            ("gen_secs".into(), Json::Num(gen_secs)),
-            ("partition_secs".into(), Json::Num(seq_secs)),
-            ("partition_secs_parallel".into(), Json::Num(par_secs)),
-            ("ops_per_sec".into(), Json::Num(ops as f64 / seq_secs.max(1e-9))),
-            ("parallel_speedup".into(), Json::Num(speedup)),
-            ("peak_graph_bytes".into(), Json::Int(peak_bytes)),
-            ("coarsen_levels".into(), Json::Int(levels)),
-            ("gdp_cut".into(), Json::Int(cut)),
-        ];
+        doc.open_obj()
+            .field("benchmark", &name)
+            .field("target_ops", &target_ops)
+            .field("ops", &ops)
+            .field("objects", &w.num_objects())
+            .field("gen_secs", &gen_secs)
+            .field("partition_secs", &seq_secs)
+            .field("partition_secs_parallel", &par_secs)
+            .field("ops_per_sec", &(ops as f64 / seq_secs.max(1e-9)))
+            .field("parallel_speedup", &speedup)
+            .field("peak_graph_bytes", &peak_bytes)
+            .field("coarsen_levels", &levels)
+            .field("gdp_cut", &cut);
         for (jobs, t) in &level_secs {
-            row.push((format!("secs_jobs_{jobs}"), Json::Num(*t)));
+            doc.field(&format!("secs_jobs_{jobs}"), t);
         }
-        rows.push(Json::Obj(row));
+        doc.close_obj();
         eprintln!(
             "{name:<12} {ops:>8} ops  gen {gen_secs:>6.2}s  partition jobs=1 {seq_secs:>6.2}s, \
              jobs={max_jobs} {par_secs:>6.2}s ({speedup:.2}x)  peak {peak_bytes} B, \
@@ -118,14 +126,7 @@ fn main() {
         );
     }
 
-    let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::Int(mcpart_bench::diff::BENCH_SCHEMA_VERSION)),
-        ("benchmark".into(), Json::Str("scale-trajectory".to_string())),
-        ("quick".into(), Json::Bool(opts.quick)),
-        ("host_parallelism".into(), Json::Int(mcpart_par::available_jobs() as i64)),
-        ("workloads".into(), Json::Arr(rows)),
-        ("parallel_speedup".into(), Json::Num(speedup_at_max)),
-    ]);
-    std::fs::write(out, doc.render() + "\n").expect("write report");
+    doc.close_arr().field("parallel_speedup", &speedup_at_max).close_obj();
+    std::fs::write(out, doc.finish() + "\n").expect("write report");
     eprintln!("wrote {out}");
 }

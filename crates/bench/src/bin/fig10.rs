@@ -3,24 +3,22 @@
 //! model, with 5-cycle move latency.
 
 use mcpart_bench::experiments::fig10;
-use mcpart_bench::report::{render_table, Json};
+use mcpart_bench::report::render_table;
+use mcpart_obs::json::JsonWriter;
 
 fn main() {
     let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
     let rows = fig10(&args.workloads);
     if args.json {
-        let doc = Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::Obj(vec![
-                        ("benchmark".into(), Json::Str(r.benchmark.clone())),
-                        ("gdp_pct".into(), Json::Num(r.gdp_pct)),
-                        ("profile_max_pct".into(), Json::Num(r.profile_max_pct)),
-                    ])
-                })
-                .collect(),
-        );
-        println!("{}", doc.render());
+        let mut w = JsonWriter::new();
+        w.arr(&rows, |w, r| {
+            w.open_obj()
+                .field("benchmark", &r.benchmark)
+                .field("gdp_pct", &r.gdp_pct)
+                .field("profile_max_pct", &r.profile_max_pct)
+                .close_obj();
+        });
+        println!("{}", w.finish());
         return;
     }
     let mut table: Vec<Vec<String>> = rows

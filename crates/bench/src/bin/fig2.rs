@@ -3,39 +3,24 @@
 //! move latencies, relative to a unified memory.
 
 use mcpart_bench::experiments::fig2;
-use mcpart_bench::report::{render_table, Json};
+use mcpart_bench::report::render_table;
+use mcpart_obs::json::JsonWriter;
 
 fn main() {
     let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
     let latencies = [1u32, 5, 10];
     let rows = fig2(&args.workloads, &latencies);
     if args.json {
-        let doc = Json::Obj(vec![
-            ("figure".into(), Json::Str("2".into())),
-            (
-                "latencies".into(),
-                Json::Arr(latencies.iter().map(|&l| Json::Int(i64::from(l))).collect()),
-            ),
-            (
-                "rows".into(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                ("benchmark".into(), Json::Str(r.benchmark.clone())),
-                                (
-                                    "increase_pct".into(),
-                                    Json::Arr(
-                                        r.increase_pct.iter().map(|&x| Json::Num(x)).collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        println!("{}", doc.render());
+        let mut w = JsonWriter::new();
+        w.open_obj().field("figure", "2").field("latencies", &latencies[..]);
+        w.key("rows").arr(&rows, |w, r| {
+            w.open_obj()
+                .field("benchmark", &r.benchmark)
+                .field("increase_pct", &r.increase_pct)
+                .close_obj();
+        });
+        w.close_obj();
+        println!("{}", w.finish());
         return;
     }
     let table_rows: Vec<Vec<String>> = rows

@@ -3,38 +3,32 @@
 //! `--latency {1,5,10}` (default 5 = Figure 8a).
 
 use mcpart_bench::experiments::fig7_8;
-use mcpart_bench::report::{f3, render_table, Json};
+use mcpart_bench::report::{f3, render_table};
+use mcpart_obs::json::JsonWriter;
 
 fn main() {
     let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
     let latency = args.latency.unwrap_or(5);
     let fig = fig7_8(&args.workloads, latency);
     if args.json {
-        let rows: Vec<Json> = fig
-            .rows
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("benchmark".into(), Json::Str(r.benchmark.clone())),
-                    ("gdp".into(), Json::Num(r.gdp_rel)),
-                    ("profile_max".into(), Json::Num(r.profile_max_rel)),
-                    ("naive".into(), Json::Num(r.naive_rel)),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("figure".into(), Json::Str(format!("7/8 latency {latency}"))),
-            ("rows".into(), Json::Arr(rows)),
-            (
-                "averages".into(),
-                Json::Obj(vec![
-                    ("gdp".into(), Json::Num(fig.averages.0)),
-                    ("profile_max".into(), Json::Num(fig.averages.1)),
-                    ("naive".into(), Json::Num(fig.averages.2)),
-                ]),
-            ),
-        ]);
-        println!("{}", doc.render());
+        let mut w = JsonWriter::new();
+        w.open_obj().field("figure", &format!("7/8 latency {latency}"));
+        w.key("rows").arr(&fig.rows, |w, r| {
+            w.open_obj()
+                .field("benchmark", &r.benchmark)
+                .field("gdp", &r.gdp_rel)
+                .field("profile_max", &r.profile_max_rel)
+                .field("naive", &r.naive_rel)
+                .close_obj();
+        });
+        w.key("averages")
+            .open_obj()
+            .field("gdp", &fig.averages.0)
+            .field("profile_max", &fig.averages.1)
+            .field("naive", &fig.averages.2)
+            .close_obj()
+            .close_obj();
+        println!("{}", w.finish());
         return;
     }
     let mut rows: Vec<Vec<String>> = fig

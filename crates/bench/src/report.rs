@@ -73,102 +73,3 @@ mod tests {
         assert_eq!(f3(1.23456), "1.235");
     }
 }
-
-/// Minimal JSON value builder for experiment outputs (keeps the harness
-/// dependency-free; experiment records are flat and numeric).
-#[derive(Clone, Debug)]
-pub enum Json {
-    /// A boolean (serialized as the literal `true`/`false`, never a
-    /// quoted string).
-    Bool(bool),
-    /// A float (serialized with full precision).
-    Num(f64),
-    /// An integer.
-    Int(i64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Serializes the value.
-    pub fn render(&self) -> String {
-        match self {
-            Json::Bool(b) => b.to_string(),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    format!("{x}")
-                } else {
-                    "null".to_string()
-                }
-            }
-            Json::Int(x) => x.to_string(),
-            Json::Str(s) => format!("\"{}\"", escape(s)),
-            Json::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Json::render).collect();
-                format!("[{}]", inner.join(","))
-            }
-            Json::Obj(fields) => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":{}", escape(k), v.render()))
-                    .collect();
-                format!("{{{}}}", inner.join(","))
-            }
-        }
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod json_tests {
-    use super::Json;
-
-    #[test]
-    fn json_roundtrip_shapes() {
-        let v = Json::Obj(vec![
-            ("name".into(), Json::Str("raw\"caudio".into())),
-            ("rel".into(), Json::Num(0.956)),
-            ("cycles".into(), Json::Int(12345)),
-            ("values".into(), Json::Arr(vec![Json::Num(1.0), Json::Num(2.5)])),
-        ]);
-        let text = v.render();
-        assert_eq!(
-            text,
-            "{\"name\":\"raw\\\"caudio\",\"rel\":0.956,\"cycles\":12345,\"values\":[1,2.5]}"
-        );
-    }
-
-    #[test]
-    fn json_non_finite_is_null() {
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
-    }
-
-    #[test]
-    fn json_bool_is_a_bare_literal() {
-        assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(Json::Bool(false).render(), "false");
-        let v = Json::Obj(vec![("quick".into(), Json::Bool(false))]);
-        // A strict parser must see a JSON boolean, not the string
-        // "false" (the bug this variant fixes).
-        let parsed = mcpart_obs::json::parse(&v.render()).unwrap();
-        assert_eq!(parsed.get("quick").and_then(|b| b.as_bool()), Some(false));
-    }
-}

@@ -36,6 +36,7 @@ use mcpart_ir::{ClusterId, Profile, Program};
 use mcpart_machine::{Machine, MemoryModel, SweepMatrix, SweepPoint, Topology};
 use mcpart_obs::{durable, Obs};
 use mcpart_par::fault::{FaultEntry, FaultPlan};
+use mcpart_par::supervise::panic_message;
 use mcpart_rng::{derive_seed, Rng, SeedableRng, SmallRng};
 use mcpart_sim::ExecConfig;
 use mcpart_workloads::SynthSpec;
@@ -468,16 +469,6 @@ fn oracle_detail(report: &OracleReport) -> String {
         .join("; ")
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Zeroed-clock unit-record rendering: the canonical byte string two
 /// runs of the same scenario must agree on.
 fn record_bytes(result: &PipelineResult) -> String {
@@ -555,7 +546,7 @@ fn checkpoint_faults(
     let text = format!("{}\n{line}\n", header.to_json());
     // Parses `text`; a parser panic becomes the failure `what`.
     let parse = |text: &str, what: String| {
-        catch_unwind(AssertUnwindSafe(|| crate::checkpoint::parse_checkpoint_any(text)))
+        catch_unwind(AssertUnwindSafe(|| crate::checkpoint::parse_checkpoint(text, None)))
             .map_err(|payload| format!("{what}: {}", panic_message(payload.as_ref())))
     };
     for entry in &scenario.faults.entries {

@@ -48,7 +48,7 @@ use crate::{run_pipeline, McpartError};
 use mcpart_ir::{ClusterId, EntityMap, Profile, Program};
 use mcpart_machine::Machine;
 use mcpart_obs::durable::{self, Tail};
-use mcpart_obs::json::{self, JsonValue};
+use mcpart_obs::json::{self, JsonValue, JsonWriter};
 use mcpart_obs::EventKind;
 use mcpart_par::supervise::{QuarantineReport, QuarantinedUnit};
 use mcpart_sched::Placement;
@@ -116,59 +116,48 @@ pub struct CheckpointHeader {
 impl CheckpointHeader {
     /// Renders the header as its JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"mcpart_checkpoint\":{CHECKPOINT_VERSION},\"program\":\"{}\",\
-             \"program_hash\":\"{:016x}\",\"seed\":\"{}\",\"clusters\":{},\
-             \"latency\":{},\"memory\":\"{}\",\"gdp_fuel\":{}}}",
-            json::escape(&self.program),
-            self.program_hash,
-            self.seed,
-            self.clusters,
-            self.latency,
-            json::escape(&self.memory),
-            self.gdp_fuel.map_or(-1i64, |f| f as i64),
-        );
-        s
+        let mut w = JsonWriter::new();
+        w.open_obj()
+            .field("mcpart_checkpoint", &CHECKPOINT_VERSION)
+            .field("program", &self.program)
+            .key("program_hash")
+            .hex64(self.program_hash)
+            .field("seed", &self.seed.to_string())
+            .field("clusters", &self.clusters)
+            .field("latency", &self.latency)
+            .field("memory", &self.memory)
+            .field("gdp_fuel", &self.gdp_fuel.map_or(-1, |f| f as i64))
+            .close_obj();
+        w.finish()
     }
 
     fn from_json(doc: &JsonValue) -> Result<CheckpointHeader, String> {
         let version = doc
-            .get("mcpart_checkpoint")
-            .and_then(JsonValue::as_num)
-            .ok_or("not a checkpoint file (missing 'mcpart_checkpoint' version)")?;
-        if version as i64 != CHECKPOINT_VERSION {
+            .req("mcpart_checkpoint", JsonValue::to_i64)
+            .map_err(|_| "not a checkpoint file (missing 'mcpart_checkpoint' version)")?;
+        if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             ));
         }
-        let field_str = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or(format!("header missing '{key}'"))
-        };
-        let field_num = |key: &str| -> Result<f64, String> {
-            doc.get(key).and_then(JsonValue::as_num).ok_or(format!("header missing '{key}'"))
-        };
-        let program_hash = u64::from_str_radix(&field_str("program_hash")?, 16)
-            .map_err(|_| "header 'program_hash' is not a hex hash".to_string())?;
-        let seed = field_str("seed")?
-            .parse::<u64>()
-            .map_err(|_| "header 'seed' is not an integer".to_string())?;
-        let gdp_fuel = match field_num("gdp_fuel")? as i64 {
+        // The seed travels as a decimal string: a JSON number cannot
+        // hold every u64.
+        let seed = doc.req("seed", |v| {
+            let s = v.to_str()?;
+            s.parse::<u64>().map_err(|_| format!("expected a decimal u64, found `{s}`"))
+        })?;
+        let gdp_fuel = match doc.req("gdp_fuel", JsonValue::to_i64)? {
             -1 => None,
             f if f >= 0 => Some(f as u64),
-            _ => return Err("header 'gdp_fuel' must be -1 or non-negative".to_string()),
+            f => return Err(format!("`gdp_fuel`: expected -1 (unlimited) or a fuel, found `{f}`")),
         };
         Ok(CheckpointHeader {
-            program: field_str("program")?,
-            program_hash,
+            program: doc.req("program", JsonValue::to_str)?.to_string(),
+            program_hash: doc.req("program_hash", JsonValue::to_hex)?,
             seed,
-            clusters: field_num("clusters")? as usize,
-            latency: field_num("latency")? as u32,
-            memory: field_str("memory")?,
+            clusters: doc.req("clusters", JsonValue::to_u64)? as usize,
+            latency: doc.req("latency", JsonValue::to_u32)?,
+            memory: doc.req("memory", JsonValue::to_str)?.to_string(),
             gdp_fuel,
         })
     }
@@ -208,10 +197,6 @@ impl CheckpointHeader {
 /// Manifest line key (and, with the leading `{"`, the prefix that
 /// identifies a manifest line inside a checkpoint or cache entry).
 pub const MANIFEST_KEY: &str = "mcpart_manifest";
-
-fn manifest_line_prefix() -> String {
-    format!("{{\"{MANIFEST_KEY}\"")
-}
 
 /// Per-function entry of a [`Manifest`]: everything needed to decide
 /// whether the function is dirty and, if clean, to replay its RHOP
@@ -268,120 +253,74 @@ pub struct Manifest {
 impl Manifest {
     /// Renders the manifest as its JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"{MANIFEST_KEY}\":{CHECKPOINT_VERSION},\"unit\":\"{}\",\"funcs\":[",
-            json::escape(&self.unit)
-        );
-        for (i, f) in self.funcs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"hash\":\"{:016x}\",\"groups\":[",
-                json::escape(&f.name),
-                f.hash
-            );
-            for (j, g) in f.groups.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{g:016x}\"");
-            }
-            s.push_str("],\"op_cluster\":[");
-            for (j, c) in f.op_cluster.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{c}");
-            }
-            s.push_str("],\"stats\":[");
-            for (j, v) in f.stats.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{v}");
-            }
+        let mut w = JsonWriter::new();
+        w.open_obj().field(MANIFEST_KEY, &CHECKPOINT_VERSION).field("unit", &self.unit);
+        w.key("funcs").arr(&self.funcs, |w, f| {
+            w.open_obj().field("name", &f.name).key("hash").hex64(f.hash);
+            w.key("groups").arr(&f.groups, |w, &g| {
+                w.hex64(g);
+            });
+            w.field("op_cluster", &f.op_cluster).field("stats", &f.stats[..]);
             // u64::MAX (quarantine marker) does not survive an f64
             // roundtrip; encode retries as -1 in that case.
             let retries = if f.retries == u64::MAX { -1 } else { f.retries as i64 };
-            let _ = write!(s, "],\"retries\":{retries}}}");
-        }
-        s.push_str("],\"groups\":[");
-        for (i, (hash, home)) in self.groups.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[\"{hash:016x}\",{home}]");
-        }
-        s.push_str("]}");
-        s
+            w.field("retries", &retries).close_obj();
+        });
+        w.key("groups").arr(&self.groups, |w, &(hash, home)| {
+            w.open_arr().hex64(hash).val(&home).close_arr();
+        });
+        w.close_obj();
+        w.finish()
     }
 
-    fn from_json(doc: &JsonValue) -> Result<Manifest, String> {
-        let version =
-            doc.get(MANIFEST_KEY).and_then(JsonValue::as_num).ok_or("missing manifest version")?;
-        if version as i64 != CHECKPOINT_VERSION {
-            return Err(format!("unsupported manifest version {version}"));
+    /// Decodes a manifest line; every op cluster and group home must
+    /// name one of the header's `clusters`.
+    fn from_json(doc: &JsonValue, clusters: usize) -> Result<Manifest, String> {
+        if doc.req(MANIFEST_KEY, JsonValue::to_i64)? != CHECKPOINT_VERSION {
+            return Err("unsupported manifest version".to_string());
         }
-        let unit = doc
-            .get("unit")
-            .and_then(JsonValue::as_str)
-            .ok_or("manifest missing 'unit'")?
-            .to_string();
-        let hex = |v: &JsonValue| -> Result<u64, String> {
-            let s = v.as_str().ok_or("manifest hash is not a string")?;
-            u64::from_str_radix(s, 16).map_err(|_| "manifest hash is not hex".to_string())
-        };
-        let mut funcs = Vec::new();
-        for f in doc.get("funcs").and_then(JsonValue::as_arr).ok_or("manifest missing 'funcs'")? {
-            let name = f
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or("manifest func missing 'name'")?
-                .to_string();
-            let hash = hex(f.get("hash").ok_or("manifest func missing 'hash'")?)?;
-            let mut groups = Vec::new();
-            for g in f.get("groups").and_then(JsonValue::as_arr).ok_or("func missing 'groups'")? {
-                groups.push(hex(g)?);
-            }
-            let mut op_cluster = Vec::new();
-            for c in f
-                .get("op_cluster")
-                .and_then(JsonValue::as_arr)
-                .ok_or("func missing 'op_cluster'")?
-            {
-                op_cluster.push(c.as_num().ok_or("op_cluster value is not a number")? as u32);
-            }
-            let stats_arr =
-                f.get("stats").and_then(JsonValue::as_arr).ok_or("func missing 'stats'")?;
-            if stats_arr.len() != 7 {
-                return Err("func 'stats' must have 7 entries".to_string());
-            }
-            let mut stats = [0u64; 7];
-            for (slot, v) in stats.iter_mut().zip(stats_arr) {
-                *slot = v.as_num().ok_or("stats value is not a number")? as u64;
-            }
-            let retries =
-                f.get("retries").and_then(JsonValue::as_num).ok_or("func missing 'retries'")?
-                    as i64;
-            let retries = if retries < 0 { u64::MAX } else { retries as u64 };
-            funcs.push(ManifestFunc { name, hash, groups, op_cluster, stats, retries });
-        }
-        let mut groups = Vec::new();
-        for pair in
-            doc.get("groups").and_then(JsonValue::as_arr).ok_or("manifest missing 'groups'")?
-        {
-            let kv = pair.as_arr().ok_or("manifest group is not a pair")?;
-            if kv.len() != 2 {
-                return Err("manifest group is not a [hash, home] pair".to_string());
-            }
-            let home = kv[1].as_num().ok_or("group home is not a number")? as i64;
-            groups.push((hex(&kv[0])?, home));
-        }
-        Ok(Manifest { unit, funcs, groups })
+        let funcs = doc.req("funcs", |funcs| {
+            funcs.items(|f| {
+                let stats: [u64; 7] = f
+                    .req("stats", |v| v.items(JsonValue::to_u64))?
+                    .try_into()
+                    .map_err(|_| "`stats` must have 7 entries".to_string())?;
+                // -1 marks a quarantined function.
+                let retries = f.req("retries", JsonValue::to_i64)?;
+                Ok(ManifestFunc {
+                    name: f.req("name", JsonValue::to_str)?.to_string(),
+                    hash: f.req("hash", JsonValue::to_hex)?,
+                    groups: f.req("groups", |v| v.items(JsonValue::to_hex))?,
+                    op_cluster: f.req("op_cluster", |v| v.items(|c| cluster(c, clusters)))?,
+                    stats,
+                    retries: u64::try_from(retries).unwrap_or(u64::MAX),
+                })
+            })
+        })?;
+        let groups = doc.req("groups", |groups| {
+            groups.items(|pair| match pair.to_arr()? {
+                [hash, h] => Ok((hash.to_hex()?, home(h, clusters)?)),
+                _ => Err("expected a [hash, home] pair".to_string()),
+            })
+        })?;
+        Ok(Manifest { unit: doc.req("unit", JsonValue::to_str)?.to_string(), funcs, groups })
+    }
+}
+
+/// Reads an op's cluster: an index below `clusters`.
+fn cluster(v: &JsonValue, clusters: usize) -> Result<u32, String> {
+    match v.to_u32()? {
+        c if (c as usize) < clusters => Ok(c),
+        c => Err(format!("expected a cluster below `clusters` ({clusters}), found `{c}`")),
+    }
+}
+
+/// Reads an object's home: a cluster index below `clusters`, or `-1`
+/// for unhomed.
+fn home(v: &JsonValue, clusters: usize) -> Result<i64, String> {
+    match v.to_i64()? {
+        h if (-1..clusters as i64).contains(&h) => Ok(h),
+        h => Err(format!("expected -1 or a cluster below `clusters` ({clusters}), found `{h}`")),
     }
 }
 
@@ -536,225 +475,107 @@ impl UnitRecord {
 
     /// Renders the record as its JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"unit\":\"{}\",\"requested\":\"{}\",\"method\":\"{}\"",
-            json::escape(&self.unit),
-            method_slug(self.requested),
-            method_slug(self.method)
-        );
-        s.push_str(",\"downgrades\":[");
-        for (i, d) in self.downgrades.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"from\":\"{}\",\"to\":\"{}\",\"reason\":\"{}\"}}",
-                method_slug(d.from),
-                method_slug(d.to),
-                json::escape(&d.reason)
-            );
-        }
-        s.push_str("],\"op_cluster\":[");
-        for (i, ops) in self.op_cluster.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for (j, c) in ops.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{c}");
-            }
-            s.push(']');
-        }
-        s.push_str("],\"object_home\":[");
-        for (i, h) in self.object_home.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{h}");
-        }
-        let _ = write!(
-            s,
-            "],\"cycles\":{},\"dynamic_moves\":{},\"remote\":{},\"moves_inserted\":{},\
-             \"detailed_runs\":{},\"retries\":{},\"pressure\":{},\"partition_ms\":{:.3}",
-            self.cycles,
-            self.dynamic_moves,
-            self.remote,
-            self.moves_inserted,
-            self.detailed_runs,
-            self.retries,
-            self.pressure,
-            self.partition_ms
-        );
-        s.push_str(",\"data_bytes\":[");
-        for (i, b) in self.data_bytes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{b}");
-        }
-        s.push_str("],\"quarantine\":[");
-        for (i, q) in self.quarantine.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"unit\":\"{}\",\"attempts\":{},\"reason\":\"{}\"}}",
-                json::escape(&q.unit),
-                q.attempts,
-                json::escape(&q.reason)
-            );
-        }
-        s.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"cat\":\"{}\",\"name\":\"{}\"",
-                json::escape(&e.cat),
-                json::escape(&e.name)
-            );
+        let mut w = JsonWriter::new();
+        w.open_obj()
+            .field("unit", &self.unit)
+            .field("requested", method_slug(self.requested))
+            .field("method", method_slug(self.method));
+        w.key("downgrades").arr(&self.downgrades, |w, d| {
+            w.open_obj()
+                .field("from", method_slug(d.from))
+                .field("to", method_slug(d.to))
+                .field("reason", &d.reason)
+                .close_obj();
+        });
+        w.field("op_cluster", &self.op_cluster)
+            .field("object_home", &self.object_home)
+            .field("cycles", &self.cycles)
+            .field("dynamic_moves", &self.dynamic_moves)
+            .field("remote", &self.remote)
+            .field("moves_inserted", &self.moves_inserted)
+            .field("detailed_runs", &self.detailed_runs)
+            .field("retries", &self.retries)
+            .field("pressure", &self.pressure)
+            .key("partition_ms")
+            .fixed(self.partition_ms, 3)
+            .field("data_bytes", &self.data_bytes);
+        w.key("quarantine").arr(&self.quarantine, |w, q| {
+            w.open_obj()
+                .field("unit", &q.unit)
+                .field("attempts", &q.attempts)
+                .field("reason", &q.reason)
+                .close_obj();
+        });
+        w.key("events").arr(&self.events, |w, e| {
+            w.open_obj().field("cat", &e.cat).field("name", &e.name);
             if let Some(v) = e.counter {
-                let _ = write!(s, ",\"counter\":{v}");
+                w.field("counter", &v);
             }
-            s.push_str(",\"args\":[");
-            for (j, (k, v)) in e.args.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[\"{}\",{}]", json::escape(k), v);
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
+            w.key("args").arr(&e.args, |w, (k, v)| {
+                w.open_arr().val(k).val(v).close_arr();
+            });
+            w.close_obj();
+        });
+        w.close_obj();
+        w.finish()
     }
 
-    fn from_json(doc: &JsonValue) -> Result<UnitRecord, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or(format!("record missing '{key}'"))
-        };
-        let num_field = |key: &str| -> Result<f64, String> {
-            doc.get(key).and_then(JsonValue::as_num).ok_or(format!("record missing '{key}'"))
-        };
-        let arr_field = |key: &str| -> Result<&[JsonValue], String> {
-            doc.get(key).and_then(JsonValue::as_arr).ok_or(format!("record missing '{key}'"))
-        };
-        let method_field = |key: &str| -> Result<Method, String> {
-            let slug = str_field(key)?;
-            slug.parse().map_err(|_| format!("record '{key}': unknown method '{slug}'"))
-        };
-        let mut downgrades = Vec::new();
-        for d in arr_field("downgrades")? {
-            let slug_of = |key: &str| -> Result<Method, String> {
-                let s = d
-                    .get(key)
-                    .and_then(JsonValue::as_str)
-                    .ok_or(format!("downgrade missing '{key}'"))?;
-                s.parse().map_err(|_| format!("downgrade '{key}': unknown method '{s}'"))
-            };
-            downgrades.push(Downgrade {
-                from: slug_of("from")?,
-                to: slug_of("to")?,
-                reason: d
-                    .get("reason")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("downgrade missing 'reason'")?
-                    .to_string(),
-            });
-        }
-        let mut op_cluster = Vec::new();
-        for func in arr_field("op_cluster")? {
-            let ops = func.as_arr().ok_or("op_cluster entry is not an array")?;
-            let mut clusters = Vec::with_capacity(ops.len());
-            for c in ops {
-                clusters.push(c.as_num().ok_or("op_cluster value is not a number")? as u32);
-            }
-            op_cluster.push(clusters);
-        }
-        let mut object_home = Vec::new();
-        for h in arr_field("object_home")? {
-            object_home.push(h.as_num().ok_or("object_home value is not a number")? as i64);
-        }
-        let mut data_bytes = Vec::new();
-        for b in arr_field("data_bytes")? {
-            data_bytes.push(b.as_num().ok_or("data_bytes value is not a number")? as u64);
-        }
-        let mut quarantine = Vec::new();
-        for q in arr_field("quarantine")? {
-            quarantine.push(QuarantinedUnit {
-                unit: q
-                    .get("unit")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("quarantine entry missing 'unit'")?
-                    .to_string(),
-                attempts: q
-                    .get("attempts")
-                    .and_then(JsonValue::as_num)
-                    .ok_or("quarantine entry missing 'attempts'")? as u32,
-                reason: q
-                    .get("reason")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("quarantine entry missing 'reason'")?
-                    .to_string(),
-            });
-        }
-        let mut events = Vec::new();
-        for e in arr_field("events")? {
-            let mut args = Vec::new();
-            for pair in e.get("args").and_then(JsonValue::as_arr).ok_or("event missing 'args'")? {
-                let kv = pair.as_arr().ok_or("event arg is not a pair")?;
-                if kv.len() != 2 {
-                    return Err("event arg is not a [key, value] pair".to_string());
-                }
-                args.push((
-                    kv[0].as_str().ok_or("event arg key is not a string")?.to_string(),
-                    kv[1].as_num().ok_or("event arg value is not a number")? as i64,
-                ));
-            }
-            events.push(PinnedEvent {
-                cat: e
-                    .get("cat")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("event missing 'cat'")?
-                    .to_string(),
-                name: e
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("event missing 'name'")?
-                    .to_string(),
-                counter: e.get("counter").and_then(JsonValue::as_num).map(|v| v as i64),
-                args,
-            });
-        }
+    /// Decodes a record line; every op cluster and object home must
+    /// name one of the header's `clusters`.
+    fn from_json(doc: &JsonValue, clusters: usize) -> Result<UnitRecord, String> {
+        let method = |v: &JsonValue| v.to_str()?.parse::<Method>();
+        let downgrades = doc.req("downgrades", |v| {
+            v.items(|d| {
+                Ok(Downgrade {
+                    from: d.req("from", method)?,
+                    to: d.req("to", method)?,
+                    reason: d.req("reason", JsonValue::to_str)?.to_string(),
+                })
+            })
+        })?;
+        let quarantine = doc.req("quarantine", |v| {
+            v.items(|q| {
+                Ok(QuarantinedUnit {
+                    unit: q.req("unit", JsonValue::to_str)?.to_string(),
+                    attempts: q.req("attempts", JsonValue::to_u32)?,
+                    reason: q.req("reason", JsonValue::to_str)?.to_string(),
+                })
+            })
+        })?;
+        let events = doc.req("events", |v| {
+            v.items(|e| {
+                let args = e.req("args", |v| {
+                    v.items(|pair| match pair.to_arr()? {
+                        [k, v] => Ok((k.to_str()?.to_string(), v.to_i64()?)),
+                        _ => Err("expected a [key, value] pair".to_string()),
+                    })
+                })?;
+                Ok(PinnedEvent {
+                    cat: e.req("cat", JsonValue::to_str)?.to_string(),
+                    name: e.req("name", JsonValue::to_str)?.to_string(),
+                    counter: e.opt("counter", JsonValue::to_i64)?,
+                    args,
+                })
+            })
+        })?;
         Ok(UnitRecord {
-            unit: str_field("unit")?,
-            requested: method_field("requested")?,
-            method: method_field("method")?,
+            unit: doc.req("unit", JsonValue::to_str)?.to_string(),
+            requested: doc.req("requested", method)?,
+            method: doc.req("method", method)?,
             downgrades,
-            op_cluster,
-            object_home,
-            cycles: num_field("cycles")? as u64,
-            dynamic_moves: num_field("dynamic_moves")? as u64,
-            remote: num_field("remote")? as u64,
-            moves_inserted: num_field("moves_inserted")? as usize,
-            detailed_runs: num_field("detailed_runs")? as usize,
-            data_bytes,
-            retries: num_field("retries")? as u64,
+            op_cluster: doc
+                .req("op_cluster", |v| v.items(|ops| ops.items(|c| cluster(c, clusters))))?,
+            object_home: doc.req("object_home", |v| v.items(|h| home(h, clusters)))?,
+            cycles: doc.req("cycles", JsonValue::to_u64)?,
+            dynamic_moves: doc.req("dynamic_moves", JsonValue::to_u64)?,
+            remote: doc.req("remote", JsonValue::to_u64)?,
+            moves_inserted: doc.req("moves_inserted", JsonValue::to_u64)? as usize,
+            detailed_runs: doc.req("detailed_runs", JsonValue::to_u64)? as usize,
+            data_bytes: doc.req("data_bytes", |v| v.items(JsonValue::to_u64))?,
+            retries: doc.req("retries", JsonValue::to_u64)?,
             quarantine,
-            pressure: num_field("pressure")? as u64,
-            partition_ms: num_field("partition_ms")?,
+            pressure: doc.req("pressure", JsonValue::to_u64)?,
+            partition_ms: doc.req("partition_ms", JsonValue::to_f64)?,
             events,
         })
     }
@@ -840,7 +661,7 @@ pub fn load_checkpoint(
     path: &str,
     expected: &CheckpointHeader,
 ) -> Result<Checkpoint, CheckpointError> {
-    parse_checkpoint(&read_checkpoint(path)?, expected)
+    parse_checkpoint(&read_checkpoint(path)?, Some(expected))
 }
 
 /// Reads a checkpoint file, classifying invalid UTF-8 as corruption at
@@ -851,36 +672,23 @@ fn read_checkpoint(path: &str) -> Result<String, CheckpointError> {
         std::fs::read(path).map_err(|e| CheckpointError::Io(format!("cannot read {path}: {e}")))?;
     String::from_utf8(bytes).map_err(|e| {
         let at = e.utf8_error().valid_up_to();
-        let prefix = &e.as_bytes()[..at];
-        let line = prefix.iter().filter(|&&b| b == b'\n').count() + 1;
-        let column = at - prefix.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1) + 1;
+        let (line, column) =
+            json::line_col(std::str::from_utf8(&e.as_bytes()[..at]).unwrap_or_default(), at);
         CheckpointError::Corrupt { line, column, message: format!("invalid UTF-8 at byte {at}") }
     })
-}
-
-/// [`load_checkpoint`] on in-memory text (the testable core).
-pub fn parse_checkpoint(
-    text: &str,
-    expected: &CheckpointHeader,
-) -> Result<Checkpoint, CheckpointError> {
-    parse_checkpoint_inner(text, Some(expected))
 }
 
 /// [`load_checkpoint`] without header validation — loads a file for
 /// `checkpoint-diff`, which compares two checkpoints on their own
 /// terms.
 pub fn load_checkpoint_any(path: &str) -> Result<Checkpoint, CheckpointError> {
-    parse_checkpoint_any(&read_checkpoint(path)?)
+    parse_checkpoint(&read_checkpoint(path)?, None)
 }
 
-/// Parses a checkpoint without validating its header against a run
-/// configuration — the `checkpoint-diff` tool's entry point, which
-/// compares two files on their own terms.
-pub fn parse_checkpoint_any(text: &str) -> Result<Checkpoint, CheckpointError> {
-    parse_checkpoint_inner(text, None)
-}
-
-fn parse_checkpoint_inner(
+/// Parses checkpoint text (the testable core of both loaders). With
+/// `expected`, the header must match it; without, the file is taken on
+/// its own terms.
+pub fn parse_checkpoint(
     text: &str,
     expected: Option<&CheckpointHeader>,
 ) -> Result<Checkpoint, CheckpointError> {
@@ -915,7 +723,7 @@ fn parse_checkpoint_inner(
     }
     let mut records = Vec::new();
     let mut manifests = Vec::new();
-    let manifest_prefix = manifest_line_prefix();
+    let manifest_prefix = format!("{{\"{MANIFEST_KEY}\"");
     for line in &lines[1..] {
         let (n, body) = (line.number, line.text.trim_end_matches('\r'));
         if body.is_empty() {
@@ -925,14 +733,14 @@ fn parse_checkpoint_inner(
             // Manifests are advisory: a malformed one is dropped (the
             // unit recomputes from scratch), never a parse error.
             if let Ok(doc) = json::parse(body) {
-                if let Ok(m) = Manifest::from_json(&doc) {
+                if let Ok(m) = Manifest::from_json(&doc, header.clusters) {
                     manifests.push(m);
                 }
             }
             continue;
         }
         let doc = json::parse(body).map_err(|e| corrupt(n, e))?;
-        records.push(UnitRecord::from_json(&doc).map_err(|e| corrupt(n, e))?);
+        records.push(UnitRecord::from_json(&doc, header.clusters).map_err(|e| corrupt(n, e))?);
     }
     Ok(Checkpoint { header, records, manifests, dropped_partial_tail })
 }
@@ -1109,7 +917,7 @@ mod tests {
         assert_eq!(record.unit, "demo/gdp");
         assert!(!record.events.is_empty(), "obs events captured");
         let doc = json::parse(&record.to_json()).expect("record is valid JSON");
-        let parsed = UnitRecord::from_json(&doc).expect("record parses back");
+        let parsed = UnitRecord::from_json(&doc, 2).expect("record parses back");
         assert_eq!(parsed, record);
         // The rebuilt placement matches the live one.
         let result = run_pipeline(&program, &profile, &machine, &config).expect("pipeline");
@@ -1137,7 +945,7 @@ mod tests {
         let record = run_unit(&program, &profile, &machine, &config).expect("unit runs");
         let header = demo_header(&program);
         let mut text = format!("{}\n{}\n", header.to_json(), record.to_json());
-        let ck = parse_checkpoint(&text, &header).expect("clean checkpoint parses");
+        let ck = parse_checkpoint(&text, Some(&header)).expect("clean checkpoint parses");
         assert_eq!(ck.records.len(), 1);
         assert!(!ck.dropped_partial_tail);
         assert!(ck.record_for("demo/gdp").is_some());
@@ -1146,7 +954,7 @@ mod tests {
         // record: dropped as a crash artifact, not an error.
         let half = &record.to_json()[..40];
         text.push_str(half);
-        let ck = parse_checkpoint(&text, &header).expect("partial tail tolerated");
+        let ck = parse_checkpoint(&text, Some(&header)).expect("partial tail tolerated");
         assert_eq!(ck.records.len(), 1);
         assert!(ck.dropped_partial_tail);
     }
@@ -1156,7 +964,7 @@ mod tests {
         let (program, _) = demo_program();
         let header = demo_header(&program);
         let text = format!("{}\n{{\"unit\": }}\n", header.to_json());
-        match parse_checkpoint(&text, &header) {
+        match parse_checkpoint(&text, Some(&header)) {
             Err(CheckpointError::Corrupt { line, column, .. }) => {
                 assert_eq!(line, 2);
                 assert!(column > 1, "column {column} should point into the line");
@@ -1167,13 +975,13 @@ mod tests {
         let mut other_header = header.clone();
         other_header.clusters = 4;
         let text = format!("{}\n", header.to_json());
-        match parse_checkpoint(&text, &other_header) {
+        match parse_checkpoint(&text, Some(&other_header)) {
             Err(CheckpointError::Mismatch { field, .. }) => assert_eq!(field, "clusters"),
             other => panic!("expected Mismatch, got {other:?}"),
         }
         // An empty file has no header.
         assert!(matches!(
-            parse_checkpoint("", &header),
+            parse_checkpoint("", Some(&header)),
             Err(CheckpointError::Corrupt { line: 1, .. })
         ));
     }
@@ -1273,7 +1081,7 @@ mod tests {
     fn manifest_roundtrips_through_json() {
         let m = demo_manifest("demo/gdp");
         let doc = json::parse(&m.to_json()).expect("manifest is valid JSON");
-        let parsed = Manifest::from_json(&doc).expect("manifest parses back");
+        let parsed = Manifest::from_json(&doc, 2).expect("manifest parses back");
         assert_eq!(parsed, m);
         assert!(parsed.funcs[0].replayable());
         assert!(!parsed.funcs[1].replayable());
@@ -1288,7 +1096,7 @@ mod tests {
         let header = demo_header(&program);
         let manifest = demo_manifest("demo/gdp");
         let text = format!("{}\n{}\n{}\n", header.to_json(), record.to_json(), manifest.to_json());
-        let ck = parse_checkpoint(&text, &header).expect("manifested checkpoint parses");
+        let ck = parse_checkpoint(&text, Some(&header)).expect("manifested checkpoint parses");
         assert_eq!(ck.records.len(), 1);
         assert_eq!(ck.manifest_for("demo/gdp"), Some(&manifest));
         assert!(ck.manifest_for("demo/naive").is_none());
@@ -1297,7 +1105,7 @@ mod tests {
         let m = manifest.to_json();
         for bad in [&m[..m.len() / 2], "{\"mcpart_manifest\":1,\"unit\":3}"] {
             let text = format!("{}\n{}\n{bad}\n", header.to_json(), record.to_json());
-            let ck = parse_checkpoint(&text, &header).expect("corrupt manifest tolerated");
+            let ck = parse_checkpoint(&text, Some(&header)).expect("corrupt manifest tolerated");
             assert_eq!(ck.records.len(), 1);
             assert!(ck.manifests.is_empty());
         }

@@ -269,17 +269,12 @@ impl fmt::Display for Downgrade {
     }
 }
 
-/// Top-level error of the `mcpart` toolchain: everything a driver
-/// (CLI, experiment harness) can encounter between reading input text
-/// and producing a report.
+/// Top-level error of one pipeline unit as the CLI and the experiment
+/// harness run it: the pipeline failed, or a supervised unit died.
+/// Input text is parsed and verified before a unit starts, so those
+/// errors keep their own types.
 #[derive(Clone, PartialEq, Debug)]
 pub enum McpartError {
-    /// The textual IR did not parse.
-    Parse(mcpart_ir::ParseError),
-    /// The program did not verify.
-    Verify(mcpart_ir::VerifyError),
-    /// A profiling or validation execution failed.
-    Exec(mcpart_sim::ExecError),
     /// The pipeline itself failed.
     Pipeline(PipelineError),
     /// A supervised work unit panicked and exhausted its retries. The
@@ -312,9 +307,6 @@ impl McpartError {
 impl fmt::Display for McpartError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            McpartError::Parse(e) => write!(f, "parse error: {e}"),
-            McpartError::Verify(e) => write!(f, "verification error: {e}"),
-            McpartError::Exec(e) => write!(f, "execution error: {e}"),
             McpartError::Pipeline(e) => write!(f, "{e}"),
             McpartError::WorkerPanic { unit, payload } => {
                 write!(f, "worker panicked in unit `{unit}`: {payload}")
@@ -326,30 +318,9 @@ impl fmt::Display for McpartError {
 impl Error for McpartError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            McpartError::Parse(e) => Some(e),
-            McpartError::Verify(e) => Some(e),
-            McpartError::Exec(e) => Some(e),
             McpartError::Pipeline(e) => Some(e),
             McpartError::WorkerPanic { .. } => None,
         }
-    }
-}
-
-impl From<mcpart_ir::ParseError> for McpartError {
-    fn from(e: mcpart_ir::ParseError) -> Self {
-        McpartError::Parse(e)
-    }
-}
-
-impl From<mcpart_ir::VerifyError> for McpartError {
-    fn from(e: mcpart_ir::VerifyError) -> Self {
-        McpartError::Verify(e)
-    }
-}
-
-impl From<mcpart_sim::ExecError> for McpartError {
-    fn from(e: mcpart_sim::ExecError) -> Self {
-        McpartError::Exec(e)
     }
 }
 

@@ -66,10 +66,9 @@ pub use chaos::{
     ScenarioVerdict,
 };
 pub use checkpoint::{
-    load_checkpoint, load_checkpoint_any, method_slug, parse_checkpoint, parse_checkpoint_any,
-    program_fingerprint, run_unit, run_unit_full, Checkpoint, CheckpointError, CheckpointHeader,
-    CheckpointWriter, Manifest, ManifestFunc, PinnedEvent, UnitRecord, UnitRun, CHECKPOINT_VERSION,
-    MANIFEST_KEY,
+    load_checkpoint, load_checkpoint_any, method_slug, parse_checkpoint, program_fingerprint,
+    run_unit, run_unit_full, Checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter,
+    Manifest, ManifestFunc, PinnedEvent, UnitRecord, UnitRun, CHECKPOINT_VERSION, MANIFEST_KEY,
 };
 pub use dfg::{ProgramDfg, ProgramNode};
 pub use error::{

@@ -43,17 +43,18 @@
 //! byte-identical bytes on disk.
 
 use crate::checkpoint::{
-    method_slug, parse_checkpoint, parse_checkpoint_any, program_fingerprint, run_unit_full,
-    CheckpointHeader, Manifest, UnitRecord,
+    method_slug, parse_checkpoint, program_fingerprint, run_unit_full, CheckpointHeader, Manifest,
+    UnitRecord,
 };
 use crate::pipeline::{Method, PipelineConfig};
 use crate::repartition::RepartitionStats;
 use crate::rhop::RhopConfig;
 use mcpart_ir::{Profile, Program};
 use mcpart_machine::{Machine, MachineError, MemoryModel};
+use mcpart_obs::json::{self, JsonValue, JsonWriter};
 use mcpart_obs::metrics::MetricsRegistry;
 use mcpart_obs::recorder::FlightRecorder;
-use mcpart_obs::{durable, json, Obs};
+use mcpart_obs::{durable, Obs};
 use mcpart_par::fault::FaultPlan;
 use mcpart_par::supervise::{supervise_unit, RetryPolicy, UnitOutcome};
 use mcpart_par::{parallel_map, resolve_jobs};
@@ -262,8 +263,13 @@ impl JobSpec {
         }
     }
 
-    /// The (validated) machine the job runs on.
+    /// The (validated) machine the job runs on. The cluster count is
+    /// bounded before anything is built: the machine allocates one
+    /// cluster per count.
     pub fn machine(&self) -> Result<Machine, MachineError> {
+        if self.clusters > mcpart_machine::MAX_CLUSTERS {
+            return Err(MachineError::TooManyClusters(self.clusters));
+        }
         let machine =
             Machine { memory: self.memory, ..Machine::homogeneous(self.clusters, self.latency) };
         machine.validate()?;
@@ -298,53 +304,31 @@ impl JobSpec {
     }
 }
 
-/// Reads an optional unsigned integer field from a job document.
-fn num_field(doc: &json::JsonValue, key: &str) -> Result<Option<u64>, String> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v.as_num().ok_or_else(|| format!("`{key}` must be a number"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("`{key}` must be a non-negative integer"));
-            }
-            Ok(Some(n as u64))
-        }
-    }
-}
-
 /// Parses one job file. Errors are diagnostic strings destined for the
 /// job's `failed/` entry and `invalid` result file.
 pub fn parse_job(text: &str) -> Result<JobSpec, String> {
     let doc = json::parse(text.trim()).map_err(|e| format!("not a JSON job file: {e}"))?;
     let version = doc
-        .get("mcpart_job")
-        .and_then(json::JsonValue::as_num)
-        .ok_or("not a job file (missing `mcpart_job` version)")?;
-    if version as i64 != JOB_VERSION {
+        .req("mcpart_job", JsonValue::to_f64)
+        .map_err(|_| "not a job file (missing `mcpart_job` version)")?;
+    if version != JOB_VERSION as f64 {
         return Err(format!("unsupported job version {version} (expected {JOB_VERSION})"));
     }
-    let program = doc
-        .get("program")
-        .and_then(json::JsonValue::as_str)
-        .ok_or("job is missing the `program` field")?
-        .to_string();
-    let mut spec = JobSpec::new(program);
-    if let Some(slug) = doc.get("method").and_then(json::JsonValue::as_str) {
-        spec.method = slug.parse()?;
-    }
-    spec.clusters = num_field(&doc, "clusters")?.map_or(spec.clusters, |n| n as usize);
+    let mut spec = JobSpec::new(doc.req("program", JsonValue::to_str)?);
+    spec.method = doc.opt("method", |v| v.to_str()?.parse())?.unwrap_or(spec.method);
+    let clusters = doc.opt("clusters", JsonValue::to_u64)?.map(usize::try_from).transpose();
+    spec.clusters = clusters.map_err(|_| "`clusters` is too large")?.unwrap_or(spec.clusters);
     if spec.clusters == 0 {
         return Err("`clusters` must be at least 1".to_string());
     }
-    spec.latency = num_field(&doc, "latency")?.map_or(spec.latency, |n| n as u32);
-    if let Some(slug) = doc.get("memory").and_then(json::JsonValue::as_str) {
-        spec.memory = slug.parse()?;
-    }
-    spec.seed = num_field(&doc, "seed")?;
-    spec.gdp_fuel = num_field(&doc, "gdp_fuel")?;
-    if let Some(v) = doc.get("fault").and_then(json::JsonValue::as_str) {
-        spec.faults = v.parse().map_err(|e| format!("`fault` {e}"))?;
-        spec.faults.accept_only(&["panic"]).map_err(|e| format!("`fault`: {e}"))?;
+    spec.latency = doc.opt("latency", JsonValue::to_u32)?.unwrap_or(spec.latency);
+    spec.memory = doc.opt("memory", |v| v.to_str()?.parse())?.unwrap_or(spec.memory);
+    spec.seed = doc.opt("seed", JsonValue::to_u64)?;
+    spec.gdp_fuel = doc.opt("gdp_fuel", JsonValue::to_u64)?;
+    let fault = |v: &JsonValue| v.to_str()?.parse::<FaultPlan>().map_err(|e| e.to_string());
+    if let Some(faults) = doc.opt("fault", fault)? {
+        faults.accept_only(&["panic"]).map_err(|e| format!("`fault`: {e}"))?;
+        spec.faults = faults;
     }
     Ok(spec)
 }
@@ -398,7 +382,7 @@ pub fn verify_cache_entry(
     unit: &str,
 ) -> Result<UnitRecord, String> {
     let text = checksum_verified_text(bytes)?;
-    let ck = parse_checkpoint(text, expected).map_err(|e| format!("unusable entry: {e}"))?;
+    let ck = parse_checkpoint(text, Some(expected)).map_err(|e| format!("unusable entry: {e}"))?;
     match ck.records.as_slice() {
         [record] if record.unit == unit => Ok(record.clone()),
         [record] => Err(format!("entry is for unit `{}`, wanted `{unit}`", record.unit)),
@@ -439,7 +423,7 @@ fn load_baseline_manifest(
     }
     let bytes = fs::read(cache.join(format!("{key}.json"))).ok()?;
     let text = checksum_verified_text(&bytes).ok()?;
-    let ck = parse_checkpoint_any(text).ok()?;
+    let ck = parse_checkpoint(text, None).ok()?;
     if !ck.header.compatible_baseline(header) {
         return None;
     }
@@ -536,46 +520,32 @@ fn render_result(
     reason: &str,
     record: Option<&UnitRecord>,
 ) -> String {
-    let mut s = format!(
-        "{{\"mcpart_result\":1,\"job\":\"{}\",\"status\":\"{}\",\"exit\":{}",
-        json::escape(stem),
-        status.slug(),
-        status.exit()
-    );
+    let mut w = JsonWriter::new();
+    w.open_obj()
+        .field("mcpart_result", &1u64)
+        .field("job", stem)
+        .field("status", status.slug())
+        .field("exit", &status.exit());
     if let Some(r) = record {
-        s.push_str(&format!(
-            ",\"unit\":\"{}\",\"requested\":\"{}\",\"method\":\"{}\",\"downgrades\":{}",
-            json::escape(&r.unit),
-            method_slug(r.requested),
-            method_slug(r.method),
-            r.downgrades.len()
-        ));
-        s.push_str(&format!(
-            ",\"cycles\":{},\"dynamic_moves\":{},\"remote\":{},\"moves_inserted\":{}",
-            r.cycles, r.dynamic_moves, r.remote, r.moves_inserted
-        ));
-        s.push_str(&format!(",\"retries\":{},\"pressure\":{}", r.retries, r.pressure));
-        s.push_str(",\"quarantine\":[");
-        for (i, q) in r.quarantine.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\"", json::escape(&q.unit)));
-        }
-        s.push_str("],\"data_bytes\":[");
-        for (i, b) in r.data_bytes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&b.to_string());
-        }
-        s.push(']');
+        let quarantine: Vec<&str> = r.quarantine.iter().map(|q| q.unit.as_str()).collect();
+        w.field("unit", &r.unit)
+            .field("requested", method_slug(r.requested))
+            .field("method", method_slug(r.method))
+            .field("downgrades", &r.downgrades.len())
+            .field("cycles", &r.cycles)
+            .field("dynamic_moves", &r.dynamic_moves)
+            .field("remote", &r.remote)
+            .field("moves_inserted", &r.moves_inserted)
+            .field("retries", &r.retries)
+            .field("pressure", &r.pressure)
+            .field("quarantine", &quarantine)
+            .field("data_bytes", &r.data_bytes);
     }
     if !reason.is_empty() {
-        s.push_str(&format!(",\"reason\":\"{}\"", json::escape(reason)));
+        w.field("reason", reason);
     }
-    s.push_str("}\n");
-    s
+    w.close_obj();
+    w.finish() + "\n"
 }
 
 /// The spool's subdirectories. All paths live under one root so a
@@ -1139,11 +1109,26 @@ mod tests {
             r#"{"mcpart_job":1,"program":"fir","clusters":0}"#,
             r#"{"mcpart_job":1,"program":"fir","memory":"ram"}"#,
             r#"{"mcpart_job":1,"program":"fir","seed":-3}"#,
+            // Numbers must be exact: no rounding, saturation or
+            // truncation on the way in.
+            r#"{"mcpart_job":1,"program":"fir","seed":9007199254740993}"#,
+            r#"{"mcpart_job":1,"program":"fir","latency":5000000000}"#,
+            r#"{"mcpart_job":1,"program":"fir","clusters":2.5}"#,
+            r#"{"mcpart_job":1,"program":"fir","method":7}"#,
             r#"{"mcpart_job":1,"program":"fir","fault":"panic:"}"#,
             r#"{"mcpart_job":1,"program":"fir","fault":"halt:1"}"#,
         ] {
             assert!(parse_job(bad).is_err(), "accepted {bad}");
         }
+        // The largest seed a job file can carry exactly.
+        let spec = parse_job(r#"{"mcpart_job":1,"program":"fir","seed":9007199254740991}"#)
+            .expect("safe seed");
+        assert_eq!(spec.seed, Some(9_007_199_254_740_991));
+        // A cluster count past the id space is refused before the
+        // machine is built.
+        let spec = parse_job(r#"{"mcpart_job":1,"program":"fir","clusters":65536}"#)
+            .expect("parses; bounded by the machine");
+        assert_eq!(spec.machine().unwrap_err(), MachineError::TooManyClusters(65536));
     }
 
     #[test]
@@ -1170,7 +1155,7 @@ mod tests {
             .expect("manifest-bearing entry verifies");
         assert_eq!(verified, run.record);
         let text = checksum_verified_text(entry.as_bytes()).expect("checksum holds");
-        let ck = parse_checkpoint_any(text).expect("parses as checkpoint");
+        let ck = parse_checkpoint(text, None).expect("parses as checkpoint");
         assert_eq!(ck.manifest_for(&run.record.unit), Some(&manifest));
     }
 

@@ -39,6 +39,9 @@ pub enum MachineError {
     /// machine: any placement needing one transfer deadlocks the
     /// scheduler.
     NoBandwidth,
+    /// More clusters than a [`mcpart_ir::ClusterId`]-indexed partitioner
+    /// can name ([`crate::MAX_CLUSTERS`]).
+    TooManyClusters(usize),
 }
 
 impl fmt::Display for MachineError {
@@ -62,6 +65,9 @@ impl fmt::Display for MachineError {
             }
             MachineError::NoBandwidth => {
                 f.write_str("interconnect admits 0 moves per cycle on a multicluster machine")
+            }
+            MachineError::TooManyClusters(n) => {
+                write!(f, "{n} clusters exceed the limit of {}", crate::MAX_CLUSTERS)
             }
         }
     }

@@ -38,3 +38,7 @@ pub use latency::LatencyTable;
 pub use model::{Machine, MemoryModel};
 pub use network::{Interconnect, Topology};
 pub use sweep::{SweepError, SweepMatrix, SweepPoint, DEFAULT_SWEEP, MAX_SWEEP_CLUSTERS};
+
+/// The most clusters a machine may have: cluster ids are `u16`, so a
+/// larger count would alias ids instead of adding clusters.
+pub const MAX_CLUSTERS: usize = u16::MAX as usize;

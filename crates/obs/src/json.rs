@@ -1,9 +1,23 @@
-//! A minimal strict JSON parser, just enough to validate exported
-//! traces without a serde dependency, plus [`validate_trace`] — the
-//! structural check used by tests, the CLI `trace-check` command and
-//! `scripts/check.sh`.
+//! The workspace's one JSON codec, without a serde dependency.
+//!
+//! * **Writing.** [`JsonWriter`] streams a document into one `String`,
+//!   placing the commas and escaping strings; it builds no value tree.
+//!   Every durable record and report is written with it.
+//! * **Reading.** [`parse`] is strict. Decoders read fields with
+//!   [`JsonValue::req`] / [`JsonValue::opt`] and one `to_*` converter
+//!   per type, so a bad field always reads "`key`: expected ..., found
+//!   ...", and each caller maps that into its own error type.
+//! * **Exactness.** Numbers parse as `f64`, so integer converters take
+//!   only what a double holds exactly: an unsigned field rejects
+//!   negative, fractional and unsafe (≥ 2^53) numbers, a signed one
+//!   fractional and unsafe ones, and `to_u32` anything above
+//!   `u32::MAX`. No number is cast with `as` before it is checked.
+//!
+//! [`validate_trace`] is the structural check of exported Chrome
+//! traces (tests, `mcpart trace-check`, `scripts/check.sh`).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 /// Maximum container nesting the parser accepts. Our exporters emit
 /// depth ≤ 4; the limit exists so adversarial input (a few kilobytes
@@ -67,7 +81,119 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// Reads the required field `key` of an object with `read` (one of
+    /// the `to_*` converters or a closure over them). Errors read
+    /// "missing `key`" or "`key`: <what read found wrong>".
+    pub fn req<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a JsonValue) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.opt(key, read)?.ok_or_else(|| format!("missing `{key}`"))
+    }
+
+    /// [`JsonValue::req`] for an optional field: an absent key is
+    /// `Ok(None)`, a present one must read cleanly.
+    pub fn opt<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a JsonValue) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.get(key).map(|v| read(v).map_err(|e| format!("`{key}`: {e}"))).transpose()
+    }
+
+    /// Reads every element of an array with `read`; errors name the
+    /// element's position.
+    pub fn items<'a, T>(
+        &'a self,
+        mut read: impl FnMut(&'a JsonValue) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.to_arr()?.iter().enumerate();
+        items.map(|(i, v)| read(v).map_err(|e| format!("item {i}: {e}"))).collect()
+    }
+
+    /// The value as a string.
+    pub fn to_str(&self) -> Result<&str, String> {
+        self.as_str().ok_or_else(|| self.expected("a string"))
+    }
+
+    /// The value as an unsigned integer: negative, fractional and
+    /// unsafe (≥ 2^53) numbers are errors.
+    pub fn to_u64(&self) -> Result<u64, String> {
+        match self.as_num() {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 && n < SAFE_LIMIT => Ok(n as u64),
+            _ => Err(self.expected("a non-negative integer below 2^53")),
+        }
+    }
+
+    /// The value as a `u32`: [`JsonValue::to_u64`] range-checked.
+    pub fn to_u32(&self) -> Result<u32, String> {
+        self.to_u64()
+            .ok()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| self.expected("an integer in 0..=4294967295"))
+    }
+
+    /// The value as a signed integer: fractional and unsafe (|n| ≥
+    /// 2^53) numbers are errors.
+    pub fn to_i64(&self) -> Result<i64, String> {
+        match self.as_num() {
+            Some(n) if n.fract() == 0.0 && n.abs() < SAFE_LIMIT => Ok(n as i64),
+            _ => Err(self.expected("an integer of magnitude below 2^53")),
+        }
+    }
+
+    /// The value as a float (any JSON number).
+    pub fn to_f64(&self) -> Result<f64, String> {
+        self.as_num().ok_or_else(|| self.expected("a number"))
+    }
+
+    /// The value as a boolean.
+    pub fn to_bool(&self) -> Result<bool, String> {
+        self.as_bool().ok_or_else(|| self.expected("a boolean"))
+    }
+
+    /// The value as an array's elements.
+    pub fn to_arr(&self) -> Result<&[JsonValue], String> {
+        self.as_arr().ok_or_else(|| self.expected("an array"))
+    }
+
+    /// The value as an object's fields, in source order.
+    pub fn to_obj(&self) -> Result<&[(String, JsonValue)], String> {
+        match self {
+            JsonValue::Obj(fields) => Ok(fields),
+            _ => Err(self.expected("an object")),
+        }
+    }
+
+    /// The value as a string of hex digits (how 64-bit hashes travel:
+    /// a JSON number cannot hold them exactly).
+    pub fn to_hex(&self) -> Result<u64, String> {
+        self.as_str()
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .ok_or_else(|| self.expected("a hex string"))
+    }
+
+    /// "expected <what>, found <this value>". The found part ends in a
+    /// backtick or a word, never a digit, so [`error_byte`] does not
+    /// mistake a value for a parse offset.
+    fn expected(&self, what: &str) -> String {
+        let found = match self {
+            JsonValue::Null => "`null`".to_string(),
+            JsonValue::Bool(b) => format!("`{b}`"),
+            JsonValue::Num(n) => format!("`{n}`"),
+            JsonValue::Str(_) => "a string".to_string(),
+            JsonValue::Arr(_) => "an array".to_string(),
+            JsonValue::Obj(_) => "an object".to_string(),
+        };
+        format!("expected {what}, found {found}")
+    }
 }
+
+/// 2^53: the integers an `f64` holds exactly are those below this in
+/// magnitude.
+const SAFE_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 /// Parses a complete JSON document; trailing non-whitespace is an
 /// error, as is any syntax deviation (this parser is strict on
@@ -276,10 +402,14 @@ fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, S
     }
 }
 
-/// Escapes a string for embedding in a JSON document (used by the
-/// Chrome trace exporter).
+/// Escapes a string for embedding in a JSON document.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -287,11 +417,188 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// A streaming JSON writer: values and keys append to one `String`,
+/// and the writer places the commas. It checks no nesting — callers
+/// open and close containers in order — so [`JsonWriter::finish`] can
+/// also hand back a deliberately unclosed prefix (a telemetry body
+/// whose checksum footer closes it).
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next value or key follows a sibling and needs a
+    /// comma.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        JsonWriter::default()
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Starts a value: a comma if it follows a sibling.
+    fn start(&mut self) -> &mut String {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+        &mut self.out
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        key.write_json(self);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes one value.
+    pub fn val<T: WriteJson + ?Sized>(&mut self, v: &T) -> &mut Self {
+        v.write_json(self);
+        self
+    }
+
+    /// Writes an object field: [`JsonWriter::key`] then
+    /// [`JsonWriter::val`].
+    pub fn field<T: WriteJson + ?Sized>(&mut self, key: &str, v: &T) -> &mut Self {
+        self.key(key).val(v)
+    }
+
+    /// Opens an object.
+    pub fn open_obj(&mut self) -> &mut Self {
+        self.start().push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object.
+    pub fn close_obj(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array.
+    pub fn open_arr(&mut self) -> &mut Self {
+        self.start().push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost array.
+    pub fn close_arr(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes an array with one `each` call per item (for items that
+    /// are not [`WriteJson`] values themselves).
+    pub fn arr<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        self.open_arr();
+        for item in items {
+            each(self, item);
+        }
+        self.close_arr()
+    }
+
+    /// Writes a 64-bit hash as a 16-digit hex string (read back with
+    /// [`JsonValue::to_hex`]).
+    pub fn hex64(&mut self, v: u64) -> &mut Self {
+        let _ = write!(self.start(), "\"{v:016x}\"");
+        self
+    }
+
+    /// Writes a float with exactly `decimals` digits after the point
+    /// (`null` if non-finite, like every float).
+    pub fn fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
+        let out = self.start();
+        let _ = if v.is_finite() { write!(out, "{v:.decimals$}") } else { out.write_str("null") };
+        self
+    }
+}
+
+/// A value [`JsonWriter`] writes: integers, shortest-form floats
+/// (non-finite ones as `null`), bools, strings, and slices of these as
+/// arrays.
+pub trait WriteJson {
+    /// Appends `self` as one JSON value.
+    fn write_json(&self, w: &mut JsonWriter);
+}
+
+macro_rules! write_json_display {
+    ($($t:ty),*) => {$(
+        impl WriteJson for $t {
+            fn write_json(&self, w: &mut JsonWriter) {
+                let _ = write!(w.start(), "{self}");
+            }
+        }
+    )*};
+}
+
+write_json_display!(u64, u32, usize, i64, bool);
+
+impl WriteJson for f64 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        if self.is_finite() {
+            let _ = write!(w.start(), "{self}");
+        } else {
+            w.start().push_str("null");
+        }
+    }
+}
+
+impl WriteJson for str {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let out = w.start();
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_str().write_json(w);
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.arr(self, |w, v| {
+            v.write_json(w);
+        });
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
+}
+
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
+    }
 }
 
 /// Extracts the byte offset embedded in this module's parse-error
@@ -514,6 +821,91 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap(), JsonValue::Str(nasty.to_string()));
+    }
+
+    #[test]
+    fn json_roundtrip_shapes() {
+        let mut w = JsonWriter::new();
+        w.open_obj()
+            .field("name", "raw\"caudio")
+            .field("rel", &0.956)
+            .field("cycles", &12345u64)
+            .field("values", &[1.0, 2.5][..])
+            .close_obj();
+        assert_eq!(
+            w.finish(),
+            "{\"name\":\"raw\\\"caudio\",\"rel\":0.956,\"cycles\":12345,\"values\":[1,2.5]}"
+        );
+    }
+
+    #[test]
+    fn json_non_finite_is_null() {
+        let mut w = JsonWriter::new();
+        w.val(&f64::NAN);
+        assert_eq!(w.finish(), "null");
+        let mut w = JsonWriter::new();
+        w.val(&vec![f64::INFINITY, 0.1]);
+        w.open_arr().fixed(f64::NEG_INFINITY, 3).fixed(12.5, 3).close_arr();
+        // Top-level values are siblings too.
+        assert_eq!(w.finish(), "[null,0.1],[null,12.500]");
+    }
+
+    #[test]
+    fn json_bool_is_a_bare_literal() {
+        for (b, text) in [(true, "true"), (false, "false")] {
+            let mut w = JsonWriter::new();
+            w.val(&b);
+            assert_eq!(w.finish(), text);
+        }
+        let mut w = JsonWriter::new();
+        w.open_obj().field("quick", &false).close_obj();
+        // A strict parser must see a JSON boolean, not the string
+        // "false".
+        let parsed = parse(&w.finish()).unwrap();
+        assert_eq!(parsed.get("quick").and_then(JsonValue::as_bool), Some(false));
+    }
+
+    #[test]
+    fn writer_places_commas_in_nested_containers() {
+        let mut w = JsonWriter::new();
+        w.open_obj().key("a").open_arr().open_arr().close_arr().open_obj().close_obj();
+        w.val(&u64::MAX).val(&-1i64).hex64(0xbeef).close_arr();
+        w.field("k\n", "\u{1}").field("v", &vec![vec![1u32], vec![]]).close_obj();
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\"a\":[[],{},18446744073709551615,-1,\"000000000000beef\"],\"k\\n\":\"\\u0001\",\
+             \"v\":[[1],[]]}"
+        );
+        assert!(parse(&text).is_ok());
+    }
+
+    #[test]
+    fn integer_readers_are_exact() {
+        let doc = parse(
+            r#"{"u":7,"neg":-1,"frac":1.5,"big":9007199254740992,"edge":9007199254740991,
+                "wide":4294967296,"s":"x","h":"00ff"}"#,
+        )
+        .unwrap();
+        assert_eq!(doc.req("u", JsonValue::to_u64), Ok(7));
+        assert_eq!(doc.req("edge", JsonValue::to_u64), Ok(9_007_199_254_740_991));
+        for key in ["neg", "frac", "big", "s"] {
+            let err = doc.req(key, JsonValue::to_u64).unwrap_err();
+            assert!(err.starts_with(&format!("`{key}`: expected")), "{err}");
+            assert_eq!(error_byte(&err), None, "a found value reads as an offset: {err}");
+        }
+        assert_eq!(doc.req("neg", JsonValue::to_i64), Ok(-1));
+        assert!(doc.req("frac", JsonValue::to_i64).is_err());
+        assert!(doc.req("big", JsonValue::to_i64).is_err());
+        assert_eq!(doc.req("wide", JsonValue::to_u64), Ok(1 << 32));
+        assert!(doc.req("wide", JsonValue::to_u32).is_err());
+        assert_eq!(doc.req("h", JsonValue::to_hex), Ok(0xff));
+        assert_eq!(doc.req("missing", JsonValue::to_u64).unwrap_err(), "missing `missing`");
+        assert_eq!(doc.opt("missing", JsonValue::to_u64), Ok(None));
+        assert!(doc.opt("s", JsonValue::to_u64).is_err(), "a present field must read");
+        let arr = parse("[1,2,-3]").unwrap();
+        assert_eq!(arr.items(JsonValue::to_i64), Ok(vec![1, 2, -3]));
+        assert!(arr.items(JsonValue::to_u64).unwrap_err().starts_with("item 2:"));
     }
 
     #[test]

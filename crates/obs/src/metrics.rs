@@ -18,7 +18,7 @@
 //!   serve batch latency). Honest measurements, explicitly excluded
 //!   from the pinned payload.
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, JsonValue, JsonWriter};
 use crate::{Event, EventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -146,73 +146,51 @@ impl Histogram {
 
     /// Renders as a JSON object (sparse bucket list, deterministic).
     pub fn to_json(&self, pinned: bool) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"pinned\":{pinned},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max
-        );
-        let mut first = true;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{i},{c}]");
-            }
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w, pinned);
+        w.finish()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter, pinned: bool) {
+        w.open_obj()
+            .field("pinned", &pinned)
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min", &self.min())
+            .field("max", &self.max);
+        let buckets = self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        w.key("buckets").arr(buckets, |w, (i, c)| {
+            w.open_arr().val(&i).val(c).close_arr();
+        });
+        w.close_obj();
     }
 
     /// Parses a histogram rendered by [`Histogram::to_json`]; returns
     /// the histogram and its pinned flag.
     pub fn from_json(value: &JsonValue) -> Result<(Histogram, bool), String> {
-        let pinned =
-            value.get("pinned").and_then(JsonValue::as_bool).ok_or("histogram: missing pinned")?;
-        let num = |key: &str| -> Result<u64, String> {
-            let n = value
-                .get(key)
-                .and_then(JsonValue::as_num)
-                .ok_or(format!("histogram: bad {key}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("histogram: {key} is not a non-negative integer"));
-            }
-            Ok(n as u64)
-        };
         let mut hist = Histogram {
             counts: vec![0; HIST_BUCKETS],
-            count: num("count")?,
-            sum: num("sum")?,
-            min: num("min")?,
-            max: num("max")?,
+            count: value.req("count", JsonValue::to_u64)?,
+            sum: value.req("sum", JsonValue::to_u64)?,
+            min: value.req("min", JsonValue::to_u64)?,
+            max: value.req("max", JsonValue::to_u64)?,
         };
         if hist.count == 0 {
             hist.min = u64::MAX;
         }
-        let buckets =
-            value.get("buckets").and_then(JsonValue::as_arr).ok_or("histogram: missing buckets")?;
+        let buckets = value.req("buckets", |v| {
+            v.items(|pair| match pair.to_arr()? {
+                [i, c] => match i.to_u64()? {
+                    i if (i as usize) < HIST_BUCKETS => Ok((i as usize, c.to_u64()?)),
+                    i => Err(format!("expected a bucket below {HIST_BUCKETS}, found `{i}`")),
+                },
+                _ => Err("expected an [index, count] pair".to_string()),
+            })
+        })?;
         let mut total = 0u64;
-        for b in buckets {
-            let pair = b.as_arr().ok_or("histogram: bucket is not a pair")?;
-            let (Some(i), Some(c)) =
-                (pair.first().and_then(JsonValue::as_num), pair.get(1).and_then(JsonValue::as_num))
-            else {
-                return Err("histogram: bucket is not a pair of numbers".to_string());
-            };
-            let idx = i as usize;
-            if i < 0.0 || i.fract() != 0.0 || idx >= HIST_BUCKETS {
-                return Err(format!("histogram: bucket index {i} out of range"));
-            }
-            if c < 0.0 || c.fract() != 0.0 {
-                return Err(format!("histogram: bucket count {c} invalid"));
-            }
-            hist.counts[idx] = c as u64;
-            total += c as u64;
+        for (i, c) in buckets {
+            hist.counts[i] = c;
+            total += c;
         }
         if total != hist.count {
             return Err(format!(
@@ -220,7 +198,7 @@ impl Histogram {
                 hist.count
             ));
         }
-        Ok((hist, pinned))
+        Ok((hist, value.req("pinned", JsonValue::to_bool)?))
     }
 }
 
@@ -382,34 +360,27 @@ impl MetricsRegistry {
     }
 
     fn render_json(&self, pinned_only: bool) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w, pinned_only);
+        w.finish()
+    }
+
+    /// Writes the snapshot ([`MetricsRegistry::to_json`], or with
+    /// `pinned_only` [`MetricsRegistry::pinned_json`]) into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter, pinned_only: bool) {
+        w.open_obj();
         for (label, class, hist) in self.iter() {
-            if pinned_only && class != HistClass::Pinned {
-                continue;
+            if !pinned_only || class == HistClass::Pinned {
+                hist.write_json(w.key(label), class == HistClass::Pinned);
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{}\":{}",
-                json::escape(label),
-                hist.to_json(class == HistClass::Pinned)
-            );
         }
-        out.push('}');
-        out
+        w.close_obj();
     }
 
     /// Parses a registry rendered by [`MetricsRegistry::to_json`].
     pub fn from_json(value: &JsonValue) -> Result<MetricsRegistry, String> {
-        let JsonValue::Obj(fields) = value else {
-            return Err("metrics: expected an object".to_string());
-        };
         let mut reg = MetricsRegistry::new();
-        for (label, v) in fields {
+        for (label, v) in value.to_obj().map_err(|e| format!("metrics: {e}"))? {
             let (hist, pinned) =
                 Histogram::from_json(v).map_err(|e| format!("metrics '{label}': {e}"))?;
             let class = if pinned { HistClass::Pinned } else { HistClass::Wall };

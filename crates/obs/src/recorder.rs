@@ -5,7 +5,7 @@
 //! ([`crate::durable::seal`]):
 //!
 //! ```text
-//! {"mcpart_telemetry":1,"run":R,"seq":S,"counters":{...},"metrics":{...},"sum":"<fnv64 hex>"}
+//! {"mcpart_telemetry":1,"run":R,"seq":S,"counters":{...},"metrics":{...},"sum":"<FNV-1a 64>"}
 //! ```
 //!
 //! The `sum` footer is an FNV-1a 64 checksum over every byte of the
@@ -23,7 +23,7 @@
 //! humans; the `.jsonl` log is the durable record.
 
 use crate::durable::{self, Tail};
-use crate::json::{self, JsonValue};
+use crate::json::{self, JsonValue, JsonWriter};
 use crate::metrics::MetricsRegistry;
 use std::fs::{self, File, OpenOptions};
 use std::io;
@@ -89,18 +89,19 @@ impl FlightRecorder {
         counters: &[(&str, i64)],
         metrics: &MetricsRegistry,
     ) -> io::Result<()> {
-        let mut body = format!(
-            "{{\"mcpart_telemetry\":{TELEMETRY_VERSION},\"run\":{},\"seq\":{},\"counters\":{{",
-            self.run, self.seq
-        );
-        for (i, (k, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("\"{}\":{v}", json::escape(k)));
+        // The body stays open: the checksum footer closes the object.
+        let mut w = JsonWriter::new();
+        w.open_obj()
+            .field("mcpart_telemetry", &TELEMETRY_VERSION)
+            .field("run", &self.run)
+            .field("seq", &self.seq)
+            .key("counters")
+            .open_obj();
+        for (k, v) in counters {
+            w.field(k, v);
         }
-        body.push_str("},\"metrics\":");
-        body.push_str(&metrics.to_json());
+        metrics.write_json(w.close_obj().key("metrics"), false);
+        let body = w.finish();
         let sealed = durable::seal(&body, SUM_OPEN);
         durable::append_record(&mut self.file, &sealed)?;
         self.seq += 1;
@@ -171,31 +172,19 @@ impl TelemetryLog {
 fn decode_record(line: &str) -> Result<TelemetrySnapshot, String> {
     durable::unseal(line.as_bytes(), SUM_OPEN)?;
     let doc = json::parse(line)?;
-    let version = doc.get("mcpart_telemetry").and_then(JsonValue::as_num);
-    if version != Some(TELEMETRY_VERSION as f64) {
+    if doc.req("mcpart_telemetry", JsonValue::to_i64)? != TELEMETRY_VERSION {
         return Err("bad telemetry version".to_string());
     }
-    let int = |key: &str| -> Result<u64, String> {
-        let n = doc.get(key).and_then(JsonValue::as_num).ok_or(format!("missing {key}"))?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(format!("bad {key}"));
-        }
-        Ok(n as u64)
-    };
-    let run = int("run")?;
-    let seq = int("seq")?;
-    let mut counters = Vec::new();
-    if let Some(JsonValue::Obj(fields)) = doc.get("counters") {
-        for (k, v) in fields {
-            let n = v.as_num().ok_or(format!("counter '{k}' is not a number"))?;
-            counters.push((k.clone(), n as i64));
-        }
-    } else {
-        return Err("missing counters object".to_string());
-    }
-    let metrics = doc.get("metrics").ok_or("missing metrics object")?;
-    let metrics = MetricsRegistry::from_json(metrics)?;
-    Ok(TelemetrySnapshot { run, seq, counters, metrics })
+    let counters = doc.req("counters", |v| {
+        let fields = v.to_obj()?;
+        fields.iter().map(|(k, v)| Ok((k.clone(), v.to_i64()?))).collect()
+    })?;
+    Ok(TelemetrySnapshot {
+        run: doc.req("run", JsonValue::to_u64)?,
+        seq: doc.req("seq", JsonValue::to_u64)?,
+        counters,
+        metrics: doc.req("metrics", MetricsRegistry::from_json)?,
+    })
 }
 
 /// Decodes a telemetry log's text. Corrupt or truncated records are

@@ -75,6 +75,19 @@ echo "$RESUME_NOTES" | grep -q "partial trailing record" \
   || { echo "resume did not report the crash artifact: $RESUME_NOTES"; exit 1; }
 target/release/mcpart checkpoint-diff /tmp/mcpart_ck_clean.json /tmp/mcpart_ck_killed.json
 
+echo "== out-of-range cluster index (resume refuses it, checkpoint-diff flags it)"
+# The clean run used 2 clusters: name cluster 2 in the first record.
+CK_BAD=/tmp/mcpart_ck_bad_cluster.json
+sed '2s/"op_cluster":\[\[[0-9]*/"op_cluster":[[2/' /tmp/mcpart_ck_clean.json > "$CK_BAD"
+cmp -s /tmp/mcpart_ck_clean.json "$CK_BAD" \
+  && { echo "the clean checkpoint has no op_cluster value to corrupt"; exit 1; }
+CODE=0
+target/release/mcpart compare rawcaudio --checkpoint "$CK_BAD" --resume >/dev/null 2>&1 || CODE=$?
+[ "$CODE" -eq 2 ] || { echo "resume of an out-of-range cluster exited $CODE, want 2"; exit 1; }
+if target/release/mcpart checkpoint-diff /tmp/mcpart_ck_clean.json "$CK_BAD" >/dev/null 2>&1; then
+  echo "checkpoint-diff accepted an out-of-range cluster"; exit 1
+fi
+
 echo "== serve smoke (spool three jobs, die mid-batch, restart, verify cache hits)"
 SERVE_CLEAN=/tmp/mcpart_serve_clean
 SERVE_KILLED=/tmp/mcpart_serve_killed

@@ -272,7 +272,12 @@ fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options
             "--memory" => {
                 spec.memory = flags.value(flag, "partitioned|unified|coherent:<penalty>")?;
             }
-            "--gdp-fuel" => spec.gdp_fuel = Some(flags.value(flag, "a number")?),
+            // The checkpoint header carries the fuel as a JSON number,
+            // which is exact only below 2^53 (the job-file bound too).
+            "--gdp-fuel" => {
+                spec.gdp_fuel =
+                    Some(flags.value_if(flag, "a number below 2^53", |&f: &u64| f < 1 << 53)?);
+            }
             "--checkpoint" => o.checkpoint = Some(flags.value(flag, "a path")?),
             "--resume" => o.resume = true,
             "--allow-quarantine" => o.allow_quarantine = true,
@@ -1204,6 +1209,7 @@ mod tests {
         assert_eq!(o.spec.gdp_fuel, Some(0));
         assert_eq!(o.config(Method::Gdp).gdp.fuel, Some(0));
         assert!(parse(&["--gdp-fuel", "lots"]).is_err());
+        assert!(parse(&["--gdp-fuel", "9007199254740992"]).is_err());
     }
 
     #[test]

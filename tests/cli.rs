@@ -512,6 +512,7 @@ fn flag_surface_of_every_subcommand() {
         ("run fir --latency fast", Usage),
         ("run fir --latency -1", Usage),
         ("run fir --clusters 0", Usage),
+        ("run fir --clusters 65536", Usage),
         ("run fir --method quantum", Usage),
         ("run fir --memory ram", Usage),
         ("run fir --memory coherent:x", Usage),

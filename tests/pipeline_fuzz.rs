@@ -287,6 +287,21 @@ fn mcpart_cli(args: &[&str]) -> (String, String, Option<i32>) {
     )
 }
 
+/// `text` with the first op cluster value on its 0-based line `line`
+/// (the first number inside an `"op_cluster"` array) replaced by `value`.
+fn set_first_op_cluster(text: &str, line: usize, value: &str) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let l = &lines[line];
+    let at = l
+        .match_indices("\"op_cluster\":[")
+        .map(|(i, key)| i + key.len() + l[i + key.len()..].find(|c| c != '[').unwrap_or(0))
+        .find(|&i| l[i..].starts_with(|c: char| c.is_ascii_digit()))
+        .expect("a non-empty op_cluster array");
+    let end = at + l[at..].find(|c: char| !c.is_ascii_digit()).unwrap_or(l.len() - at);
+    lines[line] = format!("{}{value}{}", &l[..at], &l[end..]);
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
 /// Corrupted checkpoint files must be rejected by `--resume` with exit
 /// code 2 and a line/column diagnostic — never a panic. The one
 /// sanctioned exception is an *unterminated* trailing line: that is the
@@ -354,6 +369,41 @@ fn corrupted_checkpoints_are_rejected_with_a_position_and_never_a_panic() {
         assert!(!stderr.contains("panicked"), "{label}: {stderr}");
         assert!(stderr.starts_with("error:"), "{label}: {stderr}");
     }
+
+    // Cluster indices are checked against the header's cluster count
+    // (fir runs on 2 clusters): a record naming a cluster that does not
+    // exist, or a negative or fractional one, is corruption with a
+    // position, not a placement to replay.
+    let record_line = full.lines().position(|l| l.starts_with("{\"unit\"")).expect("a record");
+    let manifest_line =
+        full.lines().position(|l| l.starts_with("{\"mcpart_manifest\"")).expect("a manifest");
+    for bad in ["2", "-1", "1.5"] {
+        std::fs::write(&case, set_first_op_cluster(&full, record_line, bad)).expect("write case");
+        let (_, stderr, code) = resume(&case);
+        assert!(!stderr.contains("panicked"), "op_cluster {bad}: {stderr}");
+        assert_eq!(code, Some(2), "op_cluster {bad} must be a config error: {stderr}");
+        assert!(
+            stderr.contains(&format!("line {}", record_line + 1)) && stderr.contains("column"),
+            "op_cluster {bad}: diagnostic lost its position: {stderr}"
+        );
+    }
+    // checkpoint-diff refuses the -1 copy instead of reporting a match.
+    let negative = dir.join("negative.json");
+    std::fs::write(&negative, set_first_op_cluster(&full, record_line, "-1")).expect("write case");
+    let (stdout, stderr, code) =
+        mcpart_cli(&["checkpoint-diff", base.to_str().unwrap(), negative.to_str().unwrap()]);
+    assert_eq!(code, Some(2), "checkpoint-diff read a -1 cluster: {stdout}{stderr}");
+    assert!(!stdout.contains("checkpoints match"), "{stdout}");
+    // An out-of-range manifest is dropped like any malformed one: the
+    // resume succeeds and does not carry the manifest forward.
+    std::fs::write(&case, set_first_op_cluster(&full, manifest_line, "2")).expect("write case");
+    let (_, stderr, code) = resume(&case);
+    assert_eq!(code, Some(0), "an out-of-range manifest must be dropped, not fatal: {stderr}");
+    let resumed = std::fs::read_to_string(&case).expect("resumed checkpoint");
+    assert!(
+        !resumed.lines().any(|l| l.starts_with("{\"mcpart_manifest\"")),
+        "an out-of-range manifest was written forward"
+    );
 
     // Truncation sweep: cut the file at ~16 evenly spread byte
     // offsets. Past the header, any cut leaves either a clean record
