@@ -502,6 +502,45 @@ mod tests {
         assert!(stats.has_counter("gdp/cut"), "{:?}", stats.counter_names);
     }
 
+    /// A log with fixed timestamps: a span with args, a counter with
+    /// args, and a counter whose name needs escaping.
+    fn fixed_log() -> Obs {
+        let event = |seq, cat, name: &str, kind, args: &[(&str, i64)], ts_us, dur_us| Event {
+            seq,
+            cat,
+            name: name.to_string(),
+            kind,
+            args: args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            ts_us,
+            dur_us,
+        };
+        let events = vec![
+            event(0, "pipeline", "analysis", EventKind::Span, &[("ops", 10), ("funcs", 2)], 5, 120),
+            event(1, "gdp", "cluster_bytes", EventKind::Counter(1456), &[("cluster", 1)], 130, 0),
+            event(2, "c", "we\"ird\\name\n", EventKind::Counter(-3), &[], 131, 0),
+            event(3, "rhop", "partition", EventKind::Span, &[], 140, 2_000_001),
+        ];
+        Obs { inner: Some(Arc::new(Sink { zero: Instant::now(), events: Mutex::new(events) })) }
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        let expected = concat!(
+            "{\"traceEvents\":[\n",
+            "{\"name\":\"analysis\",\"cat\":\"pipeline\",\"pid\":1,\"tid\":1,\"ts\":5,",
+            "\"ph\":\"X\",\"dur\":120,\"args\":{\"seq\":0,\"ops\":10,\"funcs\":2}},\n",
+            "{\"name\":\"cluster_bytes\",\"cat\":\"gdp\",\"pid\":1,\"tid\":1,\"ts\":130,",
+            "\"ph\":\"C\",\"args\":{\"cluster_bytes\":1456,\"cluster\":1}},\n",
+            "{\"name\":\"we\\\"ird\\\\name\\n\",\"cat\":\"c\",\"pid\":1,\"tid\":1,\"ts\":131,",
+            "\"ph\":\"C\",\"args\":{\"we\\\"ird\\\\name\\n\":-3}},\n",
+            "{\"name\":\"partition\",\"cat\":\"rhop\",\"pid\":1,\"tid\":1,\"ts\":140,",
+            "\"ph\":\"X\",\"dur\":2000001,\"args\":{\"seq\":3}}\n",
+            "]}\n"
+        );
+        assert_eq!(fixed_log().chrome_trace(), expected);
+        assert_eq!(Obs::enabled().chrome_trace(), "{\"traceEvents\":[\n]}\n");
+    }
+
     #[test]
     fn chrome_trace_escapes_names() {
         let obs = Obs::enabled();
