@@ -161,12 +161,14 @@ pub enum PipelineErrorKind {
     Exec(mcpart_sim::ExecError),
     /// The transformed program behaves differently from the original.
     SemanticsChanged,
-    /// A stage exceeded its wall-clock budget
-    /// ([`crate::PipelineConfig::stage_budget`]).
+    /// The attempt's wall-clock ceiling
+    /// ([`crate::PipelineConfig::unit_timeout`]) fired: its watchdog
+    /// aborted the attempt, which stopped at the next stage boundary.
     Timeout {
-        /// The configured per-stage budget.
+        /// The configured ceiling.
         budget: Duration,
-        /// How long the stage actually ran.
+        /// How long the attempt ran when it stopped (the ceiling: the
+        /// watchdog fires when it is reached).
         elapsed: Duration,
     },
     /// A supervised worker panicked while running this method; the

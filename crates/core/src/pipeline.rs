@@ -97,11 +97,6 @@ pub struct PipelineConfig {
     /// and call depth), so a runaway transformed program yields a typed
     /// error instead of a hang.
     pub exec: mcpart_sim::ExecConfig,
-    /// Wall-clock budget per pipeline stage (`None` = unlimited). A
-    /// stage that overruns yields [`PipelineErrorKind::Timeout`];
-    /// because the check runs between stages, a long stage finishes
-    /// first and is then reported.
-    pub stage_budget: Option<Duration>,
     /// When `false` (the default is `true`), skip the post-move
     /// placement validation. Validation is cheap and catches partitioner
     /// bugs, so leave it on outside microbenchmarks.
@@ -155,7 +150,6 @@ impl PipelineConfig {
             profile_max_balance: 0.10,
             validate: false,
             exec: mcpart_sim::ExecConfig::default(),
-            stage_budget: None,
             check_placement: true,
             move_strategy: mcpart_sched::MoveStrategy::default(),
             pre_optimize: false,
@@ -390,19 +384,12 @@ fn run_method(
         stage,
         kind,
     };
-    // Stage clock: each stage must individually finish within the
-    // configured wall-clock budget, and react to the watchdog's abort
-    // between stages (stages without a shared budget of their own).
-    let check_clock = |stage: Stage, started: Instant| -> Result<(), PipelineError> {
+    // Between stages, react to the `unit_timeout` watchdog's abort
+    // (stages without a shared budget of their own).
+    let check_clock = |stage: Stage| -> Result<(), PipelineError> {
         if config.rhop.abort.is_aborted() {
             let budget = config.unit_timeout.unwrap_or_default();
             return Err(fail(stage, PipelineErrorKind::Timeout { budget, elapsed: budget }));
-        }
-        if let Some(budget) = config.stage_budget {
-            let elapsed = started.elapsed();
-            if elapsed > budget {
-                return Err(fail(stage, PipelineErrorKind::Timeout { budget, elapsed }));
-            }
         }
         Ok(())
     };
@@ -439,18 +426,16 @@ fn run_method(
             &[("method", method_ord(config.method))],
         );
     }
-    check_clock(Stage::Analysis, clock)?;
+    check_clock(Stage::Analysis)?;
 
     let start = Instant::now();
     let mut manifest = None;
     let mut repartition = None;
     let (placement, rhop_stats) = match config.method {
         Method::Gdp => {
-            let clock = Instant::now();
             let dp = gdp_partition(&program, profile, &access, &groups, machine, &config.gdp)
                 .map_err(|e| fail(Stage::DataPartition, PipelineErrorKind::Gdp(e)))?;
-            check_clock(Stage::DataPartition, clock)?;
-            let clock = Instant::now();
+            check_clock(Stage::DataPartition)?;
             // GDP is always re-run (it is the cheap global pass); a
             // baseline manifest only short-circuits the per-function
             // RHOP work for functions outside the dirty cone.
@@ -476,14 +461,13 @@ fn run_method(
                 &rhop_cfg,
             )
             .map_err(|e| fail(Stage::ComputationPartition, PipelineErrorKind::Rhop(e)))?;
-            check_clock(Stage::ComputationPartition, clock)?;
+            check_clock(Stage::ComputationPartition)?;
             manifest = Some(crate::repartition::build_manifest(
                 &program, &access, &groups, &dp, &placement, &outcomes,
             ));
             (placement, stats)
         }
         Method::ProfileMax => {
-            let clock = Instant::now();
             let out = profile_max_partition(
                 &program,
                 &access,
@@ -494,21 +478,19 @@ fn run_method(
                 config.profile_max_balance,
             )
             .map_err(|e| fail(Stage::ComputationPartition, PipelineErrorKind::Rhop(e)))?;
-            check_clock(Stage::ComputationPartition, clock)?;
+            check_clock(Stage::ComputationPartition)?;
             out
         }
         Method::Naive => {
-            let clock = Instant::now();
             let out = naive_partition(&program, &access, profile, machine, &groups, &config.rhop)
                 .map_err(|e| fail(Stage::ComputationPartition, PipelineErrorKind::Rhop(e)))?;
-            check_clock(Stage::ComputationPartition, clock)?;
+            check_clock(Stage::ComputationPartition)?;
             out
         }
         Method::Unified => {
-            let clock = Instant::now();
             let out = unified_partition(&program, &access, profile, machine, &config.rhop)
                 .map_err(|e| fail(Stage::ComputationPartition, PipelineErrorKind::Rhop(e)))?;
-            check_clock(Stage::ComputationPartition, clock)?;
+            check_clock(Stage::ComputationPartition)?;
             out
         }
     };
@@ -519,7 +501,7 @@ fn run_method(
     let clock = Instant::now();
     let normalized = normalize_placement(&program, &placement, &access, &eval_machine, profile);
     config.obs.span_since("pipeline", "normalize", clock);
-    check_clock(Stage::Normalize, clock)?;
+    check_clock(Stage::Normalize)?;
     let clock = Instant::now();
     let (moved_program, moved_placement, move_stats) = mcpart_sched::insert_moves_with(
         &program,
@@ -534,7 +516,7 @@ fn run_method(
         clock,
         &[("moves_inserted", move_stats.moves_inserted as i64)],
     );
-    check_clock(Stage::MoveInsertion, clock)?;
+    check_clock(Stage::MoveInsertion)?;
     let partition_time = start.elapsed();
 
     // Re-analyze the moved program (op ids shifted) for placement
@@ -551,7 +533,7 @@ fn run_method(
         validate_placement(&moved_program, &moved_placement, &moved_access, &eval_machine)
             .map_err(|e| fail(Stage::PlacementValidation, PipelineErrorKind::Placement(e)))?;
         config.obs.span_since("pipeline", "validate_placement", clock);
-        check_clock(Stage::PlacementValidation, clock)?;
+        check_clock(Stage::PlacementValidation)?;
     }
 
     if config.validate {
@@ -562,7 +544,7 @@ fn run_method(
             return Err(fail(Stage::SemanticValidation, PipelineErrorKind::SemanticsChanged));
         }
         config.obs.span_since("pipeline", "validate_semantics", clock);
-        check_clock(Stage::SemanticValidation, clock)?;
+        check_clock(Stage::SemanticValidation)?;
     }
 
     let clock = Instant::now();
@@ -586,7 +568,7 @@ fn run_method(
         config.obs.counter("sim", "remote_accesses", report.dynamic_remote_accesses as i64);
         config.obs.span_since("pipeline", "sim", clock);
     }
-    check_clock(Stage::Evaluation, clock)?;
+    check_clock(Stage::Evaluation)?;
 
     let data_bytes = moved_placement.bytes_per_cluster(&moved_program, machine.num_clusters());
     if config.obs.is_enabled() {
@@ -783,28 +765,34 @@ mod tests {
         assert!(!e.is_recoverable());
     }
 
+    /// A config whose abort handle has already fired, as the
+    /// `unit_timeout` watchdog fires it.
+    fn aborted(method: Method) -> PipelineConfig {
+        let mut cfg = PipelineConfig::new(method);
+        cfg.rhop.abort = mcpart_par::supervise::AbortHandle::armed();
+        cfg.rhop.abort.abort();
+        cfg
+    }
+
     #[test]
-    fn zero_stage_budget_times_out() {
+    fn fired_abort_times_out_at_the_first_stage_boundary() {
         let p = bench_program();
         let profile = Profile::uniform(&p, 10);
         let machine = Machine::paper_2cluster(5);
-        let mut cfg = PipelineConfig::new(Method::Unified);
-        cfg.stage_budget = Some(Duration::ZERO);
-        let e = run_pipeline(&p, &profile, &machine, &cfg).unwrap_err();
+        let e = run_pipeline(&p, &profile, &machine, &aborted(Method::Unified)).unwrap_err();
         assert!(matches!(e.kind, PipelineErrorKind::Timeout { .. }), "{e}");
+        assert_eq!(e.stage, Stage::Analysis, "{e}");
     }
 
     #[test]
     fn timeout_is_recoverable_through_the_ladder() {
-        // With a per-stage budget of zero, GDP times out, Profile Max
-        // times out, Naive times out: the surfaced error is a timeout
-        // (recoverable kind) from the final rung.
+        // With the abort fired, GDP times out, Profile Max times out,
+        // Naive times out: the surfaced error is a timeout (recoverable
+        // kind) from the final rung.
         let p = bench_program();
         let profile = Profile::uniform(&p, 10);
         let machine = Machine::paper_2cluster(5);
-        let mut cfg = PipelineConfig::new(Method::Gdp);
-        cfg.stage_budget = Some(Duration::ZERO);
-        let e = run_pipeline(&p, &profile, &machine, &cfg).unwrap_err();
+        let e = run_pipeline(&p, &profile, &machine, &aborted(Method::Gdp)).unwrap_err();
         assert!(e.is_recoverable());
     }
 

@@ -891,8 +891,8 @@ fn commit(
 }
 
 /// Folds one committed job into the run's metrics registry: the job's
-/// partition time feeds a wall histogram, its pinned pipeline events
-/// feed pinned histograms (counter values plus span args — which is
+/// partition time feeds a wall histogram, and its record's pinned
+/// pipeline events go through the registry's one event rule (which is
 /// how per-job GDP cut, RHOP estimator effort, and stall/transfer
 /// cycle distributions reach the flight recorder).
 fn observe_outcome(registry: &mut MetricsRegistry, outcome: &JobOutcome) {
@@ -903,13 +903,7 @@ fn observe_outcome(registry: &mut MetricsRegistry, outcome: &JobOutcome) {
         registry.observe("repartition/cone_frac_x1000", rp.cone_frac_x1000() as i64);
     }
     for e in &record.events {
-        let label = format!("{}/{}", e.cat, e.name);
-        if let Some(v) = e.counter {
-            registry.observe(&label, v);
-        }
-        for (k, v) in &e.args {
-            registry.observe(&format!("{label}.{k}"), *v);
-        }
+        registry.observe_pinned(&format!("{}/{}", e.cat, e.name), e.counter, &e.args);
     }
 }
 

@@ -13,10 +13,10 @@
 //!   fractional and unsafe ones, and `to_u32` anything above
 //!   `u32::MAX`. No number is cast with `as` before it is checked.
 //!
-//! [`validate_trace`] is the structural check of exported Chrome
-//! traces (tests, `mcpart trace-check`, `scripts/check.sh`).
+//! Chrome traces are one more document in this codec:
+//! [`crate::Obs::chrome_trace`] writes them with [`JsonWriter`] and
+//! [`crate::decode_chrome_trace`] reads them with these readers.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Maximum container nesting the parser accepts. Our exporters emit
@@ -626,98 +626,6 @@ pub fn line_col(text: &str, byte: usize) -> (usize, usize) {
     (line, col)
 }
 
-/// Structural statistics of a validated Chrome trace.
-#[derive(Clone, Debug, Default)]
-pub struct TraceStats {
-    /// Total events in `traceEvents`.
-    pub events: usize,
-    /// `"ph": "X"` complete (span) events.
-    pub spans: usize,
-    /// `"ph": "C"` counter events.
-    pub counters: usize,
-    /// `cat/name` labels of every counter event.
-    pub counter_names: BTreeSet<String>,
-    /// The **last** sample of each counter, by `cat/name` label (our
-    /// counters are cumulative totals, so the last sample is the
-    /// final value).
-    pub counter_last: BTreeMap<String, i64>,
-    /// Labels of counters that carried a nonzero sample at least once
-    /// (`trace-check --forbid` asserts a label is absent from here:
-    /// an all-zero counter still counts as a clean run).
-    pub counter_nonzero: BTreeSet<String>,
-    /// Non-fatal structural oddities (unknown top-level keys): the
-    /// trace is usable, but a tool should surface these.
-    pub warnings: Vec<String>,
-}
-
-impl TraceStats {
-    /// Whether a counter with the given `cat/name` label was present.
-    pub fn has_counter(&self, label: &str) -> bool {
-        self.counter_names.contains(label)
-    }
-
-    /// The final (last-sampled) value of a counter, if present.
-    pub fn counter_value(&self, label: &str) -> Option<i64> {
-        self.counter_last.get(label).copied()
-    }
-}
-
-/// Parses `text` as a Chrome `trace_event` JSON document and checks
-/// its structure: a top-level object with a `traceEvents` array whose
-/// entries all carry `name`, `cat`, `ph`, and numeric `ts`. Returns
-/// counts by phase on success.
-pub fn validate_trace(text: &str) -> Result<TraceStats, String> {
-    let doc = parse(text)?;
-    let events =
-        doc.get("traceEvents").and_then(JsonValue::as_arr).ok_or("missing 'traceEvents' array")?;
-    let mut stats = TraceStats { events: events.len(), ..TraceStats::default() };
-    // The Chrome trace format tolerates extra metadata keys; unknown
-    // ones are worth a warning (typos, version skew) but not an error.
-    const KNOWN_TOP: &[&str] =
-        &["traceEvents", "displayTimeUnit", "otherData", "metadata", "systemTraceEvents"];
-    if let JsonValue::Obj(fields) = &doc {
-        for (key, _) in fields {
-            if !KNOWN_TOP.contains(&key.as_str()) {
-                stats.warnings.push(format!("unknown top-level key '{key}'"));
-            }
-        }
-    }
-    for (i, e) in events.iter().enumerate() {
-        let name =
-            e.get("name").and_then(JsonValue::as_str).ok_or(format!("event {i}: missing name"))?;
-        let cat =
-            e.get("cat").and_then(JsonValue::as_str).ok_or(format!("event {i}: missing cat"))?;
-        e.get("ts").and_then(JsonValue::as_num).ok_or(format!("event {i}: missing ts"))?;
-        match e.get("ph").and_then(JsonValue::as_str) {
-            Some("X") => {
-                e.get("dur")
-                    .and_then(JsonValue::as_num)
-                    .ok_or(format!("event {i}: span missing dur"))?;
-                stats.spans += 1;
-            }
-            Some("C") => {
-                stats.counters += 1;
-                let label = format!("{cat}/{name}");
-                // The exporter writes the sample under the counter's
-                // own name inside `args`; tolerate its absence (other
-                // producers), recording presence only.
-                if let Some(v) = e.get("args").and_then(|a| a.get(name)).and_then(JsonValue::as_num)
-                {
-                    let v = v as i64;
-                    stats.counter_last.insert(label.clone(), v);
-                    if v != 0 {
-                        stats.counter_nonzero.insert(label.clone());
-                    }
-                }
-                stats.counter_names.insert(label);
-            }
-            Some(other) => return Err(format!("event {i}: unknown phase '{other}'")),
-            None => return Err(format!("event {i}: missing ph")),
-        }
-    }
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -909,45 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_trace_happy_path() {
-        let text = r#"{"traceEvents":[
-            {"name":"s","cat":"p","ph":"X","ts":1,"dur":5,"pid":1,"tid":1},
-            {"name":"c","cat":"g","ph":"C","ts":2,"args":{"c":3}}
-        ]}"#;
-        let stats = validate_trace(text).unwrap();
-        assert_eq!((stats.events, stats.spans, stats.counters), (2, 1, 1));
-        assert!(stats.has_counter("g/c"));
-        assert!(!stats.has_counter("g/missing"));
-        assert_eq!(stats.counter_value("g/c"), Some(3));
-        assert_eq!(stats.counter_value("g/missing"), None);
-    }
-
-    #[test]
-    fn counter_values_track_last_sample_and_nonzero_history() {
-        let text = r#"{"traceEvents":[
-            {"name":"retries","cat":"s","ph":"C","ts":1,"args":{"retries":2}},
-            {"name":"retries","cat":"s","ph":"C","ts":2,"args":{"retries":0}},
-            {"name":"quarantined","cat":"s","ph":"C","ts":3,"args":{"quarantined":0}}
-        ]}"#;
-        let stats = validate_trace(text).unwrap();
-        // Last sample wins for the value...
-        assert_eq!(stats.counter_value("s/retries"), Some(0));
-        // ...but nonzero history is remembered for --forbid.
-        assert!(stats.counter_nonzero.contains("s/retries"));
-        assert!(!stats.counter_nonzero.contains("s/quarantined"));
-    }
-
-    #[test]
-    fn unknown_top_level_keys_warn_but_pass() {
-        let text = r#"{"traceEvents":[],"frobs":1,"displayTimeUnit":"ms"}"#;
-        let stats = validate_trace(text).unwrap();
-        assert_eq!(stats.warnings.len(), 1, "{:?}", stats.warnings);
-        assert!(stats.warnings[0].contains("frobs"), "{:?}", stats.warnings);
-        let clean = validate_trace(r#"{"traceEvents":[]}"#).unwrap();
-        assert!(clean.warnings.is_empty());
-    }
-
-    #[test]
     fn error_byte_and_line_col_locate_failures() {
         let text = "{\"ok\": 1}\n{\"bad\": }";
         let err = parse(&text[10..]).unwrap_err();
@@ -957,15 +826,5 @@ mod tests {
         assert_eq!(line_col(text, 0), (1, 1));
         assert_eq!(line_col(text, 1_000_000), (2, 10), "clamped to end");
         assert_eq!(error_byte("no offset here"), None);
-    }
-
-    #[test]
-    fn validate_trace_rejects_structural_problems() {
-        assert!(validate_trace("[]").is_err(), "top level must be an object");
-        assert!(validate_trace(r#"{"traceEvents": 3}"#).is_err());
-        let no_ph = r#"{"traceEvents":[{"name":"s","cat":"p","ts":1}]}"#;
-        assert!(validate_trace(no_ph).is_err());
-        let span_no_dur = r#"{"traceEvents":[{"name":"s","cat":"p","ph":"X","ts":1}]}"#;
-        assert!(validate_trace(span_no_dur).is_err());
     }
 }

@@ -3,12 +3,18 @@
 //! A tiny, dependency-free tracing and metrics layer: stages record
 //! **spans** (a labelled interval with wall-clock duration) and
 //! **counters** (a labelled integer sample) into a shared, thread-safe
-//! sink, and the sink exports them as a Chrome `trace_event` JSON file
-//! ([`Obs::chrome_trace`]), a human-readable end-of-run summary table
-//! ([`Obs::summary`]) or a deterministic pinned log
-//! ([`Obs::pinned_log`]). The [`metrics`] module aggregates the log
-//! into fixed-layout log2 histograms with a snapshot API, and the
-//! [`recorder`] module appends those snapshots to a crash-safe
+//! sink. The log has one encoder, one decoder and one aggregation:
+//!
+//! * [`Obs::chrome_trace`] writes it as a Chrome `trace_event` JSON
+//!   file, and [`decode_chrome_trace`] reads such a file back into the
+//!   same [`Event`]s (`mcpart trace-check` and `mcpart stats` use it);
+//! * [`metrics::MetricsRegistry::from_events`] folds events into
+//!   fixed-layout log2 histograms by one rule, so `--metrics` on a live
+//!   run and `mcpart stats` on its trace print the same table;
+//! * [`Obs::pinned_log`] is the deterministic projection the
+//!   `--jobs` pins compare.
+//!
+//! The [`recorder`] module appends histogram snapshots to a crash-safe
 //! flight-recorder log (serve mode's `<spool>/telemetry/`).
 //!
 //! ## The determinism contract
@@ -42,8 +48,10 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 
+use json::{JsonValue, JsonWriter};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// What an [`Event`] measures.
@@ -76,6 +84,13 @@ pub struct Event {
     pub ts_us: u64,
     /// Span duration in microseconds (non-pinned; 0 for counters).
     pub dur_us: u64,
+}
+
+impl Event {
+    /// The `cat/name` label metrics and `trace-check` key events by.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.cat, self.name)
+    }
 }
 
 #[derive(Debug)]
@@ -150,12 +165,11 @@ impl EventBuf {
     }
 }
 
-/// Maps a category string (e.g. parsed back out of a checkpoint file)
+/// Maps a category string (parsed back out of a checkpoint or a trace)
 /// onto the `&'static str` that [`Event::cat`] requires. The known
-/// pipeline categories are returned without allocation; unknown ones
-/// are leaked once — categories are a small closed set in practice, so
-/// the leak is bounded and keeps `Event` allocation-free on the hot
-/// recording path.
+/// pipeline categories are returned without allocation; each distinct
+/// unknown one is leaked once into a process-wide table, so the leak is
+/// bounded by the number of distinct categories, not of events decoded.
 pub fn intern_cat(cat: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         "pipeline",
@@ -170,11 +184,21 @@ pub fn intern_cat(cat: &str) -> &'static str {
         "serve",
         "repartition",
         "bench",
+        "chaos",
     ];
+    static LEAKED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     if let Some(k) = KNOWN.iter().find(|&&k| k == cat) {
         return k;
     }
-    Box::leak(cat.to_string().into_boxed_str())
+    // The table only grows by whole entries, so a poisoned lock still
+    // guards a consistent set.
+    let mut leaked = LEAKED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(k) = leaked.get(cat) {
+        return k;
+    }
+    let k: &'static str = Box::leak(cat.into());
+    leaked.insert(k);
+    k
 }
 
 fn stamp(zero: Instant, started: Option<Instant>) -> (u64, u64) {
@@ -316,107 +340,102 @@ impl Obs {
     }
 
     /// Renders the log as a Chrome `trace_event` JSON document (load
-    /// it at `chrome://tracing` or in Perfetto). Spans become `"X"`
-    /// complete events, counters become `"C"` counter events.
+    /// it at `chrome://tracing` or in Perfetto), one event per line.
+    /// Spans become `"X"` complete events whose args lead with the
+    /// event's `seq`; counters become `"C"` counter events whose args
+    /// lead with the value, keyed by the counter's own name.
+    /// [`decode_chrome_trace`] reads it back.
     pub fn chrome_trace(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
         for (i, e) in self.events().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n{");
-            let _ = write!(
-                out,
-                "\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":1,\"ts\":{}",
-                json::escape(&e.name),
-                json::escape(e.cat),
-                e.ts_us
-            );
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            let mut w = JsonWriter::new();
+            w.open_obj()
+                .field("name", &e.name)
+                .field("cat", e.cat)
+                .field("pid", &1u32)
+                .field("tid", &1u32)
+                .field("ts", &e.ts_us);
             match e.kind {
                 EventKind::Span => {
-                    let _ = write!(out, ",\"ph\":\"X\",\"dur\":{}", e.dur_us);
-                    out.push_str(",\"args\":{");
-                    let _ = write!(out, "\"seq\":{}", e.seq);
-                    for (k, v) in &e.args {
-                        let _ = write!(out, ",\"{}\":{}", json::escape(k), v);
-                    }
-                    out.push('}');
+                    w.field("ph", "X").field("dur", &e.dur_us);
+                    w.key("args").open_obj().field("seq", &e.seq)
                 }
                 EventKind::Counter(v) => {
-                    let _ =
-                        write!(out, ",\"ph\":\"C\",\"args\":{{\"{}\":{}", json::escape(&e.name), v);
-                    for (k, a) in &e.args {
-                        let _ = write!(out, ",\"{}\":{}", json::escape(k), a);
-                    }
-                    out.push('}');
+                    w.field("ph", "C").key("args").open_obj().field(&e.name, &v)
                 }
+            };
+            for (k, v) in &e.args {
+                w.field(k, v);
             }
-            out.push('}');
+            w.close_obj().close_obj();
+            out.push_str(&w.finish());
         }
         out.push_str("\n]}\n");
         out
     }
+}
 
-    /// A human-readable end-of-run summary: spans aggregated by
-    /// `cat/name` (count + total milliseconds, in first-seen order),
-    /// then counters (count + last + sum).
-    pub fn summary(&self) -> String {
-        struct SpanAgg {
-            label: String,
-            count: u64,
-            total_us: u64,
-        }
-        struct CtrAgg {
-            label: String,
-            count: u64,
-            last: i64,
-            sum: i64,
-        }
-        let mut spans: Vec<SpanAgg> = Vec::new();
-        let mut ctrs: Vec<CtrAgg> = Vec::new();
-        for e in self.events() {
-            let label = format!("{}/{}", e.cat, e.name);
-            match e.kind {
-                EventKind::Span => match spans.iter_mut().find(|s| s.label == label) {
-                    Some(s) => {
-                        s.count += 1;
-                        s.total_us += e.dur_us;
-                    }
-                    None => spans.push(SpanAgg { label, count: 1, total_us: e.dur_us }),
-                },
-                EventKind::Counter(v) => match ctrs.iter_mut().find(|c| c.label == label) {
-                    Some(c) => {
-                        c.count += 1;
-                        c.last = v;
-                        c.sum += v;
-                    }
-                    None => ctrs.push(CtrAgg { label, count: 1, last: v, sum: v }),
-                },
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "== observability summary ==");
-        if !spans.is_empty() {
-            let _ = writeln!(out, "{:<34} {:>6} {:>12}", "span", "count", "total ms");
-            for s in &spans {
-                let _ = writeln!(
-                    out,
-                    "{:<34} {:>6} {:>12.3}",
-                    s.label,
-                    s.count,
-                    s.total_us as f64 / 1000.0
-                );
-            }
-        }
-        if !ctrs.is_empty() {
-            let _ = writeln!(out, "{:<34} {:>6} {:>12} {:>12}", "counter", "count", "last", "sum");
-            for c in &ctrs {
-                let _ =
-                    writeln!(out, "{:<34} {:>6} {:>12} {:>12}", c.label, c.count, c.last, c.sum);
-            }
-        }
-        out
+/// A Chrome trace read back by [`decode_chrome_trace`].
+#[derive(Clone, Debug, Default)]
+pub struct DecodedTrace {
+    /// The events in `traceEvents` order; each one's `seq` is its
+    /// position there.
+    pub events: Vec<Event>,
+    /// Unknown top-level keys: the trace is usable, but a tool should
+    /// surface these (typos, version skew).
+    pub warnings: Vec<String>,
+}
+
+/// The top-level keys of the Chrome trace format.
+const TRACE_KEYS: &[&str] =
+    &["traceEvents", "displayTimeUnit", "otherData", "metadata", "systemTraceEvents"];
+
+/// Decodes a Chrome `trace_event` document into [`Event`]s: the one
+/// reader of what [`Obs::chrome_trace`] writes, so a decoded log
+/// aggregates exactly like the live one. Every event needs `name`,
+/// `cat`, `ph` (`"X"` or `"C"`) and a non-negative integer `ts`; a span
+/// needs a non-negative integer `dur`, a counter its value under its
+/// own name in `args`, and every arg must be an integer. A span's `seq`
+/// arg is the exporter's position, not a metric, and is dropped.
+pub fn decode_chrome_trace(text: &str) -> Result<DecodedTrace, String> {
+    let doc = json::parse(text)?;
+    let warnings = doc
+        .to_obj()?
+        .iter()
+        .filter(|(key, _)| !TRACE_KEYS.contains(&key.as_str()))
+        .map(|(key, _)| format!("unknown top-level key '{key}'"))
+        .collect();
+    let mut events = doc.req("traceEvents", |v| v.items(decode_event))?;
+    for (seq, e) in events.iter_mut().enumerate() {
+        e.seq = seq as u64;
     }
+    Ok(DecodedTrace { events, warnings })
+}
+
+fn decode_event(v: &JsonValue) -> Result<Event, String> {
+    let name = v.req("name", JsonValue::to_str)?;
+    let cat = intern_cat(v.req("cat", JsonValue::to_str)?);
+    let ts_us = v.req("ts", JsonValue::to_u64)?;
+    let read_arg = |(k, n): &(String, JsonValue)| match n.to_i64() {
+        Ok(n) => Ok((k.clone(), n)),
+        Err(e) => Err(format!("`{k}`: {e}")),
+    };
+    let args = v.opt("args", |a| a.to_obj()?.iter().map(read_arg).collect());
+    let mut args: Vec<(String, i64)> = args?.unwrap_or_default();
+    let mut take = |key: &str| args.iter().position(|(k, _)| k == key).map(|i| args.remove(i).1);
+    let (kind, dur_us) = match v.req("ph", JsonValue::to_str)? {
+        "X" => {
+            take("seq");
+            (EventKind::Span, v.req("dur", JsonValue::to_u64)?)
+        }
+        "C" => match take(name) {
+            Some(value) => (EventKind::Counter(value), 0),
+            None => return Err(format!("counter `{name}` carries no value in `args`")),
+        },
+        other => return Err(format!("unknown phase '{other}'")),
+    };
+    Ok(Event { seq: 0, cat, name: name.to_string(), kind, args, ts_us, dur_us })
 }
 
 #[cfg(test)]
@@ -495,11 +514,16 @@ mod tests {
         let obs = Obs::enabled();
         obs.span_args("pipeline", "analysis", Instant::now(), &[("ops", 10)]);
         obs.counter("gdp", "cut", 42);
-        let trace = obs.chrome_trace();
-        let stats = json::validate_trace(&trace).expect("trace parses");
-        assert_eq!(stats.spans, 1);
-        assert_eq!(stats.counters, 1);
-        assert!(stats.has_counter("gdp/cut"), "{:?}", stats.counter_names);
+        let trace = decode_chrome_trace(&obs.chrome_trace()).expect("trace parses");
+        let kinds: Vec<_> = trace.events.iter().map(|e| (e.label(), e.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                ("pipeline/analysis".to_string(), EventKind::Span),
+                ("gdp/cut".to_string(), EventKind::Counter(42))
+            ]
+        );
+        assert!(trace.warnings.is_empty());
     }
 
     /// A log with fixed timestamps: a span with args, a counter with
@@ -545,23 +569,101 @@ mod tests {
     fn chrome_trace_escapes_names() {
         let obs = Obs::enabled();
         obs.counter("c", "we\"ird\\name", 1);
-        let trace = obs.chrome_trace();
-        json::validate_trace(&trace).expect("escaped trace parses");
+        let trace = decode_chrome_trace(&obs.chrome_trace()).expect("escaped trace parses");
+        assert_eq!(trace.events[0].name, "we\"ird\\name");
+        assert_eq!(trace.events[0].kind, EventKind::Counter(1));
+    }
+
+    /// The decoder inverts the encoder: the decoded log has the live
+    /// log's pinned projection and aggregates to the same registry,
+    /// wall histograms included (durations are integer microseconds).
+    #[test]
+    fn chrome_trace_roundtrips_through_the_decoder() {
+        let live = Obs::enabled();
+        live.span_args("pipeline", "sim", Instant::now(), &[("cycles", 123), ("seq", 9)]);
+        live.counter_args("serve", "cache_hits", 3, &[("batch", 2)]);
+        for obs in [fixed_log(), live] {
+            let decoded = decode_chrome_trace(&obs.chrome_trace()).expect("trace parses").events;
+            let seqs: Vec<u64> = decoded.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, (0..obs.events().len() as u64).collect::<Vec<_>>());
+            let replayed = Obs::enabled();
+            for e in &decoded {
+                replayed.replay(e.cat, &e.name, e.kind, e.args.clone());
+            }
+            assert_eq!(replayed.pinned_log(), obs.pinned_log());
+            assert_eq!(
+                metrics::MetricsRegistry::from_events(&decoded).to_json(),
+                metrics::MetricsRegistry::from_events(&obs.events()).to_json()
+            );
+        }
     }
 
     #[test]
-    fn summary_aggregates_by_label() {
-        let obs = Obs::enabled();
-        obs.span_since("p", "stage", Instant::now());
-        obs.span_since("p", "stage", Instant::now());
-        obs.counter("c", "v", 2);
-        obs.counter("c", "v", 3);
-        let s = obs.summary();
-        assert!(s.contains("p/stage"), "{s}");
-        assert!(s.contains("c/v"), "{s}");
-        // count column for the repeated span and counter
-        assert!(s.lines().any(|l| l.contains("p/stage") && l.contains(" 2 ")), "{s}");
-        assert!(s.lines().any(|l| l.contains("c/v") && l.contains(" 5")), "{s}");
+    fn decoder_reads_spans_and_counters() {
+        let text = r#"{"traceEvents":[
+            {"name":"s","cat":"p","ph":"X","ts":1,"dur":5,"pid":1,"tid":1},
+            {"name":"c","cat":"g","ph":"C","ts":2,"args":{"c":3,"k":-4}}
+        ]}"#;
+        let trace = decode_chrome_trace(text).unwrap();
+        let [span, counter] = &trace.events[..] else { panic!("{:?}", trace.events) };
+        assert_eq!(
+            (span.label(), span.kind, span.ts_us, span.dur_us),
+            ("p/s".into(), EventKind::Span, 1, 5)
+        );
+        assert!(span.args.is_empty());
+        assert_eq!(
+            (counter.seq, counter.label(), counter.kind),
+            (1, "g/c".into(), EventKind::Counter(3))
+        );
+        assert_eq!(counter.args, [("k".to_string(), -4)]);
+    }
+
+    #[test]
+    fn decoder_keeps_every_counter_sample_in_order() {
+        let text = r#"{"traceEvents":[
+            {"name":"retries","cat":"s","ph":"C","ts":1,"args":{"retries":2}},
+            {"name":"retries","cat":"s","ph":"C","ts":2,"args":{"retries":0}},
+            {"name":"quarantined","cat":"s","ph":"C","ts":3,"args":{"quarantined":0}}
+        ]}"#;
+        let events = decode_chrome_trace(text).unwrap().events;
+        let samples = |label: &str| -> Vec<EventKind> {
+            events.iter().filter(|e| e.label() == label).map(|e| e.kind).collect()
+        };
+        // The last sample is the value; the earlier nonzero one is the
+        // history `trace-check --forbid` sees.
+        assert_eq!(samples("s/retries"), [EventKind::Counter(2), EventKind::Counter(0)]);
+        assert_eq!(samples("s/quarantined"), [EventKind::Counter(0)]);
+    }
+
+    #[test]
+    fn unknown_top_level_keys_warn_but_pass() {
+        let text = r#"{"traceEvents":[],"frobs":1,"displayTimeUnit":"ms"}"#;
+        let trace = decode_chrome_trace(text).unwrap();
+        assert_eq!(trace.warnings.len(), 1, "{:?}", trace.warnings);
+        assert!(trace.warnings[0].contains("frobs"), "{:?}", trace.warnings);
+        let clean = decode_chrome_trace(r#"{"traceEvents":[]}"#).unwrap();
+        assert!(clean.warnings.is_empty());
+    }
+
+    #[test]
+    fn decoder_rejects_structural_problems() {
+        let event =
+            |fields: &str| format!(r#"{{"traceEvents":[{{"name":"s","cat":"p",{fields}}}]}}"#);
+        for (bad, why) in [
+            ("[]".to_string(), "expected an object"),
+            (r#"{"traceEvents": 3}"#.to_string(), "`traceEvents`: expected an array"),
+            (r#"{"traceEvents":[{"ph":"X"}]}"#.to_string(), "missing `name`"),
+            (event(r#""ts":1"#), "missing `ph`"),
+            (event(r#""ph":"X","ts":1"#), "missing `dur`"),
+            (event(r#""ph":"B","ts":1"#), "unknown phase 'B'"),
+            (event(r#""ph":"X","ts":-1,"dur":1"#), "`ts`: expected a non-negative integer"),
+            (event(r#""ph":"X","ts":1,"dur":0.5"#), "`dur`: expected a non-negative integer"),
+            (event(r#""ph":"C","ts":1,"args":{"v":1}"#), "counter `s` carries no value"),
+            (event(r#""ph":"C","ts":1,"args":{"s":"x"}"#), "`args`: `s`: expected an integer"),
+        ] {
+            let err = decode_chrome_trace(&bad).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -582,8 +684,11 @@ mod tests {
     fn intern_cat_is_stable() {
         assert_eq!(intern_cat("rhop"), "rhop");
         assert_eq!(intern_cat("supervise"), "supervise");
+        assert_eq!(intern_cat("chaos"), "chaos");
         let leaked = intern_cat("custom-cat");
         assert_eq!(leaked, "custom-cat");
+        // An unknown category is leaked once, not once per call.
+        assert!(std::ptr::eq(intern_cat("x-new"), intern_cat("x-new")));
     }
 
     #[test]

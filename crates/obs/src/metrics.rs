@@ -17,8 +17,12 @@
 //! * **wall** — wall-clock durations in microseconds (span `dur_us`,
 //!   serve batch latency). Honest measurements, explicitly excluded
 //!   from the pinned payload.
+//!
+//! [`MetricsRegistry::observe_event`] is the one rule that maps events
+//! to histograms, whether the events were recorded live, decoded from
+//! a trace file, or replayed from checkpoint records by serve.
 
-use crate::json::{self, JsonValue, JsonWriter};
+use crate::json::{JsonValue, JsonWriter};
 use crate::{Event, EventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -236,90 +240,44 @@ impl MetricsRegistry {
         entry.1.observe(value);
     }
 
-    /// Ingests one event: a counter feeds a pinned `cat/name`
-    /// histogram, a span feeds a wall `cat/name` histogram from its
-    /// duration plus one pinned `cat/name.arg` histogram per pinned
-    /// integer argument (how per-function estimator effort and METIS
-    /// fuel become distributions).
+    /// Ingests one event, by the one rule every event log is folded
+    /// with (live runs, decoded traces, serve telemetry): a span feeds
+    /// the wall `cat/name` histogram from its duration; then
+    /// [`MetricsRegistry::observe_pinned`] takes the pinned fields.
     pub fn observe_event(&mut self, event: &Event) {
-        let label = format!("{}/{}", event.cat, event.name);
-        match event.kind {
-            EventKind::Counter(v) => self.observe(&label, v),
+        let label = event.label();
+        let value = match event.kind {
             EventKind::Span => {
                 self.observe_wall(&label, event.dur_us);
-                for (k, v) in &event.args {
-                    self.observe(&format!("{label}.{k}"), *v);
-                }
+                None
             }
+            EventKind::Counter(v) => Some(v),
+        };
+        self.observe_pinned(&label, value, &event.args);
+    }
+
+    /// The pinned half of [`MetricsRegistry::observe_event`]: a
+    /// counter's value feeds `label`, and each arg feeds `label.arg`
+    /// (how per-function estimator effort and METIS fuel become
+    /// distributions). Serve telemetry calls it directly for checkpoint
+    /// records, which carry no durations.
+    pub fn observe_pinned(&mut self, label: &str, counter: Option<i64>, args: &[(String, i64)]) {
+        if let Some(v) = counter {
+            self.observe(label, v);
+        }
+        for (k, v) in args {
+            self.observe(&format!("{label}.{k}"), *v);
         }
     }
 
-    /// Builds a registry from an event log.
+    /// Builds a registry from an event log (a live
+    /// [`crate::Obs::events`] or a [`crate::decode_chrome_trace`]).
     pub fn from_events(events: &[Event]) -> Self {
         let mut reg = MetricsRegistry::new();
         for e in events {
             reg.observe_event(e);
         }
         reg
-    }
-
-    /// Builds a registry from an exported Chrome trace document:
-    /// `"X"` spans feed wall histograms (duration) plus pinned arg
-    /// histograms (the synthetic `seq` arg is skipped); `"C"` counters
-    /// feed pinned histograms from the value keyed under the counter's
-    /// own name, with extra args as pinned `label.arg` histograms.
-    pub fn from_trace(text: &str) -> Result<MetricsRegistry, String> {
-        let doc = json::parse(text)?;
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing 'traceEvents' array")?;
-        let mut reg = MetricsRegistry::new();
-        for (i, e) in events.iter().enumerate() {
-            let name = e
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or(format!("event {i}: missing name"))?;
-            let cat = e
-                .get("cat")
-                .and_then(JsonValue::as_str)
-                .ok_or(format!("event {i}: missing cat"))?;
-            let label = format!("{cat}/{name}");
-            let args: &[(String, JsonValue)] = match e.get("args") {
-                Some(JsonValue::Obj(fields)) => fields,
-                _ => &[],
-            };
-            match e.get("ph").and_then(JsonValue::as_str) {
-                Some("X") => {
-                    let dur = e
-                        .get("dur")
-                        .and_then(JsonValue::as_num)
-                        .ok_or(format!("event {i}: span missing dur"))?;
-                    reg.observe_wall(&label, dur.max(0.0) as u64);
-                    for (k, v) in args {
-                        if k == "seq" {
-                            continue;
-                        }
-                        if let Some(n) = v.as_num() {
-                            reg.observe(&format!("{label}.{k}"), n as i64);
-                        }
-                    }
-                }
-                Some("C") => {
-                    for (k, v) in args {
-                        let Some(n) = v.as_num() else { continue };
-                        if k == name {
-                            reg.observe(&label, n as i64);
-                        } else {
-                            reg.observe(&format!("{label}.{k}"), n as i64);
-                        }
-                    }
-                }
-                Some(other) => return Err(format!("event {i}: unknown phase '{other}'")),
-                None => return Err(format!("event {i}: missing ph")),
-            }
-        }
-        Ok(reg)
     }
 
     /// Whether the registry holds no histograms.
@@ -391,7 +349,7 @@ impl MetricsRegistry {
 
     /// Renders the percentile tables: wall-clock latencies first (in
     /// microseconds), then pinned work distributions. Columns are
-    /// count, min, p50, p90, p99, max.
+    /// count, sum, min, p50, p90, p99, max.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         for (title, class) in [
@@ -405,15 +363,16 @@ impl MetricsRegistry {
             let _ = writeln!(out, "== {title} ==");
             let _ = writeln!(
                 out,
-                "{:<38} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                "label", "count", "min", "p50", "p90", "p99", "max"
+                "{:<38} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+                "label", "count", "sum", "min", "p50", "p90", "p99", "max"
             );
             for (label, _, h) in rows {
                 let _ = writeln!(
                     out,
-                    "{:<38} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12}",
+                    "{:<38} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
                     label,
                     h.count(),
+                    h.sum(),
                     h.min(),
                     h.percentile(50),
                     h.percentile(90),
@@ -429,6 +388,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn bucket_layout_is_log2() {
@@ -551,9 +511,12 @@ mod tests {
         let obs = crate::Obs::enabled();
         obs.counter("gdp", "cut", 10);
         obs.counter("gdp", "cut", 30);
+        obs.counter_args("gdp", "cluster_bytes", 900, &[("cluster", 1)]);
         obs.span_args("rhop", "function", Instant::now(), &[("estimator_calls", 77)]);
         let reg = MetricsRegistry::from_events(&obs.events());
         assert_eq!(reg.get("gdp/cut").map(Histogram::count), Some(2));
+        // A counter's args are pinned distributions too.
+        assert_eq!(reg.get("gdp/cluster_bytes.cluster").map(Histogram::sum), Some(1));
         assert_eq!(reg.get("rhop/function.estimator_calls").map(Histogram::sum), Some(77));
         assert_eq!(reg.get("rhop/function").map(Histogram::count), Some(1));
         // The pinned payload must not depend on the span's duration.
@@ -566,17 +529,30 @@ mod tests {
     }
 
     #[test]
-    fn registry_ingests_chrome_traces() {
+    fn registry_ingests_decoded_traces() {
         let obs = crate::Obs::enabled();
         obs.counter_args("serve", "cache_hits", 3, &[("batch", 2)]);
         obs.span_args("pipeline", "sim", std::time::Instant::now(), &[("cycles", 123)]);
-        let reg = MetricsRegistry::from_trace(&obs.chrome_trace()).expect("trace parses");
+        let decoded = crate::decode_chrome_trace(&obs.chrome_trace()).expect("trace parses");
+        let reg = MetricsRegistry::from_events(&decoded.events);
         assert_eq!(reg.get("serve/cache_hits").map(Histogram::sum), Some(3));
         assert_eq!(reg.get("serve/cache_hits.batch").map(Histogram::sum), Some(2));
         assert_eq!(reg.get("pipeline/sim.cycles").map(Histogram::sum), Some(123));
         // The synthetic per-span "seq" arg is not a metric.
         assert!(reg.get("pipeline/sim.seq").is_none());
-        assert!(MetricsRegistry::from_trace("{}").is_err());
+        // The live log folds by the same rule.
+        assert_eq!(reg, MetricsRegistry::from_events(&obs.events()));
+    }
+
+    #[test]
+    fn table_keeps_totals_in_the_sum_column() {
+        let mut reg = MetricsRegistry::new();
+        reg.observe("c/v", 2);
+        reg.observe("c/v", 3);
+        let table = reg.render_table();
+        let rows: Vec<Vec<&str>> = table.lines().map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(rows[1], ["label", "count", "sum", "min", "p50", "p90", "p99", "max"]);
+        assert_eq!(rows[2], ["c/v", "2", "5", "2", "3", "3", "3", "3"]);
     }
 
     #[test]

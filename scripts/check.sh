@@ -39,7 +39,8 @@ if [ -e /tmp/BENCH_partition.typo.json ]; then
 fi
 
 echo "== trace export smoke (--trace-out + trace-check + stats)"
-target/release/mcpart run rawcaudio --trace-out /tmp/mcpart_trace.json --metrics >/dev/null
+target/release/mcpart run rawcaudio --trace-out /tmp/mcpart_trace.json --metrics \
+  > /tmp/mcpart_trace_run.txt
 target/release/mcpart trace-check /tmp/mcpart_trace.json \
   --require gdp/cut,rhop/estimator_calls,sim/cycles,sim/stall_cycles,sim/transfer_cycles,supervise/retries,supervise/quarantined
 # A clean run: supervision counters end at zero and never fired.
@@ -52,6 +53,15 @@ for col in p50 p90 p99 "gdp/cut" "rhop/estimator_calls"; do
   [[ "$STATS_OUT" == *"$col"* ]] \
     || { echo "stats output missing $col:"; echo "$STATS_OUT"; exit 1; }
 done
+# One aggregation: the table --metrics printed from the live events is
+# byte-identical to the one stats prints from the trace file.
+sed -n '/^== observability summary ==$/,$p' /tmp/mcpart_trace_run.txt | tail -n +2 \
+  > /tmp/mcpart_trace_live_table.txt
+target/release/mcpart stats /tmp/mcpart_trace.json > /tmp/mcpart_trace_disk_table.txt
+test -s /tmp/mcpart_trace_live_table.txt \
+  || { echo "--metrics printed no table"; cat /tmp/mcpart_trace_run.txt; exit 1; }
+cmp /tmp/mcpart_trace_live_table.txt /tmp/mcpart_trace_disk_table.txt \
+  || { echo "--metrics table differs from stats on the trace file"; exit 1; }
 
 echo "== bench-diff gate (self-diff clean, perturbed copy regresses)"
 target/release/mcpart bench-diff /tmp/BENCH_partition.quick.json /tmp/BENCH_partition.quick.json

@@ -13,7 +13,7 @@
 //! | [`machine`] | `mcpart-machine` | clustered-VLIW machine model |
 //! | [`sched`] | `mcpart-sched` | list scheduler, move insertion, RHOP estimator, cycle accounting |
 //! | [`sim`] | `mcpart-sim` | functional interpreter, profiling, semantic validation |
-//! | [`obs`] | `mcpart-obs` | observability: spans, counters, Chrome trace export, summary tables |
+//! | [`obs`] | `mcpart-obs` | observability: spans, counters, Chrome trace export/decoding, metrics tables |
 //! | [`rng`] | `mcpart-rng` | small deterministic PRNG used by the partitioners and tests |
 //! | [`core`] | `mcpart-core` | GDP, RHOP, baselines, pipeline, exhaustive search |
 //! | [`workloads`] | `mcpart-workloads` | synthetic Mediabench / DSP benchmark generators |

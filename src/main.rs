@@ -24,7 +24,8 @@ use mcpart::core::{
 };
 use mcpart::ir::{parse_program, program_to_string, Profile, Program};
 use mcpart::machine::Machine;
-use mcpart::obs::Obs;
+use mcpart::obs::metrics::MetricsRegistry;
+use mcpart::obs::{EventKind, Obs};
 use mcpart::par::fault::FaultPlan;
 use mcpart::par::supervise::QuarantinedUnit;
 use mcpart::sim::{profile_run, ExecConfig};
@@ -64,18 +65,19 @@ and chaos share --jobs/--trace-out/--metrics/--fault, run and serve also
          --jobs <n>      (worker threads for partitioning; 0 = all
                           cores, the default; never changes results)
          --trace-out <path>  (write a Chrome trace_event JSON of the run)
-         --metrics           (print the observability summary table)
+         --metrics           (print the metrics table, the one `stats`
+                              prints for the --trace-out file)
          --retries <n>       (panic retry budget per work unit; default 2)
          --checkpoint <path> (append one JSON record per finished unit;
-                              not schedule)
+                              not schedule, not with --fault panic:)
          --resume            (with --checkpoint: skip recorded units and
                               replay their results; crash-safe)
          --unit-timeout <ms> (wall-clock ceiling per partition attempt)
          --allow-quarantine  (exit 0 even when units were quarantined)
          --fault <plan>      (testing: panic:<func>[xN] panics in `func`'s
-                              first N attempts, default all; halt:<n> (with
-                              --checkpoint) commits n units, then dies
-                              mid-write)
+                              first N attempts, default all (not with
+                              --checkpoint); halt:<n> (with --checkpoint)
+                              commits n units, then dies mid-write)
 repartition <target> --baseline <checkpoint> [run options]
          incremental re-partition against a prior GDP run's manifest:
          functions whose content, accessed data groups, and merge
@@ -109,12 +111,15 @@ chaos <scenarios> [--seed n] [--shrink|--no-shrink] [--corpus dir]
          --replay re-runs one repro file exactly; --sweep replaces the
          built-in machine matrix (malformed files exit 2 with line/column)
 stats <telemetry-dir|trace.json> [--pinned]  per-stage latency and
-         work-distribution percentile tables (p50/p90/p99) from a serve
-         telemetry directory or a Chrome trace file; --pinned prints
-         only the deterministic work histograms as JSON
+         work-distribution tables (count/sum/min/p50/p90/p99/max) from a
+         serve telemetry directory or a Chrome trace file (for a trace,
+         the table --metrics printed live); --pinned prints only the
+         deterministic work histograms as JSON
 trace-check <path> [--require cat/name[=v],...] [--forbid cat/name,...]
-         validates a trace file; --require checks a counter exists
-         (and equals v, if given), --forbid fails on any nonzero
+         decodes a trace file (each event needs name, cat, ph X or C
+         and an integer ts; a span an integer dur, a counter its
+         value); --require checks a counter exists (and its last
+         sample equals v, if given), --forbid fails on any nonzero
          sample (e.g. --forbid supervise/quarantined for clean runs)
 bench-diff <old.json> <new.json> [--threshold pct] [--time-threshold pct]
          regression gate over two BENCH_partition.json artifacts;
@@ -216,15 +221,17 @@ impl Common {
         }
     }
 
-    /// Writes the Chrome trace and/or prints the summary table, as
-    /// requested by `--trace-out` / `--metrics`.
+    /// Writes the Chrome trace and/or prints the metrics table, as
+    /// requested by `--trace-out` / `--metrics`. The table is the one
+    /// `mcpart stats` prints for the trace file.
     fn emit(&self, obs: &Obs) -> Result<(), CliError> {
         if let Some(path) = &self.trace_out {
             std::fs::write(path, obs.chrome_trace())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
         if self.metrics {
-            outln!("{}", obs.summary());
+            outln!("== observability summary ==");
+            outln!("{}", MetricsRegistry::from_events(&obs.events()).render_table());
         }
         Ok(())
     }
@@ -292,6 +299,11 @@ fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options
         if set && o.checkpoint.is_none() {
             return Err(ArgError(format!("{what} requires --checkpoint <path>")));
         }
+    }
+    // The checkpoint header does not record the fault plan, so records
+    // computed under an injected panic would replay as clean ones.
+    if o.checkpoint.is_some() && o.common.faults.entries.iter().any(|e| e.kind() == "panic") {
+        return Err(ArgError("--checkpoint cannot record a run under --fault panic:...".into()));
     }
     Ok(o)
 }
@@ -937,38 +949,43 @@ fn main() -> ExitCode {
             }
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let stats = mcpart::obs::json::validate_trace(&text)
+            let trace = mcpart::obs::decode_chrome_trace(&text)
                 .map_err(|e| format!("{path}: invalid trace: {e}"))?;
-            for w in &stats.warnings {
+            for w in &trace.warnings {
                 eprintln!("warning: {path}: {w}");
             }
-            if stats.events == 0 {
+            if trace.events.is_empty() {
                 return Err(CliError::Runtime(format!("{path}: trace has no events")));
             }
+            let samples = |label: &str| -> Vec<i64> {
+                let counters = trace.events.iter().filter_map(|e| match e.kind {
+                    EventKind::Counter(v) if e.label() == label => Some(v),
+                    _ => None,
+                });
+                counters.collect()
+            };
             for (label, want) in &require {
-                if !stats.has_counter(label) {
+                let Some(&got) = samples(label).last() else {
                     let missing = format!("{path}: missing required counter `{label}`");
                     return Err(CliError::Runtime(missing));
-                }
-                let got = stats.counter_value(label);
-                if let Some(want) = want.filter(|w| got != Some(*w)) {
-                    let got = got.map_or("not numeric".to_string(), |g| g.to_string());
+                };
+                if let Some(want) = want.filter(|&w| w != got) {
                     let wrong = format!("{path}: counter `{label}` is {got}, expected {want}");
                     return Err(CliError::Runtime(wrong));
                 }
             }
             for label in &forbid {
-                if stats.counter_nonzero.contains(label) {
+                if samples(label).iter().any(|&v| v != 0) {
                     return Err(CliError::Runtime(format!(
                         "{path}: forbidden counter `{label}` recorded a nonzero sample"
                     )));
                 }
             }
+            let spans = trace.events.iter().filter(|e| e.kind == EventKind::Span).count();
             outln!(
-                "{path}: ok ({} events: {} spans, {} counter samples)",
-                stats.events,
-                stats.spans,
-                stats.counters
+                "{path}: ok ({} events: {spans} spans, {} counter samples)",
+                trace.events.len(),
+                trace.events.len() - spans
             );
             Ok(())
         })(),
@@ -1019,8 +1036,9 @@ fn main() -> ExitCode {
             } else {
                 let text = std::fs::read_to_string(target)
                     .map_err(|e| format!("cannot read {target}: {e}"))?;
-                mcpart::obs::metrics::MetricsRegistry::from_trace(&text)
-                    .map_err(|e| CliError::Runtime(format!("{target}: {e}")))?
+                let trace = mcpart::obs::decode_chrome_trace(&text)
+                    .map_err(|e| CliError::Runtime(format!("{target}: {e}")))?;
+                MetricsRegistry::from_events(&trace.events)
             };
             if pinned_only {
                 outln!("{}", registry.pinned_json());

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `mcpart` command-line binary.
 
+use mcpart::obs::{Event, EventKind};
 use std::process::Command;
 
 fn mcpart(args: &[&str]) -> (String, String, bool) {
@@ -86,10 +87,11 @@ fn trace_out_writes_a_valid_chrome_trace() {
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("observability summary"), "{stdout}");
     let text = std::fs::read_to_string(&path).expect("trace file written");
-    let stats = mcpart::obs::json::validate_trace(&text).expect("trace parses");
-    assert!(stats.spans > 0, "trace has no spans");
+    let events = mcpart::obs::decode_chrome_trace(&text).expect("trace parses").events;
+    assert!(events.iter().any(|e| e.kind == EventKind::Span), "trace has no spans");
     for label in ["gdp/cut", "rhop/estimator_calls", "sim/cycles"] {
-        assert!(stats.has_counter(label), "trace missing counter {label}");
+        let counter = |e: &Event| e.label() == label && matches!(e.kind, EventKind::Counter(_));
+        assert!(events.iter().any(counter), "trace missing counter {label}");
     }
 
     // The bundled validator agrees, and enforces required counters.
@@ -497,7 +499,8 @@ fn flag_surface_of_every_subcommand() {
         ("run fir --fault panic:main", Runtime),
         ("run fir --fault panic:#0", Runtime),
         ("run fir --checkpoint {dir}/ck --fault halt:3", Ok),
-        ("run fir --checkpoint {dir}/ck --fault panic:mainx1+halt:1", Ok),
+        // A checkpoint cannot record a run under an injected panic.
+        ("run fir --checkpoint {dir}/ck --fault panic:mainx1+halt:1", Usage),
         ("run fir --latency", Usage),
         ("run fir --clusters", Usage),
         ("run fir --method", Usage),
@@ -725,5 +728,9 @@ fn flag_surface_of_every_subcommand() {
     });
     let failures = failures.into_inner().unwrap();
     assert!(failures.is_empty(), "{} row(s) changed:\n{}", failures.len(), failures.join("\n"));
+    // The refusal comes before any file is created.
+    let refused = rows.iter().position(|(line, _)| line.contains("--fault panic:mainx1+halt:1"));
+    let ck = root.join(format!("row{}", refused.expect("row present"))).join("ck");
+    assert!(!ck.exists(), "refused run wrote {}", ck.display());
     std::fs::remove_dir_all(&root).ok();
 }

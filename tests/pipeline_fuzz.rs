@@ -9,6 +9,7 @@
 use mcpart::core::{run_pipeline, Method, PipelineConfig};
 use mcpart::ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, MemWidth, Program, VReg};
 use mcpart::machine::Machine;
+use mcpart::par::supervise::AbortHandle;
 use mcpart::rng::prelude::*;
 use mcpart::sim::{profile_run, ExecConfig};
 use mcpart::workloads::counted_loop;
@@ -253,7 +254,8 @@ fn pipeline_never_panics_on_random_programs() {
         let mut rng = SmallRng::seed_from_u64(0xdead ^ seed);
         let program = realize(&gen_program(&mut rng));
         let profile = profile_run(&program, &[], ExecConfig::default()).expect("executes");
-        // Hostile configurations: starved budgets, zero timeouts.
+        // Hostile configurations: starved budgets, an abort that has
+        // already fired (what the unit-timeout watchdog does).
         let configs: Vec<PipelineConfig> = Method::ALL
             .iter()
             .flat_map(|&m| {
@@ -261,7 +263,8 @@ fn pipeline_never_panics_on_random_programs() {
                 starved.gdp.fuel = Some(rng.gen_range(0..3u64));
                 starved.rhop.max_estimator_calls = Some(rng.gen_range(0..5u64));
                 let mut timed = PipelineConfig::new(m);
-                timed.stage_budget = Some(std::time::Duration::ZERO);
+                timed.rhop.abort = AbortHandle::armed();
+                timed.rhop.abort.abort();
                 vec![PipelineConfig::new(m), starved, timed]
             })
             .collect();
