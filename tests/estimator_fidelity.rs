@@ -188,3 +188,88 @@ fn estimator_values_match_the_golden_digest() {
     }
     assert_eq!((values, infeasible, digest), (8748, 984, 0x7a92_6c1e_71f1_95ef));
 }
+
+/// Golden digest of RHOP's work and output: for every `(program,
+/// method)` pair of the 22 paper programs and of a 3,000-op synthetic
+/// program on the paper machine, the `RhopStats` work counters and the
+/// cluster of every operation RHOP placed. The estimator answers
+/// RHOP's probes; a probe speed-up that changed one answer, one pruning
+/// decision or one accepted move changes the digest.
+#[test]
+fn rhop_work_and_placements_match_the_golden_digest() {
+    use mcpart::core::{
+        gdp_partition, naive_partition, profile_max_partition, rhop_partition, unified_partition,
+        Method, ObjectGroups, PipelineConfig,
+    };
+    let machine = Machine::paper_2cluster(5);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |v: u64| {
+        for b in v.to_le_bytes() {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut workloads = mcpart::workloads::all();
+    workloads.push(mcpart::workloads::synth("ops=3000,seed=3").expect("valid synth spec"));
+    let (mut runs, mut ops, mut estimator_calls) = (0usize, 0usize, 0u64);
+    for w in &workloads {
+        let program = w.profile.apply_heap_sizes(&w.program);
+        let pts = PointsTo::compute(&program);
+        let access = AccessInfo::compute(&program, &pts, &w.profile);
+        let groups = ObjectGroups::compute(&program, &access);
+        for method in Method::ALL {
+            let cfg = PipelineConfig::new(method);
+            let (placement, stats) = match method {
+                Method::Gdp => {
+                    let dp =
+                        gdp_partition(&program, &w.profile, &access, &groups, &machine, &cfg.gdp)
+                            .expect("gdp");
+                    rhop_partition(
+                        &program,
+                        &access,
+                        &w.profile,
+                        &machine,
+                        &dp.object_home,
+                        &cfg.rhop,
+                    )
+                }
+                Method::ProfileMax => profile_max_partition(
+                    &program,
+                    &access,
+                    &w.profile,
+                    &machine,
+                    &groups,
+                    &cfg.rhop,
+                    cfg.profile_max_balance,
+                ),
+                Method::Naive => {
+                    naive_partition(&program, &access, &w.profile, &machine, &groups, &cfg.rhop)
+                }
+                Method::Unified => {
+                    unified_partition(&program, &access, &w.profile, &machine, &cfg.rhop)
+                }
+            }
+            .expect("rhop");
+            for v in [
+                stats.estimator_calls,
+                stats.full_evals,
+                stats.pruned_evals,
+                stats.pruned_lock,
+                stats.pruned_bound,
+                stats.moves_accepted,
+                stats.regions as u64,
+            ] {
+                fold(v);
+            }
+            for clusters in placement.op_cluster.values() {
+                for c in clusters.values() {
+                    fold(c.index() as u64);
+                    ops += 1;
+                }
+            }
+            estimator_calls += stats.estimator_calls;
+            runs += 1;
+        }
+    }
+    assert_eq!((runs, ops, estimator_calls, digest), (92, 39312, 497_789, 0x4025_90dc_0b3b_5621));
+}
