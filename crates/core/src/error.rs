@@ -161,15 +161,12 @@ pub enum PipelineErrorKind {
     Exec(mcpart_sim::ExecError),
     /// The transformed program behaves differently from the original.
     SemanticsChanged,
-    /// The attempt's wall-clock ceiling
-    /// ([`crate::PipelineConfig::unit_timeout`]) fired: its watchdog
+    /// The attempt's wall-clock ceiling (`--unit-timeout`,
+    /// [`crate::PipelineConfig::unit_timeout`]) fired: its watchdog
     /// aborted the attempt, which stopped at the next stage boundary.
     Timeout {
         /// The configured ceiling.
-        budget: Duration,
-        /// How long the attempt ran when it stopped (the ceiling: the
-        /// watchdog fires when it is reached).
-        elapsed: Duration,
+        ceiling: Duration,
     },
     /// A supervised worker panicked while running this method; the
     /// panic was caught (panic isolation), its obs events were
@@ -193,11 +190,10 @@ impl fmt::Display for PipelineErrorKind {
             PipelineErrorKind::SemanticsChanged => {
                 f.write_str("transformed program behaves differently from the original")
             }
-            PipelineErrorKind::Timeout { budget, elapsed } => write!(
+            PipelineErrorKind::Timeout { ceiling } => write!(
                 f,
-                "stage exceeded its {:.1} ms budget (ran {:.1} ms)",
-                budget.as_secs_f64() * 1e3,
-                elapsed.as_secs_f64() * 1e3
+                "attempt exceeded its {:.1} ms --unit-timeout ceiling",
+                ceiling.as_secs_f64() * 1e3
             ),
             PipelineErrorKind::WorkerPanic { payload } => {
                 write!(f, "worker panicked: {payload}")
@@ -351,11 +347,12 @@ mod tests {
             mcpart_metis::MetisError::BudgetExceeded { limit: 3 },
         )));
         assert!(e.is_recoverable());
-        let e = sample(PipelineErrorKind::Timeout {
-            budget: Duration::from_millis(1),
-            elapsed: Duration::from_millis(2),
-        });
+        let e = sample(PipelineErrorKind::Timeout { ceiling: Duration::from_millis(1) });
         assert!(e.is_recoverable());
+        assert!(
+            e.to_string().ends_with("attempt exceeded its 1.0 ms --unit-timeout ceiling"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -388,8 +388,8 @@ fn run_method(
     // (stages without a shared budget of their own).
     let check_clock = |stage: Stage| -> Result<(), PipelineError> {
         if config.rhop.abort.is_aborted() {
-            let budget = config.unit_timeout.unwrap_or_default();
-            return Err(fail(stage, PipelineErrorKind::Timeout { budget, elapsed: budget }));
+            let ceiling = config.unit_timeout.unwrap_or_default();
+            return Err(fail(stage, PipelineErrorKind::Timeout { ceiling }));
         }
         Ok(())
     };

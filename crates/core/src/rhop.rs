@@ -34,6 +34,11 @@
 //!   simulate to the end. Pruned probes still charge the
 //!   estimator-call budget, so [`RhopConfig::max_estimator_calls`]
 //!   retains its meaning.
+//! * **Repeat-probe memo.** Within one refinement level, a probe of
+//!   group `g` on cluster `c` made again with no move committed since
+//!   has the same trial, incumbent and bounds, so its recorded answer
+//!   and counter deltas are replayed instead of evaluated (it still
+//!   charges the budget).
 
 use mcpart_analysis::{AccessInfo, AccessSite};
 use mcpart_ir::{
@@ -868,6 +873,11 @@ fn partition_region(
 /// rejects precisely the probes the acceptance test below would reject,
 /// so placements, accepted moves and budget-exhaustion points are
 /// identical to exhaustive evaluation.
+///
+/// A probe of group `g` on cluster `c` repeats an earlier one exactly
+/// when no move was committed since: the trial, the incumbent and the
+/// `(bound, peak_bound)` are all the same. Such a probe replays the
+/// recorded answer and counter deltas instead of evaluating again.
 #[allow(clippy::too_many_arguments)]
 fn refine_level(
     level: &Level,
@@ -890,6 +900,10 @@ fn refine_level(
         return Ok((current, current_peak));
     }
     let mut order: Vec<usize> = (0..level.members.len()).collect();
+    // Commits so far, and per (group, cluster) the last probe's answer
+    // with the commit count it was computed under.
+    let mut commits = 0u32;
+    let mut memo: Vec<Option<ProbeMemo>> = vec![None; level.members.len() * nclusters];
     for _ in 0..passes.max(1) {
         order.shuffle(rng);
         let mut moved = 0usize;
@@ -903,19 +917,48 @@ fn refine_level(
                 if c == original {
                     continue;
                 }
-                inc.try_move(&level.members[g], c);
                 spend_estimate(stats, budget)?;
-                let probe = if incremental {
-                    inc.estimate_unless_worse(current, current_peak)
-                } else {
-                    let e = inc.estimate();
-                    if e == INFEASIBLE {
-                        None
+                let evaluate = |inc: &mut IncrementalEstimator<'_>| {
+                    let before = ProbeMemo::counters(inc);
+                    inc.try_move(&level.members[g], c);
+                    let probe = if incremental {
+                        inc.estimate_unless_worse(current, current_peak)
                     } else {
-                        Some((e, inc.resource_peak()))
+                        let e = inc.estimate();
+                        if e == INFEASIBLE {
+                            None
+                        } else {
+                            Some((e, inc.resource_peak()))
+                        }
+                    };
+                    inc.rollback();
+                    let after = ProbeMemo::counters(inc);
+                    ProbeMemo {
+                        commits,
+                        probe,
+                        delta: std::array::from_fn(|i| after[i] - before[i]),
                     }
                 };
-                inc.rollback();
+                let slot = &mut memo[g * nclusters + c as usize];
+                let probe = match slot {
+                    Some(m) if m.commits == commits => {
+                        if cfg!(debug_assertions) {
+                            // The replayed answer is the one evaluating
+                            // again would give.
+                            let saved = ProbeMemo::counters(inc);
+                            let again = evaluate(inc);
+                            ProbeMemo::set_counters(inc, saved);
+                            debug_assert_eq!((again.probe, again.delta), (m.probe, m.delta));
+                        }
+                        m.replay(inc);
+                        m.probe
+                    }
+                    _ => {
+                        let m = evaluate(inc);
+                        *slot = Some(m);
+                        m.probe
+                    }
+                };
                 if let Some((e, peak)) = probe {
                     // Accept strict improvements, or equal estimates
                     // that lower the resource peak (leaves headroom for
@@ -933,6 +976,7 @@ fn refine_level(
                 assign[g] = c;
                 inc.try_move(&level.members[g], c);
                 inc.commit();
+                commits += 1;
                 current = e;
                 current_peak = peak;
                 moved += 1;
@@ -944,6 +988,33 @@ fn refine_level(
         }
     }
     Ok((current, current_peak))
+}
+
+/// One answered refinement probe: valid while no move has been
+/// committed since `commits`.
+#[derive(Clone, Copy)]
+struct ProbeMemo {
+    commits: u32,
+    probe: Option<(u32, u32)>,
+    /// What the probe added to the evaluator's `full_evals`,
+    /// `pruned_evals`, `pruned_lock` and `pruned_bound`.
+    delta: [u64; 4],
+}
+
+impl ProbeMemo {
+    fn counters(inc: &IncrementalEstimator<'_>) -> [u64; 4] {
+        [inc.full_evals, inc.pruned_evals, inc.pruned_lock, inc.pruned_bound]
+    }
+
+    fn set_counters(inc: &mut IncrementalEstimator<'_>, c: [u64; 4]) {
+        [inc.full_evals, inc.pruned_evals, inc.pruned_lock, inc.pruned_bound] = c;
+    }
+
+    /// Counts the probe again, exactly as evaluating it would.
+    fn replay(&self, inc: &mut IncrementalEstimator<'_>) {
+        let c = Self::counters(inc);
+        Self::set_counters(inc, std::array::from_fn(|i| c[i] + self.delta[i]));
+    }
 }
 
 #[cfg(test)]

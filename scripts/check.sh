@@ -206,5 +206,6 @@ target/release/mcpart chaos --replay "$CHAOS_STRIPPED" >/dev/null \
 
 echo "== hardened-profile tests (overflow-checks + debug-assertions pinned)"
 cargo test --profile overflow -q -p mcpart-machine -p mcpart-sched >/dev/null
+cargo test --profile overflow -q -p mcpart-core --lib rhop >/dev/null
 
 echo "== all checks passed"

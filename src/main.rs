@@ -1038,6 +1038,9 @@ fn main() -> ExitCode {
                     .map_err(|e| format!("cannot read {target}: {e}"))?;
                 let trace = mcpart::obs::decode_chrome_trace(&text)
                     .map_err(|e| CliError::Runtime(format!("{target}: {e}")))?;
+                for w in &trace.warnings {
+                    eprintln!("warning: {target}: {w}");
+                }
                 MetricsRegistry::from_events(&trace.events)
             };
             if pinned_only {

@@ -261,6 +261,34 @@ fn stats_renders_percentiles_from_a_trace() {
     assert_eq!(code, Some(1));
 }
 
+/// A trace with an unknown top-level key decodes with a warning, and
+/// `stats` prints the same warning line `trace-check` does, both still
+/// succeeding.
+#[test]
+fn stats_and_trace_check_warn_alike_on_unknown_keys() {
+    let dir = std::env::temp_dir().join("mcpart_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("future_trace.json");
+    let path_str = path.to_str().unwrap();
+    let (_, stderr, ok) = mcpart(&["run", "fir", "--trace-out", path_str]);
+    assert!(ok, "stderr: {stderr}");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let text = text.replacen('{', "{\"futureExtension\": 1, ", 1);
+    std::fs::write(&path, text).unwrap();
+    let warnings = |stderr: &str| -> Vec<String> {
+        stderr.lines().filter(|l| l.starts_with("warning:")).map(str::to_string).collect()
+    };
+    let (_, check_stderr, ok) = mcpart(&["trace-check", path_str]);
+    assert!(ok, "stderr: {check_stderr}");
+    let (_, stats_stderr, ok) = mcpart(&["stats", path_str]);
+    assert!(ok, "stderr: {stats_stderr}");
+    let expected = warnings(&check_stderr);
+    assert_eq!(expected.len(), 1, "{check_stderr}");
+    assert!(expected[0].contains("futureExtension"), "{check_stderr}");
+    assert_eq!(warnings(&stats_stderr), expected);
+    std::fs::remove_file(&path).ok();
+}
+
 /// Fresh vs crash-and-resume must agree on the pinned histograms: a
 /// resumed run replays recorded pinned events, so the derived metrics
 /// are byte-identical to an uninterrupted run's.
