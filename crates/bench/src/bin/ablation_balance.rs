@@ -5,7 +5,7 @@ use mcpart_bench::experiments::ablation_balance;
 use mcpart_bench::report::render_table;
 
 fn main() {
-    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
+    let workloads = mcpart_bench::BenchArgs::from_env(&["--benchmarks"]).workloads;
     let tolerances = [0.02, 0.10, 0.30, 0.50, 1.00];
     for w in &workloads {
         let points = ablation_balance(w, &tolerances);

@@ -5,7 +5,7 @@ use mcpart_bench::experiments::ablation_clusters;
 use mcpart_bench::report::{f3, render_table};
 
 fn main() {
-    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
+    let workloads = mcpart_bench::BenchArgs::from_env(&["--benchmarks"]).workloads;
     let counts = [2usize, 4];
     let rows = ablation_clusters(&workloads, &counts);
     let table: Vec<Vec<String>> = rows

@@ -5,7 +5,7 @@ use mcpart_bench::experiments::ablation_opt;
 use mcpart_bench::report::{f3, render_table};
 
 fn main() {
-    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
+    let workloads = mcpart_bench::BenchArgs::from_env(&["--benchmarks"]).workloads;
     let rows = ablation_opt(&workloads);
     let table: Vec<Vec<String>> = rows
         .iter()

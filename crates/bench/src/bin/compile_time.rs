@@ -5,7 +5,7 @@ use mcpart_bench::experiments::compile_time;
 use mcpart_bench::report::render_table;
 
 fn main() {
-    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
+    let workloads = mcpart_bench::BenchArgs::from_env(&["--benchmarks"]).workloads;
     let rows = compile_time(&workloads);
     let mut table: Vec<Vec<String>> = rows
         .iter()

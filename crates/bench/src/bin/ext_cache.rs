@@ -6,7 +6,7 @@ use mcpart_bench::experiments::ext_cache;
 use mcpart_bench::report::{f3, render_table};
 
 fn main() {
-    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
+    let workloads = mcpart_bench::BenchArgs::from_env(&["--benchmarks"]).workloads;
     let penalties = [2u32, 5, 10];
     let rows = ext_cache(&workloads, &penalties);
     let table: Vec<Vec<String>> = rows

@@ -6,7 +6,7 @@ use mcpart_bench::experiments::ext_regfile;
 use mcpart_bench::report::render_table;
 
 fn main() {
-    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
+    let workloads = mcpart_bench::BenchArgs::from_env(&["--benchmarks"]).workloads;
     let sizes = [12u32, 16, 24, 32];
     let rows = ext_regfile(&workloads, &sizes);
     let table: Vec<Vec<String>> = rows

@@ -6,7 +6,7 @@ use mcpart_bench::experiments::ext_terechko;
 use mcpart_bench::report::{pct, render_table};
 
 fn main() {
-    let workloads = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS).workloads;
+    let workloads = mcpart_bench::BenchArgs::from_env(&["--benchmarks"]).workloads;
     let rows = ext_terechko(&workloads);
     let mut table: Vec<Vec<String>> = rows
         .iter()

@@ -7,7 +7,7 @@ use mcpart_bench::report::render_table;
 use mcpart_obs::json::JsonWriter;
 
 fn main() {
-    let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
+    let args = mcpart_bench::BenchArgs::from_env(&["--benchmarks", "--json"]);
     let rows = fig10(&args.workloads);
     if args.json {
         let mut w = JsonWriter::new();

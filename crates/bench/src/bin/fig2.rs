@@ -7,7 +7,7 @@ use mcpart_bench::report::render_table;
 use mcpart_obs::json::JsonWriter;
 
 fn main() {
-    let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
+    let args = mcpart_bench::BenchArgs::from_env(&["--benchmarks", "--json"]);
     let latencies = [1u32, 5, 10];
     let rows = fig2(&args.workloads, &latencies);
     if args.json {

@@ -7,7 +7,7 @@ use mcpart_bench::report::{f3, render_table};
 use mcpart_obs::json::JsonWriter;
 
 fn main() {
-    let args = mcpart_bench::BenchArgs::from_env(mcpart_bench::SELECTION_FLAGS);
+    let args = mcpart_bench::BenchArgs::from_env(&["--benchmarks", "--latency", "--json"]);
     let latency = args.latency.unwrap_or(5);
     let fig = fig7_8(&args.workloads, latency);
     if args.json {

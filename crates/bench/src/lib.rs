@@ -1,41 +1,38 @@
 //! # mcpart-bench — the experiment harness
 //!
 //! One regenerator per table and figure of the paper (see DESIGN.md for
-//! the experiment index):
+//! the experiment index). Each binary accepts only the flags it reads:
 //!
-//! | Target | Paper artifact |
-//! |---|---|
-//! | `cargo run -p mcpart-bench --bin table1` | Table 1 (method matrix) |
-//! | `cargo run -p mcpart-bench --bin fig2` | Figure 2 (naïve placement cost) |
-//! | `cargo run -p mcpart-bench --bin fig7_8 -- --latency {1,5,10}` | Figures 7, 8a, 8b |
-//! | `cargo run -p mcpart-bench --bin fig9` | Figure 9 (exhaustive search) |
-//! | `cargo run -p mcpart-bench --bin fig10` | Figure 10 (move traffic) |
-//! | `cargo run -p mcpart-bench --bin compile_time` | §4.5 (compile time) |
-//! | `cargo run -p mcpart-bench --bin ablation_merge` | §3.3.1 merging ablation |
-//! | `cargo run -p mcpart-bench --bin ablation_balance` | §4.3 balance sweep |
-//! | `cargo run -p mcpart-bench --bin ablation_clusters` | cluster scaling |
+//! | Target | Paper artifact | Flags |
+//! |---|---|---|
+//! | `table1` | Table 1 (method matrix) | none |
+//! | `fig2` | Figure 2 (naïve placement cost) | `--benchmarks`, `--json` |
+//! | `fig7_8` | Figures 7, 8a, 8b | `--benchmarks`, `--latency {1,5,10}`, `--json` |
+//! | `fig9` | Figure 9 (exhaustive search) | none |
+//! | `fig10` | Figure 10 (move traffic) | `--benchmarks`, `--json` |
+//! | `compile_time` | §4.5 (compile time) | `--benchmarks` |
+//! | `ablation_*` | §3.3.1 merging, §4.3 balance, cluster scaling, ... | `--benchmarks` |
+//! | `ext_*` | extensions beyond the paper (caches, SWP, ...) | `--benchmarks` |
 //!
-//! Use `--release` for the full benchmark set; debug builds are fine
-//! for spot checks on a few benchmarks (`-- --benchmarks a,b,c`).
+//! Run one with `cargo run --release -p mcpart-bench --bin <target> --
+//! [flags]`; debug builds are fine for spot checks on a few benchmarks
+//! (`--benchmarks a,b,c`). Compile time at scale, per stage, is
+//! measured by `perfbench` (`BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod diff;
 pub mod experiments;
 pub mod report;
 
 use args::{ArgError, Flags};
 use mcpart_workloads::Workload;
 
-/// The flags of the figure, table, ablation and extension binaries.
-pub const SELECTION_FLAGS: &[&str] = &["--benchmarks", "--latency", "--json"];
-
 /// The experiment binaries' command line: one parse for all of them,
-/// each binary naming the flags it accepts. Anything else — an unknown
-/// flag, a flag of another binary, a malformed value or an unknown
+/// each binary naming the flags it reads. Anything else — an unknown
+/// flag, a flag the binary ignores, a malformed value or an unknown
 /// benchmark name — is an error.
 #[derive(Debug)]
 pub struct BenchArgs {
@@ -46,31 +43,12 @@ pub struct BenchArgs {
     pub latency: Option<u32>,
     /// `--json`: machine-readable output.
     pub json: bool,
-    /// `--quick`: a smoke run (one repetition).
-    pub quick: bool,
-    /// `--metrics`: fold observability counters into the report.
-    pub metrics: bool,
-    /// `--jobs N` (default 0 = all cores).
-    pub jobs: usize,
-    /// `--out PATH`: the report path.
-    pub out: Option<String>,
-    /// `--reps N` (positive); `--quick` sets 1.
-    pub reps: Option<usize>,
 }
 
 impl BenchArgs {
     /// Parses `args`, accepting only the flags listed in `accepted`.
     pub fn parse(args: &[String], accepted: &[&str]) -> Result<BenchArgs, ArgError> {
-        let mut a = BenchArgs {
-            workloads: Vec::new(),
-            latency: None,
-            json: false,
-            quick: false,
-            metrics: false,
-            jobs: 0,
-            out: None,
-            reps: None,
-        };
+        let mut a = BenchArgs { workloads: Vec::new(), latency: None, json: false };
         let mut names: Option<String> = None;
         let mut flags = Flags::new(args);
         while let Some(flag) = flags.next_flag() {
@@ -79,14 +57,6 @@ impl BenchArgs {
                 "--benchmarks" => names = Some(flags.value(flag, "a comma-separated list")?),
                 "--latency" => a.latency = Some(flags.value(flag, "a number")?),
                 "--json" => a.json = true,
-                "--quick" => {
-                    a.quick = true;
-                    a.reps = Some(1);
-                }
-                "--metrics" => a.metrics = true,
-                "--jobs" => a.jobs = flags.value(flag, "a number")?,
-                "--out" => a.out = Some(flags.value(flag, "a path")?),
-                "--reps" => a.reps = Some(flags.positive(flag, "a positive count")?),
                 other => return Err(Flags::unknown(other)),
             }
         }
@@ -119,6 +89,9 @@ impl BenchArgs {
 mod tests {
     use super::*;
 
+    /// `fig7_8`'s flags, the widest set any binary reads.
+    const FIG7_8: &[&str] = &["--benchmarks", "--latency", "--json"];
+
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
@@ -127,7 +100,7 @@ mod tests {
     fn arg_parsing() {
         let a = BenchArgs::parse(
             &args(&["--benchmarks", "rawcaudio,fft", "--latency", "10", "--json"]),
-            SELECTION_FLAGS,
+            FIG7_8,
         )
         .expect("parses");
         assert_eq!(a.workloads.len(), 2);
@@ -137,10 +110,12 @@ mod tests {
 
     #[test]
     fn no_args_selects_all() {
-        let a = BenchArgs::parse(&[], SELECTION_FLAGS).expect("parses");
+        let a = BenchArgs::parse(&[], FIG7_8).expect("parses");
         assert!(a.workloads.len() >= 15);
         assert_eq!(a.latency, None);
         assert!(!a.json);
+        let a = BenchArgs::parse(&[], &[]).expect("parses");
+        assert!(a.workloads.is_empty());
     }
 
     #[test]
@@ -155,21 +130,15 @@ mod tests {
             &["--quick"],
             &["rawcaudio"],
         ] {
-            assert!(BenchArgs::parse(&args(bad), SELECTION_FLAGS).is_err(), "accepted {bad:?}");
+            assert!(BenchArgs::parse(&args(bad), FIG7_8).is_err(), "accepted {bad:?}");
         }
-        let partition = ["--quick", "--reps", "--out", "--jobs", "--metrics"];
-        for bad in [&["--reps", "many"][..], &["--reps", "0"], &["--jobs", "x"], &["--json"]] {
-            assert!(BenchArgs::parse(&args(bad), &partition).is_err(), "accepted {bad:?}");
+        // A binary rejects the flags it does not read.
+        let fig2 = ["--benchmarks", "--json"];
+        assert!(BenchArgs::parse(&args(&["--json"]), &fig2).is_ok());
+        assert!(BenchArgs::parse(&args(&["--latency", "10"]), &fig2).is_err());
+        for bad in [&["--latency", "10"][..], &["--json"], &["--reps", "1"]] {
+            assert!(BenchArgs::parse(&args(bad), &["--benchmarks"]).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn quick_sets_one_rep_unless_reps_follows() {
-        let flags = ["--quick", "--reps", "--out"];
-        let a = BenchArgs::parse(&args(&["--reps", "5", "--quick"]), &flags).expect("parses");
-        assert_eq!((a.quick, a.reps), (true, Some(1)));
-        let a = BenchArgs::parse(&args(&["--quick", "--reps", "5", "--out", "x.json"]), &flags)
-            .expect("parses");
-        assert_eq!((a.reps, a.out.as_deref()), (Some(5), Some("x.json")));
+        assert!(BenchArgs::parse(&args(&["--benchmarks", "fir"]), &[]).is_err());
     }
 }

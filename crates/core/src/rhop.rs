@@ -33,7 +33,9 @@
 //!   bound rules the probe out. Most rejected probes thus never
 //!   simulate to the end. Pruned probes still charge the
 //!   estimator-call budget, so [`RhopConfig::max_estimator_calls`]
-//!   retains its meaning.
+//!   retains its meaning. One [`EstimateWorkspace`] per function is
+//!   lent to each region's evaluator in turn, so the simulation's
+//!   buffers grow once per function, not once per region and sweep.
 //! * **Repeat-probe memo.** Within one refinement level, a probe of
 //!   group `g` on cluster `c` made again with no move committed since
 //!   has the same trial, incumbent and bounds, so its recorded answer
@@ -53,10 +55,20 @@ use mcpart_par::SharedBudget;
 use mcpart_rng::rngs::SmallRng;
 use mcpart_rng::seq::SliceRandom;
 use mcpart_rng::{derive_seed, SeedableRng};
-use mcpart_sched::{IncrementalEstimator, Placement, RegionEstimator, INFEASIBLE};
+use mcpart_sched::{
+    EstimateWorkspace, IncrementalEstimator, Placement, RegionEstimator, INFEASIBLE,
+};
 
 use crate::error::RhopError;
 use crate::groups::UnionFind;
+
+/// Coarsening stops when a region has at most this many groups (or
+/// as many as there are clusters, if that is more).
+const COARSEN_TO: usize = 8;
+
+/// Refinement passes per uncoarsening level; the initial assignment at
+/// the coarsest level gets `REFINE_PASSES.max(2) + 2`.
+const REFINE_PASSES: usize = 2;
 
 /// Scope of the regions RHOP partitions one at a time.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,29 +96,20 @@ pub struct RhopConfig {
     /// stream from this seed, so placements do not depend on how
     /// functions are scheduled across workers.
     pub seed: u64,
-    /// Coarsening stops when a region has at most this many groups.
-    pub coarsen_to: usize,
-    /// Refinement passes per uncoarsening level.
-    pub refine_passes: usize,
     /// Region scope (see [`RegionScope`]).
     pub region_scope: RegionScope,
     /// Budget on schedule-estimator invocations across the whole run
     /// (`None` = unlimited). The estimator dominates RHOP's compile
     /// time (§4.5), so this bounds the pass's total work; exhausting it
     /// yields [`RhopError::EstimatorBudgetExceeded`]. Pruned probes
-    /// charge the budget exactly like full evaluations, so the budget's
-    /// meaning is independent of [`RhopConfig::incremental`].
+    /// charge the budget exactly like full evaluations, so the budget
+    /// counts probes, not how each was answered.
     pub max_estimator_calls: Option<u64>,
     /// Worker threads partitioning functions concurrently: `1` =
     /// sequential (the default for library users), `0` = all available
     /// cores. Placements, statistics and errors are bit-identical for
     /// every value.
     pub jobs: usize,
-    /// Prune refinement probes with an exact lower bound (default on).
-    /// Pruning never changes placements or accepted moves — only which
-    /// probes pay for a full schedule simulation — so turning it off is
-    /// useful solely for measuring its benefit.
-    pub incremental: bool,
     /// Observability sink. Workers record into private buffers that are
     /// flushed in function order, so the pinned event log of a
     /// successful run is byte-identical for every [`RhopConfig::jobs`]
@@ -116,11 +119,11 @@ pub struct RhopConfig {
     /// Extra attempts a *panicking* function unit gets before it is
     /// quarantined. Typed errors (budget exhaustion) are never retried
     /// here — they are deterministic and feed the pipeline's ladder.
+    /// Before each retry the supervisor charges the default
+    /// [`RetryPolicy`]'s backoff fuel (16, doubling per retry) against
+    /// the estimator budget. Fuel-denominated so the retry decision
+    /// never consults a clock: `--jobs N` stays bit-identical.
     pub retries: u32,
-    /// Base backoff fuel charged against the estimator budget before a
-    /// retry (doubling per retry). Fuel-denominated so the retry
-    /// decision never consults a clock: `--jobs N` stays bit-identical.
-    pub backoff_fuel: u64,
     /// Fault injection: each `panic:<unit>[xN]` term panics inside the
     /// named function's partition while the 0-based attempt number is
     /// below N. A `#k` unit names function `k` modulo the function
@@ -168,15 +171,11 @@ impl Default for RhopConfig {
     fn default() -> Self {
         RhopConfig {
             seed: 0x4409,
-            coarsen_to: 8,
-            refine_passes: 2,
             region_scope: RegionScope::PerBlock,
             max_estimator_calls: None,
             jobs: 1,
-            incremental: true,
             obs: mcpart_obs::Obs::disabled(),
             retries: 2,
-            backoff_fuel: 16,
             faults: FaultPlan::none(),
             abort: AbortHandle::default(),
             reuse: None,
@@ -291,7 +290,7 @@ pub fn rhop_partition_detailed(
     // reduction below, the reported error — is deterministic.
     let budget = SharedBudget::with_abort(config.max_estimator_calls, config.abort.clone());
     let fids: Vec<FuncId> = program.functions.keys().collect();
-    let policy = RetryPolicy { retries: config.retries, backoff_fuel: config.backoff_fuel };
+    let policy = RetryPolicy::new(config.retries);
     let reuse = config.reuse.as_deref();
     let reuse_of = |fid: FuncId| reuse.and_then(|r| r.get(fid.index())).and_then(Option::as_ref);
     // Each function is a supervised unit: a panicking attempt is caught
@@ -466,6 +465,8 @@ fn partition_function(
         .map(|blocks| RegionCtx::build(program, fid, blocks, access, machine, object_home))
         .collect();
     let nclusters = machine.num_clusters();
+    // One simulation workspace serves every region's evaluator in turn.
+    let mut ws = EstimateWorkspace::default();
     // Sweep 1: partition each region in isolation. Sweep 2:
     // re-partition with the homes of live-in registers (from sweep
     // 1's global result) charged by the estimator, coordinating
@@ -477,12 +478,12 @@ fn partition_function(
             partition_region(
                 ctx,
                 nclusters,
-                config,
                 hints.as_ref(),
                 sweep == 0,
                 &mut op_clusters,
                 &mut stats,
                 &mut rng,
+                &mut ws,
                 budget,
             )?;
         }
@@ -642,12 +643,12 @@ impl RegionCtx {
 fn partition_region(
     ctx: &mut RegionCtx,
     nclusters: usize,
-    config: &RhopConfig,
     live_in_hints: Option<&EntityMap<VReg, ClusterId>>,
     count_region: bool,
     op_clusters: &mut EntityMap<OpId, ClusterId>,
     stats: &mut RhopStats,
     rng: &mut SmallRng,
+    ws: &mut EstimateWorkspace,
     budget: &SharedBudget,
 ) -> Result<(), RhopError> {
     let n = ctx.est.len();
@@ -667,7 +668,7 @@ fn partition_region(
         }
     }
     let est = &ctx.est;
-    let mut inc = IncrementalEstimator::new(est);
+    let mut inc = IncrementalEstimator::with_workspace(est, std::mem::take(ws));
 
     // Multilevel coarsening by heavy-edge matching over groups, from
     // the cached base level.
@@ -678,7 +679,7 @@ fn partition_region(
             return Err(RhopError::Internal { message: "coarsening lost the base level".into() });
         };
         let g = current.members.len();
-        if g <= config.coarsen_to.max(nclusters) {
+        if g <= COARSEN_TO.max(nclusters) {
             break;
         }
         // Build adjacency with weights (sorted for determinism —
@@ -791,8 +792,7 @@ fn partition_region(
                 &mut cand,
                 &mut inc,
                 nclusters,
-                config.refine_passes.max(2) + 2,
-                config.incremental,
+                REFINE_PASSES.max(2) + 2,
                 stats,
                 rng,
                 budget,
@@ -838,8 +838,7 @@ fn partition_region(
             &mut fine_assign,
             &mut inc,
             nclusters,
-            config.refine_passes,
-            config.incremental,
+            REFINE_PASSES,
             stats,
             rng,
             budget,
@@ -858,6 +857,7 @@ fn partition_region(
     stats.pruned_evals += inc.pruned_evals;
     stats.pruned_lock += inc.pruned_lock;
     stats.pruned_bound += inc.pruned_bound;
+    *ws = inc.into_workspace();
     Ok(())
 }
 
@@ -885,7 +885,6 @@ fn refine_level(
     inc: &mut IncrementalEstimator<'_>,
     nclusters: usize,
     passes: usize,
-    incremental: bool,
     stats: &mut RhopStats,
     rng: &mut SmallRng,
     budget: &SharedBudget,
@@ -921,16 +920,7 @@ fn refine_level(
                 let evaluate = |inc: &mut IncrementalEstimator<'_>| {
                     let before = ProbeMemo::counters(inc);
                     inc.try_move(&level.members[g], c);
-                    let probe = if incremental {
-                        inc.estimate_unless_worse(current, current_peak)
-                    } else {
-                        let e = inc.estimate();
-                        if e == INFEASIBLE {
-                            None
-                        } else {
-                            Some((e, inc.resource_peak()))
-                        }
-                    };
+                    let probe = inc.estimate_unless_worse(current, current_peak);
                     inc.rollback();
                     let after = ProbeMemo::counters(inc);
                     ProbeMemo {
@@ -1196,11 +1186,11 @@ mod tests {
     }
 
     /// Worker count never changes the result: placements and statistics
-    /// from `jobs = 1` and `jobs = 8` are bit-identical, and pruning
-    /// (`incremental`) changes only how probes are answered, not the
-    /// placement, the accepted moves or the budgeted call count.
+    /// from `jobs = 1` and `jobs = 8` are bit-identical. (That pruning
+    /// changes no placement is pinned by the golden digests in
+    /// `tests/estimator_fidelity.rs`.)
     #[test]
-    fn jobs_and_pruning_do_not_change_results() {
+    fn jobs_do_not_change_results() {
         let mut p = Program::new("t");
         let t1 = p.add_object(DataObject::global("t1", 64));
         let mut b = FunctionBuilder::entry(&mut p);
@@ -1226,29 +1216,17 @@ mod tests {
         homes[t1] = Some(ClusterId::new(1));
         let seq = RhopConfig { jobs: 1, ..RhopConfig::default() };
         let par = RhopConfig { jobs: 8, ..RhopConfig::default() };
-        let full = RhopConfig { incremental: false, ..RhopConfig::default() };
         let (pl_seq, st_seq) =
             rhop_partition(&p, &access, &profile, &machine, &homes, &seq).expect("rhop");
         let (pl_par, st_par) =
             rhop_partition(&p, &access, &profile, &machine, &homes, &par).expect("rhop");
-        let (pl_full, st_full) =
-            rhop_partition(&p, &access, &profile, &machine, &homes, &full).expect("rhop");
         assert_eq!(pl_seq.op_cluster, pl_par.op_cluster);
         assert_eq!(st_seq, st_par);
-        assert_eq!(pl_seq.op_cluster, pl_full.op_cluster);
-        assert_eq!(st_seq.estimator_calls, st_full.estimator_calls);
-        assert_eq!(st_seq.moves_accepted, st_full.moves_accepted);
         assert!(st_seq.pruned_evals > 0, "pruning should answer some probes: {st_seq:?}");
         assert_eq!(
             st_seq.pruned_lock + st_seq.pruned_bound,
             st_seq.pruned_evals,
             "the prune-reason split must cover every pruned probe"
-        );
-        assert_eq!(st_full.pruned_evals, 0);
-        assert_eq!(
-            st_seq.full_evals + st_seq.pruned_evals,
-            st_full.full_evals,
-            "every probe is answered exactly once either way"
         );
     }
 

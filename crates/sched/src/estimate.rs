@@ -1042,6 +1042,13 @@ const MIXED_LIVE_IN: u32 = u32::MAX - 1;
 impl<'a> IncrementalEstimator<'a> {
     /// A fresh evaluator with every node on cluster 0.
     pub fn new(est: &'a RegionEstimator) -> Self {
+        Self::with_workspace(est, EstimateWorkspace::default())
+    }
+
+    /// [`IncrementalEstimator::new`] simulating in `ws`, a workspace
+    /// handed back by [`IncrementalEstimator::into_workspace`] of an
+    /// evaluator over any region: its buffers are reused, not regrown.
+    pub fn with_workspace(est: &'a RegionEstimator, ws: EstimateWorkspace) -> Self {
         let n = est.len();
         let mut live_in = vec![NO_LIVE_IN; n];
         for &(i, home) in &est.live_in_homes {
@@ -1058,7 +1065,7 @@ impl<'a> IncrementalEstimator<'a> {
             counts: vec![[0u32; 4]; est.fu_counts.len()],
             displaced: 0,
             trial: Vec::new(),
-            ws: EstimateWorkspace::default(),
+            ws,
             live_in,
             asap: vec![0; n],
             done: vec![0; n],
@@ -1073,6 +1080,11 @@ impl<'a> IncrementalEstimator<'a> {
         };
         inc.rebuild();
         inc
+    }
+
+    /// The simulation workspace, for the next region's evaluator.
+    pub fn into_workspace(self) -> EstimateWorkspace {
+        self.ws
     }
 
     /// Loads a node-level assignment, discarding any uncommitted moves.
@@ -2059,6 +2071,9 @@ mod tests {
         use mcpart_rng::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(23);
         let (mut compared, mut equal_height_edges, mut stopped) = (0usize, 0usize, 0usize);
+        // One workspace serves every region, as RHOP lends one to each
+        // region of a function in turn.
+        let mut ws = EstimateWorkspace::default();
         for round in 0..400 {
             let nclusters = 1 + round % 4;
             let est = random_region(&mut rng, nclusters);
@@ -2072,7 +2087,6 @@ mod tests {
                     d.latency == 0 && est.height[d.from as usize] == est.height[d.to as usize]
                 })
                 .count();
-            let mut ws = EstimateWorkspace::default();
             for _ in 0..6 {
                 let assign: Vec<u16> = (0..n).map(|_| rng.gen_range(0..k)).collect();
                 if (0..n).any(|i| !est.has_unit(i, assign[i])) {

@@ -48,7 +48,7 @@ macro_rules! outln {
 
 const USAGE: &str =
     "usage: mcpart <list|gen|run|compare|dump|exec|partition|repartition|schedule|serve|chaos|\
-     stats|trace-check|bench-diff|checkpoint-diff> [args]
+     stats|trace-check|checkpoint-diff> [args]
 gen <spec> [--out <path>]  generate a synthetic scale program: <spec> is
          a preset (synth_10k, synth_100k, synth_1m) or key=value,...
          (keys ops,funcs,depth,region,objects,sharing,trips,seed);
@@ -121,9 +121,6 @@ trace-check <path> [--require cat/name[=v],...] [--forbid cat/name,...]
          value); --require checks a counter exists (and its last
          sample equals v, if given), --forbid fails on any nonzero
          sample (e.g. --forbid supervise/quarantined for clean runs)
-bench-diff <old.json> <new.json> [--threshold pct] [--time-threshold pct]
-         regression gate over two BENCH_partition.json artifacts;
-         exit 1 on regression, 2 on a malformed artifact
 checkpoint-diff <a> <b>  compares two checkpoint files, ignoring
          non-pinned fields (wall-clock); manifest deltas are reported
          per function, sorted; exit 1 on any difference";
@@ -1051,37 +1048,6 @@ fn main() -> ExitCode {
                 outln!("no metric samples recorded");
             } else {
                 outln!("{}", registry.render_table());
-            }
-            Ok(())
-        })(),
-        "bench-diff" => (|| {
-            let (Some(old), Some(new)) = (args.get(1), args.get(2)) else {
-                return Err(CliError::usage("bench-diff needs two BENCH_partition.json paths"));
-            };
-            let mut cfg = mcpart_bench::diff::DiffConfig::default();
-            let mut flags = Flags::new(&args[3..]);
-            while let Some(flag) = flags.next_flag() {
-                let mut pct =
-                    || flags.value_if(flag, "a non-negative percentage", |p: &f64| *p >= 0.0);
-                match flag {
-                    "--threshold" => cfg.work_threshold = pct()? / 100.0,
-                    "--time-threshold" => cfg.time_threshold = pct()? / 100.0,
-                    other => return Err(Flags::unknown(other).into()),
-                }
-            }
-            let read = |path: &str| -> Result<String, CliError> {
-                std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))
-            };
-            let (old_text, new_text) = (read(old)?, read(new)?);
-            let report = mcpart_bench::diff::diff_bench(&old_text, &new_text, &cfg)
-                .map_err(|e| CliError::Config(e.to_string()))?;
-            outln!("{}", report.render());
-            if report.regressed() {
-                return Err(CliError::Runtime(format!(
-                    "{} regression(s) against {old}",
-                    report.regressions.len()
-                )));
             }
             Ok(())
         })(),

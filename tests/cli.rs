@@ -379,62 +379,6 @@ fn halt_commits_the_same_record_count_everywhere() {
 }
 
 #[test]
-fn bench_diff_gates_regressions_with_distinct_exit_codes() {
-    let dir = std::env::temp_dir().join("mcpart_cli_bench_diff");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let doc = |cycles: i64| {
-        format!(
-            r#"{{"schema_version":1,"benchmark":"partition-pipeline",
-  "workloads":[{{"benchmark":"fir","cycles":{cycles},"estimator_calls":500,
-                 "partition_secs":0.5}}],
-  "suite_secs_parallel":1.0,"parallel_speedup":3.0}}"#
-        )
-    };
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    let bad = dir.join("bad.json");
-    std::fs::write(&old, doc(1000)).unwrap();
-    std::fs::write(&new, doc(1200)).unwrap(); // +20% cycles
-    std::fs::write(&bad, "{\"workloads\":[]}").unwrap(); // no schema_version
-
-    // Self-diff is clean, exit 0.
-    let (stdout, stderr, ok) =
-        mcpart(&["bench-diff", old.to_str().unwrap(), old.to_str().unwrap()]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("0 regression(s)"), "{stdout}");
-
-    // A work regression exits 1 and names the metric.
-    let (stderr, code) = mcpart_code(&["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-    assert_eq!(code, Some(1), "stderr: {stderr}");
-    let (stdout, _, _) = mcpart(&["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-    assert!(stdout.contains("regression: fir/cycles"), "{stdout}");
-
-    // A loose threshold lets the same pair pass.
-    let (_, stderr, ok) =
-        mcpart(&["bench-diff", old.to_str().unwrap(), new.to_str().unwrap(), "--threshold", "25"]);
-    assert!(ok, "a 25% threshold must pass a 20% change: {stderr}");
-
-    // A malformed artifact is a configuration error: exit 2.
-    let (stderr, code) = mcpart_code(&["bench-diff", old.to_str().unwrap(), bad.to_str().unwrap()]);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("schema_version"), "{stderr}");
-
-    // Flag errors are usage errors.
-    let (_, code) = mcpart_code(&["bench-diff", old.to_str().unwrap()]);
-    assert_eq!(code, Some(2));
-    let (_, code) = mcpart_code(&[
-        "bench-diff",
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-        "--threshold",
-        "lots",
-    ]);
-    assert_eq!(code, Some(2));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn exec_runtime_failure_reports_execution_error() {
     // A structurally valid program that divides by zero: the CLI must
     // report the execution failure with exit 1, not unwind.
@@ -477,8 +421,8 @@ enum Exit {
 /// Pins every subcommand's flag surface: each accepted flag with a valid
 /// value, each value flag with its value missing or malformed, unknown
 /// flags and flags that belong to another subcommand. `{dir}` expands to
-/// a fresh directory per row; `{trace}`, `{base}`, `{bench}`, `{sweep}`
-/// and `{repro}` name shared fixtures.
+/// a fresh directory per row; `{trace}`, `{base}`, `{sweep}` and
+/// `{repro}` name shared fixtures.
 #[test]
 fn flag_surface_of_every_subcommand() {
     use Exit::*;
@@ -489,13 +433,6 @@ fn flag_surface_of_every_subcommand() {
     let (trace, base) = (fixture("trace.json"), fixture("base.ck"));
     let (_, stderr, ok) = mcpart(&["run", "fir", "--trace-out", &trace, "--checkpoint", &base]);
     assert!(ok, "fixture run failed: {stderr}");
-    let bench = fixture("bench.json");
-    std::fs::write(
-        &bench,
-        r#"{"schema_version":1,"benchmark":"partition-pipeline",
-  "workloads":[{"benchmark":"fir","cycles":1000,"partition_secs":0.5}]}"#,
-    )
-    .unwrap();
     let sweep = fixture("sweep.txt");
     std::fs::write(&sweep, "clusters = [2]\nmemory = [\"unified\"]\n").unwrap();
     let repro = fixture("fir.repro");
@@ -699,16 +636,6 @@ fn flag_surface_of_every_subcommand() {
         ("stats {trace} --bogus", Usage),
         ("stats {trace} --metrics", Usage),
         ("stats", Usage),
-        // bench-diff
-        ("bench-diff {bench} {bench}", Ok),
-        ("bench-diff {bench} {bench} --threshold 5", Ok),
-        ("bench-diff {bench} {bench} --time-threshold 50", Ok),
-        ("bench-diff {bench} {bench} --threshold", Usage),
-        ("bench-diff {bench} {bench} --threshold -1", Usage),
-        ("bench-diff {bench} {bench} --time-threshold x", Usage),
-        ("bench-diff {bench} {bench} --bogus", Usage),
-        ("bench-diff {bench} {bench} --jobs 1", Usage),
-        ("bench-diff {bench}", Usage),
         // checkpoint-diff, dump and list take no flags.
         ("checkpoint-diff {base} {base}", Ok),
         ("checkpoint-diff {base}", Usage),
@@ -730,7 +657,6 @@ fn flag_surface_of_every_subcommand() {
                     .replace("{dir}", dir.to_str().unwrap())
                     .replace("{trace}", &trace)
                     .replace("{base}", &base)
-                    .replace("{bench}", &bench)
                     .replace("{sweep}", &sweep)
                     .replace("{repro}", &repro);
                 let args: Vec<&str> = line.split_whitespace().collect();
