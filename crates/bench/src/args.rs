@@ -1,5 +1,5 @@
 //! The one command-line flag cursor, shared by the `mcpart` binary and
-//! the experiment binaries.
+//! the `figures` driver.
 //!
 //! Each caller keeps its own `match` over flag names, one arm per flag;
 //! the cursor hides only the index bookkeeping and the error wording:

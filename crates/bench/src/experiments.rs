@@ -1,22 +1,22 @@
 //! The experiment implementations behind every table and figure of the
-//! paper. Each function returns structured results; the `bin/` targets
-//! render them and EXPERIMENTS.md records them.
+//! paper. Each function returns structured results; [`crate::figures`]
+//! renders them into the committed `results/*.txt` and EXPERIMENTS.md
+//! records them.
 //!
 //! Every experiment fans its independent pipeline runs out over the
-//! process-default worker pool ([`mcpart_par::default_jobs`], set by
-//! the harness `--jobs` flag). Each run is a pure function of its
-//! (workload, method, machine) inputs and the results are reduced in
-//! input order, so the numbers are identical at every worker count.
+//! process-default worker pool ([`mcpart_par::default_jobs`], the
+//! host's parallelism). Each run is a pure function of its (workload,
+//! method, machine) inputs and the results are reduced in input order,
+//! so the numbers are identical at every worker count.
 
 use mcpart_analysis::{AccessInfo, PointsTo};
 use mcpart_core::{
     evaluate_mapping, exhaustive_search, profile_max_partition, run_pipeline, ExhaustiveError,
-    ExhaustivePoint, GdpConfig, Method, ObjectGroups, PipelineConfig, RhopConfig,
+    ExhaustivePoint, GdpConfig, Method, ObjectGroups, PipelineConfig, PipelineResult, RhopConfig,
 };
 use mcpart_ir::ClusterId;
 use mcpart_machine::Machine;
 use mcpart_workloads::Workload;
-use std::time::Duration;
 
 /// Result of one (benchmark, method, latency) pipeline run, reduced to
 /// the metrics the figures plot.
@@ -26,10 +26,9 @@ pub struct MethodResult {
     pub cycles: u64,
     /// Dynamic intercluster moves.
     pub dynamic_moves: u64,
-    /// Partitioning wall time.
-    pub partition_time: Duration,
-    /// Detailed-partitioner runs.
-    pub detailed_runs: usize,
+    /// RHOP estimator calls: the partitioning work, independent of the
+    /// host and the worker count.
+    pub estimator_calls: u64,
 }
 
 /// Maps `f` over the workloads on the process-default worker pool,
@@ -42,14 +41,25 @@ where
     mcpart_par::parallel_map(mcpart_par::default_jobs(), workloads, |_, w| f(w))
 }
 
+/// Runs the whole pipeline on `w` under `method`'s default
+/// configuration with `tweak` applied.
+fn run(
+    w: &Workload,
+    machine: &Machine,
+    method: Method,
+    tweak: impl FnOnce(&mut PipelineConfig),
+) -> PipelineResult {
+    let mut cfg = PipelineConfig::new(method);
+    tweak(&mut cfg);
+    run_pipeline(&w.program, &w.profile, machine, &cfg).expect("pipeline")
+}
+
 fn run_method(w: &Workload, machine: &Machine, method: Method) -> MethodResult {
-    let r = run_pipeline(&w.program, &w.profile, machine, &PipelineConfig::new(method))
-        .expect("pipeline");
+    let r = run(w, machine, method, |_| {});
     MethodResult {
         cycles: r.cycles(),
         dynamic_moves: r.dynamic_moves(),
-        partition_time: r.partition_time,
-        detailed_runs: r.detailed_runs,
+        estimator_calls: r.rhop_stats.estimator_calls,
     }
 }
 
@@ -98,8 +108,6 @@ pub struct Fig78Row {
 /// Summary of a Figure 7/8 run.
 #[derive(Clone, Debug)]
 pub struct Fig78 {
-    /// Intercluster move latency used.
-    pub latency: u32,
     /// Per-benchmark rows.
     pub rows: Vec<Fig78Row>,
     /// Averages over benchmarks: (GDP, Profile Max, Naive).
@@ -139,7 +147,7 @@ pub fn fig7_8(workloads: &[Workload], latency: u32) -> Fig78 {
         rows.iter().map(|r| r.profile_max_rel).sum::<f64>() / n,
         rows.iter().map(|r| r.naive_rel).sum::<f64>() / n,
     );
-    Fig78 { latency, rows, averages }
+    Fig78 { rows, averages }
 }
 
 /// Figure 9: the exhaustive scatter plus the mappings chosen by GDP and
@@ -237,18 +245,19 @@ pub fn fig10(workloads: &[Workload]) -> Vec<Fig10Row> {
     })
 }
 
-/// §4.5: compile-time comparison. Returns per-benchmark partitioning
-/// wall times for GDP, Profile Max and Naïve.
+/// §4.5: compile-time comparison, measured as partitioning work — RHOP
+/// estimator calls — for GDP, Profile Max and Naïve. Unlike wall time,
+/// the counts are the same on every host and at every worker count.
 #[derive(Clone, Debug)]
 pub struct CompileTimeRow {
     /// Benchmark name.
     pub benchmark: String,
-    /// GDP partitioning time.
-    pub gdp: Duration,
-    /// Profile Max partitioning time (≈ two detailed runs).
-    pub profile_max: Duration,
-    /// Naïve partitioning time.
-    pub naive: Duration,
+    /// GDP estimator calls.
+    pub gdp: u64,
+    /// Profile Max estimator calls (≈ two detailed runs).
+    pub profile_max: u64,
+    /// Naïve estimator calls.
+    pub naive: u64,
 }
 
 /// Runs the compile-time experiment.
@@ -259,7 +268,7 @@ pub fn compile_time(workloads: &[Workload]) -> Vec<CompileTimeRow> {
     let pairs: Vec<(usize, Method)> =
         (0..workloads.len()).flat_map(|i| METHODS.iter().map(move |&m| (i, m))).collect();
     let runs = mcpart_par::parallel_map(mcpart_par::default_jobs(), &pairs, |_, &(i, m)| {
-        run_method(&workloads[i], &machine, m).partition_time
+        run_method(&workloads[i], &machine, m).estimator_calls
     });
     workloads
         .iter()
@@ -296,23 +305,14 @@ pub fn ablation_merge(workloads: &[Workload]) -> Vec<MergeAblationRow> {
     let machine = Machine::paper_2cluster(5);
     par_workloads(workloads, |w| {
         let unified = run_method(w, &machine, Method::Unified).cycles as f64;
-        let mut base_cfg = PipelineConfig::new(Method::Gdp);
-        let base = run_pipeline(&w.program, &w.profile, &machine, &base_cfg)
-            .expect("pipeline")
-            .cycles() as f64;
-        base_cfg.gdp.merge_dependent_ops = true;
-        let merged = run_pipeline(&w.program, &w.profile, &machine, &base_cfg)
-            .expect("pipeline")
-            .cycles() as f64;
-        let mut ob_cfg = PipelineConfig::new(Method::Gdp);
-        ob_cfg.gdp.balance_ops = true;
-        let ob = run_pipeline(&w.program, &w.profile, &machine, &ob_cfg).expect("pipeline").cycles()
-            as f64;
+        let rel = |tweak: fn(&mut PipelineConfig)| {
+            unified / run(w, &machine, Method::Gdp, tweak).cycles() as f64
+        };
         MergeAblationRow {
             benchmark: w.name.to_string(),
-            default_rel: unified / base,
-            merged_rel: unified / merged,
-            op_balance_rel: unified / ob,
+            default_rel: rel(|_| {}),
+            merged_rel: rel(|cfg| cfg.gdp.merge_dependent_ops = true),
+            op_balance_rel: rel(|cfg| cfg.gdp.balance_ops = true),
         }
     })
 }
@@ -335,9 +335,7 @@ pub fn ablation_balance(w: &Workload, tolerances: &[f64]) -> Vec<BalanceSweepPoi
     tolerances
         .iter()
         .map(|&eps| {
-            let mut cfg = PipelineConfig::new(Method::Gdp);
-            cfg.gdp.imbalance = eps;
-            let r = run_pipeline(&w.program, &w.profile, &machine, &cfg).expect("pipeline");
+            let r = run(w, &machine, Method::Gdp, |cfg| cfg.gdp.imbalance = eps);
             let total: u64 = r.data_bytes.iter().sum();
             let byte_skew = if total == 0 {
                 0.5
@@ -376,9 +374,7 @@ pub fn ext_regfile(workloads: &[Workload], sizes: &[u32]) -> Vec<RegFileRow> {
             for c in &mut machine.clusters {
                 c.regfile_size = size;
             }
-            let r =
-                run_pipeline(&w.program, &w.profile, &machine, &PipelineConfig::new(Method::Gdp))
-                    .expect("pipeline");
+            let r = run(w, &machine, Method::Gdp, |_| {});
             let p = register_pressure(&r.program, &r.placement, &machine, &w.profile);
             spill_cycles.push(p.spill_cycles);
             let packed = Placement::all_on_cluster0(&r.program);
@@ -410,9 +406,7 @@ pub fn ext_swp(workloads: &[Workload]) -> Vec<SwpRow> {
     let machine = Machine::paper_2cluster(5);
     par_workloads(workloads, |w| {
         let run4 = |method: Method, swp: bool| {
-            let mut cfg = PipelineConfig::new(method);
-            cfg.software_pipelining = swp;
-            run_pipeline(&w.program, &w.profile, &machine, &cfg).expect("pipeline").cycles()
+            run(w, &machine, method, |cfg| cfg.software_pipelining = swp).cycles()
         };
         let uni_flat = run4(Method::Unified, false) as f64;
         let gdp_flat = run4(Method::Gdp, false) as f64;
@@ -458,10 +452,8 @@ pub fn ext_hetero(workloads: &[Workload]) -> Vec<HeteroRow> {
     };
     let homo = Machine::paper_2cluster(5);
     par_workloads(workloads, |w| {
-        let h = run_pipeline(&w.program, &w.profile, &hetero, &PipelineConfig::new(Method::Gdp))
-            .expect("pipeline");
-        let base = run_pipeline(&w.program, &w.profile, &homo, &PipelineConfig::new(Method::Gdp))
-            .expect("pipeline");
+        let h = run(w, &hetero, Method::Gdp, |_| {});
+        let base = run(w, &homo, Method::Gdp, |_| {});
         let total: u64 = h.data_bytes.iter().sum();
         HeteroRow {
             benchmark: w.name.to_string(),
@@ -493,12 +485,8 @@ pub fn ext_terechko(workloads: &[Workload]) -> Vec<TerechkoRow> {
     use mcpart_sched::{is_intercluster_move, vreg_homes};
     let machine = Machine::paper_2cluster(5);
     par_workloads(workloads, |w| {
-        let naive =
-            run_pipeline(&w.program, &w.profile, &machine, &PipelineConfig::new(Method::Naive))
-                .expect("pipeline");
-        let unified =
-            run_pipeline(&w.program, &w.profile, &machine, &PipelineConfig::new(Method::Unified))
-                .expect("pipeline");
+        let naive = run(w, &machine, Method::Naive, |_| {});
+        let unified = run_method(w, &machine, Method::Unified);
         let program = &naive.program;
         let mut data_moves = 0u64;
         let mut all_moves = 0u64;
@@ -526,7 +514,7 @@ pub fn ext_terechko(workloads: &[Workload]) -> Vec<TerechkoRow> {
         TerechkoRow {
             benchmark: w.name.to_string(),
             data_move_fraction: data_moves as f64 / all_moves.max(1) as f64,
-            overhead: naive.cycles() as f64 / unified.cycles().max(1) as f64 - 1.0,
+            overhead: naive.cycles() as f64 / unified.cycles.max(1) as f64 - 1.0,
         }
     })
 }
@@ -551,13 +539,8 @@ pub fn ablation_opt(workloads: &[Workload]) -> Vec<OptAblationRow> {
         let mut rels = [0.0f64; 2];
         let mut ops = [0usize; 2];
         for (i, pre) in [false, true].into_iter().enumerate() {
-            let mut ucfg = PipelineConfig::new(Method::Unified);
-            ucfg.pre_optimize = pre;
-            let unified = run_pipeline(&w.program, &w.profile, &machine, &ucfg).expect("pipeline");
-            let mut cfg = PipelineConfig::new(Method::Gdp);
-            cfg.pre_optimize = pre;
-            let r = run_pipeline(&w.program, &w.profile, &machine, &cfg).expect("pipeline");
-            rels[i] = unified.cycles() as f64 / r.cycles() as f64;
+            let cycles = |method| run(w, &machine, method, |cfg| cfg.pre_optimize = pre).cycles();
+            rels[i] = cycles(Method::Unified) as f64 / cycles(Method::Gdp) as f64;
             // Count ops before move insertion by re-optimizing a copy.
             ops[i] = if pre {
                 let mut p = w.profile.apply_heap_sizes(&w.program);
@@ -594,9 +577,7 @@ pub fn ablation_hoist(workloads: &[Workload]) -> Vec<HoistAblationRow> {
     par_workloads(workloads, |w| {
         let mut results = Vec::new();
         for strategy in [MoveStrategy::PerUseBlock, MoveStrategy::ProfileHoisted] {
-            let mut cfg = PipelineConfig::new(Method::Gdp);
-            cfg.move_strategy = strategy;
-            let r = run_pipeline(&w.program, &w.profile, &machine, &cfg).expect("pipeline");
+            let r = run(w, &machine, Method::Gdp, |cfg| cfg.move_strategy = strategy);
             results.push((r.cycles(), r.dynamic_moves()));
         }
         HoistAblationRow {
@@ -627,20 +608,13 @@ pub struct CacheExtensionRow {
 pub fn ext_cache(workloads: &[Workload], penalties: &[u32]) -> Vec<CacheExtensionRow> {
     par_workloads(workloads, |w| {
         let base = Machine::paper_2cluster(5);
-        let unified =
-            run_pipeline(&w.program, &w.profile, &base, &PipelineConfig::new(Method::Unified))
-                .expect("pipeline")
-                .cycles() as f64;
-        let part = run_pipeline(&w.program, &w.profile, &base, &PipelineConfig::new(Method::Gdp))
-            .expect("pipeline")
-            .cycles() as f64;
+        let unified = run_method(w, &base, Method::Unified).cycles as f64;
+        let part = run_method(w, &base, Method::Gdp).cycles as f64;
         let mut coherent_rel = Vec::new();
         let mut remote_accesses = Vec::new();
         for &p in penalties {
             let machine = Machine::paper_2cluster(5).with_coherent_cache(p);
-            let r =
-                run_pipeline(&w.program, &w.profile, &machine, &PipelineConfig::new(Method::Gdp))
-                    .expect("pipeline");
+            let r = run(w, &machine, Method::Gdp, |_| {});
             coherent_rel.push(unified / r.cycles() as f64);
             remote_accesses.push(r.report.dynamic_remote_accesses);
         }
@@ -676,13 +650,9 @@ pub fn ablation_regions(workloads: &[Workload]) -> Vec<RegionScopeRow> {
                 .enumerate()
         {
             // Both sides use the same scope for a fair comparison.
-            let mut ucfg = PipelineConfig::new(Method::Unified);
-            ucfg.rhop.region_scope = scope;
-            let unified = run_pipeline(&w.program, &w.profile, &machine, &ucfg).expect("pipeline");
-            let mut cfg = PipelineConfig::new(Method::Gdp);
-            cfg.rhop.region_scope = scope;
-            let r = run_pipeline(&w.program, &w.profile, &machine, &cfg).expect("pipeline");
-            rels[i] = unified.cycles() as f64 / r.cycles() as f64;
+            let cycles =
+                |method| run(w, &machine, method, |cfg| cfg.rhop.region_scope = scope).cycles();
+            rels[i] = cycles(Method::Unified) as f64 / cycles(Method::Gdp) as f64;
         }
         RegionScopeRow { benchmark: w.name.to_string(), rel: (rels[0], rels[1], rels[2]) }
     })

@@ -1,23 +1,33 @@
 //! # mcpart-bench — the experiment harness
 //!
-//! One regenerator per table and figure of the paper (see DESIGN.md for
-//! the experiment index). Each binary accepts only the flags it reads:
+//! One driver, `figures`, regenerates every committed result of the
+//! paper reproduction (see DESIGN.md for the experiment index and
+//! EXPERIMENTS.md for measured-vs-paper numbers):
 //!
-//! | Target | Paper artifact | Flags |
-//! |---|---|---|
-//! | `table1` | Table 1 (method matrix) | none |
-//! | `fig2` | Figure 2 (naïve placement cost) | `--benchmarks`, `--json` |
-//! | `fig7_8` | Figures 7, 8a, 8b | `--benchmarks`, `--latency {1,5,10}`, `--json` |
-//! | `fig9` | Figure 9 (exhaustive search) | none |
-//! | `fig10` | Figure 10 (move traffic) | `--benchmarks`, `--json` |
-//! | `compile_time` | §4.5 (compile time) | `--benchmarks` |
-//! | `ablation_*` | §3.3.1 merging, §4.3 balance, cluster scaling, ... | `--benchmarks` |
-//! | `ext_*` | extensions beyond the paper (caches, SWP, ...) | `--benchmarks` |
+//! ```text
+//! figures [NAME...] [--benchmarks a,b,c] [--out DIR]
+//! ```
 //!
-//! Run one with `cargo run --release -p mcpart-bench --bin <target> --
-//! [flags]`; debug builds are fine for spot checks on a few benchmarks
-//! (`--benchmarks a,b,c`). Compile time at scale, per stage, is
-//! measured by `perfbench` (`BENCHMARK.json`), not here.
+//! Each NAME is a `results/` file stem, a row of [`figures::FIGURES`]:
+//!
+//! | Name | Paper artifact |
+//! |---|---|
+//! | `table1` | Table 1 (method matrix) |
+//! | `fig2` | Figure 2 (naïve placement cost) |
+//! | `fig7`, `fig8a`, `fig8b` | Figures 7, 8a, 8b (1/5/10-cycle moves) |
+//! | `fig9` | Figure 9 (exhaustive search) |
+//! | `fig10` | Figure 10 (move traffic) |
+//! | `compile_time` | §4.5 (partitioning work) |
+//! | `ablation_*` | §3.3.1 merging, §4.3 balance, cluster scaling, ... |
+//! | `ext_*` | extensions beyond the paper (caches, SWP, ...) |
+//!
+//! No NAME selects every row. `--benchmarks` replaces the default
+//! workloads of every selected row that takes workloads (`table1` and
+//! `fig9` take none). Output goes to stdout, or with `--out DIR` to
+//! `DIR/<name>.txt` per row, so `figures --out results` regenerates
+//! `results/`. Run it with `cargo run --release -p mcpart-bench --bin
+//! figures -- [args]`. Compile time at scale, per stage, is measured
+//! by `perfbench` (`BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -25,63 +35,64 @@
 
 pub mod args;
 pub mod experiments;
-pub mod report;
+pub mod figures;
 
 use args::{ArgError, Flags};
+use figures::{Figure, Takes, FIGURES};
 use mcpart_workloads::Workload;
+use std::path::PathBuf;
 
-/// The experiment binaries' command line: one parse for all of them,
-/// each binary naming the flags it reads. Anything else — an unknown
-/// flag, a flag the binary ignores, a malformed value or an unknown
-/// benchmark name — is an error.
+/// The `figures` command line. Anything else — an unknown name or
+/// flag, a malformed value, an unknown benchmark, or `--benchmarks`
+/// when no selected row takes workloads — is an error.
 #[derive(Debug)]
-pub struct BenchArgs {
-    /// `--benchmarks a,b,c` (default: every bundled workload; none for a
-    /// binary that does not take `--benchmarks`).
-    pub workloads: Vec<Workload>,
-    /// `--latency N`.
-    pub latency: Option<u32>,
-    /// `--json`: machine-readable output.
-    pub json: bool,
+pub struct FigureArgs {
+    /// The selected rows, in command-line order (default: every row).
+    pub figures: Vec<&'static Figure>,
+    /// `--benchmarks a,b,c`: replaces each selected row's defaults.
+    pub workloads: Option<Vec<Workload>>,
+    /// `--out DIR`: write `DIR/<name>.txt` per row instead of stdout.
+    pub out: Option<PathBuf>,
 }
 
-impl BenchArgs {
-    /// Parses `args`, accepting only the flags listed in `accepted`.
-    pub fn parse(args: &[String], accepted: &[&str]) -> Result<BenchArgs, ArgError> {
-        let mut a = BenchArgs { workloads: Vec::new(), latency: None, json: false };
-        let mut names: Option<String> = None;
+impl FigureArgs {
+    /// Parses the arguments after the program name.
+    pub fn parse(args: &[String]) -> Result<FigureArgs, ArgError> {
+        let (mut figures, mut names, mut out) = (Vec::new(), None, None);
         let mut flags = Flags::new(args);
-        while let Some(flag) = flags.next_flag() {
-            match flag {
-                _ if !accepted.contains(&flag) => return Err(Flags::unknown(flag)),
-                "--benchmarks" => names = Some(flags.value(flag, "a comma-separated list")?),
-                "--latency" => a.latency = Some(flags.value(flag, "a number")?),
-                "--json" => a.json = true,
-                other => return Err(Flags::unknown(other)),
+        while let Some(arg) = flags.next_flag() {
+            match arg {
+                "--benchmarks" => {
+                    names = Some(flags.value::<String>(arg, "a comma-separated list")?)
+                }
+                "--out" => out = Some(flags.value(arg, "a directory")?),
+                _ if arg.starts_with('-') => return Err(Flags::unknown(arg)),
+                name => figures.push(
+                    FIGURES
+                        .iter()
+                        .find(|f| f.name == name)
+                        .ok_or_else(|| ArgError(format!("unknown figure `{name}`")))?,
+                ),
             }
         }
-        a.workloads = match names {
-            None if accepted.contains(&"--benchmarks") => mcpart_workloads::all(),
-            None => Vec::new(),
-            Some(list) => list
-                .split(',')
-                .map(|n| {
-                    mcpart_workloads::by_name(n)
-                        .ok_or_else(|| ArgError(format!("unknown benchmark `{n}`")))
-                })
-                .collect::<Result<_, _>>()?,
+        if figures.is_empty() {
+            figures = FIGURES.iter().collect();
+        }
+        let workloads = match names {
+            None => None,
+            Some(_) if figures.iter().all(|f| matches!(f.takes, Takes::Nothing)) => {
+                return Err(ArgError("--benchmarks: no selected figure takes workloads".into()))
+            }
+            Some(list) => Some(
+                list.split(',')
+                    .map(|n| {
+                        mcpart_workloads::by_name(n)
+                            .ok_or_else(|| ArgError(format!("unknown benchmark `{n}`")))
+                    })
+                    .collect::<Result<_, _>>()?,
+            ),
         };
-        Ok(a)
-    }
-
-    /// Parses the process's arguments; on error prints it with the
-    /// accepted flags and exits 2.
-    pub fn from_env(accepted: &[&str]) -> BenchArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        BenchArgs::parse(&args, accepted).unwrap_or_else(|e| {
-            eprintln!("error: {e}\nusage: accepted flags: [{}]", accepted.join(" "));
-            std::process::exit(2)
-        })
+        Ok(FigureArgs { figures, workloads, out })
     }
 }
 
@@ -89,33 +100,37 @@ impl BenchArgs {
 mod tests {
     use super::*;
 
-    /// `fig7_8`'s flags, the widest set any binary reads.
-    const FIG7_8: &[&str] = &["--benchmarks", "--latency", "--json"];
+    fn parse(list: &[&str]) -> Result<FigureArgs, ArgError> {
+        FigureArgs::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn names(a: &FigureArgs) -> Vec<&str> {
+        a.figures.iter().map(|f| f.name).collect()
     }
 
     #[test]
     fn arg_parsing() {
-        let a = BenchArgs::parse(
-            &args(&["--benchmarks", "rawcaudio,fft", "--latency", "10", "--json"]),
-            FIG7_8,
-        )
-        .expect("parses");
-        assert_eq!(a.workloads.len(), 2);
-        assert_eq!(a.latency, Some(10));
-        assert!(a.json);
+        let a = parse(&["fig8b", "--benchmarks", "rawcaudio,fft", "table1", "--out", "dir"])
+            .expect("parses");
+        assert_eq!(names(&a), ["fig8b", "table1"]);
+        assert_eq!(a.workloads.as_ref().map(Vec::len), Some(2));
+        assert_eq!(a.out, Some(PathBuf::from("dir")));
     }
 
     #[test]
     fn no_args_selects_all() {
-        let a = BenchArgs::parse(&[], FIG7_8).expect("parses");
-        assert!(a.workloads.len() >= 15);
-        assert_eq!(a.latency, None);
-        assert!(!a.json);
-        let a = BenchArgs::parse(&[], &[]).expect("parses");
-        assert!(a.workloads.is_empty());
+        let a = parse(&[]).expect("parses");
+        assert_eq!(a.figures.len(), FIGURES.len());
+        assert!(a.workloads.is_none());
+        assert!(a.out.is_none());
+        // Every row is a distinct `results/` stem.
+        let mut stems = names(&a);
+        stems.sort_unstable();
+        stems.dedup();
+        assert_eq!(stems.len(), 19);
+        // `--benchmarks` alone applies to every row that takes workloads.
+        let a = parse(&["--benchmarks", "fir"]).expect("parses");
+        assert_eq!(a.figures.len(), FIGURES.len());
     }
 
     #[test]
@@ -124,21 +139,18 @@ mod tests {
             &["--benchmarks", "rawcaudoi"][..],
             &["--benchmarks", "rawcaudio,"],
             &["--benchmarks"],
-            &["--latency", "fast"],
-            &["--latency"],
+            &["--out"],
+            &["--latency", "10"],
+            &["--json"],
             &["--bogus"],
             &["--quick"],
             &["rawcaudio"],
+            &["fig7_8"],
+            &["table1", "--benchmarks", "fir"],
+            &["fig9", "table1", "--benchmarks", "fir"],
         ] {
-            assert!(BenchArgs::parse(&args(bad), FIG7_8).is_err(), "accepted {bad:?}");
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
-        // A binary rejects the flags it does not read.
-        let fig2 = ["--benchmarks", "--json"];
-        assert!(BenchArgs::parse(&args(&["--json"]), &fig2).is_ok());
-        assert!(BenchArgs::parse(&args(&["--latency", "10"]), &fig2).is_err());
-        for bad in [&["--latency", "10"][..], &["--json"], &["--reps", "1"]] {
-            assert!(BenchArgs::parse(&args(bad), &["--benchmarks"]).is_err(), "accepted {bad:?}");
-        }
-        assert!(BenchArgs::parse(&args(&["--benchmarks", "fir"]), &[]).is_err());
+        assert!(parse(&["fig9", "fig2", "--benchmarks", "fir"]).is_ok());
     }
 }

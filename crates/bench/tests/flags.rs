@@ -1,36 +1,28 @@
-//! Every experiment binary rejects a flag it does not read: exit 2 and
-//! nothing on stdout, before any workload runs.
+//! The `figures` command line: a usage error exits 2 with nothing on
+//! stdout, before any workload runs; a plain run prints the committed
+//! result.
 
 use std::process::Command;
 
-/// Each binary with one flag it ignores.
-const IGNORED: &[(&str, &[&str])] = &[
-    (env!("CARGO_BIN_EXE_ablation_balance"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_ablation_clusters"), &["--json"]),
-    (env!("CARGO_BIN_EXE_ablation_hoist"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_ablation_merge"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_ablation_opt"), &["--json"]),
-    (env!("CARGO_BIN_EXE_ablation_regions"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_compile_time"), &["--json"]),
-    (env!("CARGO_BIN_EXE_ext_cache"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_ext_hetero"), &["--json"]),
-    (env!("CARGO_BIN_EXE_ext_regfile"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_ext_swp"), &["--json"]),
-    (env!("CARGO_BIN_EXE_ext_terechko"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_fig10"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_fig2"), &["--latency", "10"]),
-    (env!("CARGO_BIN_EXE_fig7_8"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_fig9"), &["--benchmarks", "fir"]),
-    (env!("CARGO_BIN_EXE_table1"), &["--json"]),
-];
+const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
 
 #[test]
-fn every_binary_rejects_a_flag_it_ignores() {
-    for &(exe, args) in IGNORED {
-        let out = Command::new(exe).args(args).output().expect("binary starts");
+fn usage_errors_exit_2_and_table1_matches_results() {
+    for (args, problem) in [
+        (&["fig7_8"][..], "unknown figure `fig7_8`"),
+        (&["fig8a", "--latency", "10"], "unknown option `--latency`"),
+        (&["--json"], "unknown option `--json`"),
+        (&["--benchmarks", "no-such"], "unknown benchmark `no-such`"),
+        (&["table1", "--benchmarks", "fir"], "no selected figure takes workloads"),
+    ] {
+        let out = Command::new(FIGURES).args(args).output().expect("figures starts");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{exe} {args:?} wrote to stdout");
-        assert!(stderr.contains("unknown option"), "{exe} {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(stderr.contains(problem), "{args:?}: {stderr}");
     }
+    let out = Command::new(FIGURES).arg("table1").output().expect("figures starts");
+    assert_eq!(out.status.code(), Some(0));
+    let committed = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/table1.txt"));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), committed);
 }

@@ -24,14 +24,23 @@ cargo clippy --workspace --all-targets -- -W clippy::perf
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== experiment binaries reject an unknown benchmark before printing anything"
-cargo build --release -q -p mcpart-bench --bin fig7_8
+echo "== figures rejects an unknown benchmark before printing anything"
+cargo build --release -q -p mcpart-bench --bin figures
 CODE=0
-target/release/fig7_8 --benchmarks no-such > /tmp/mcpart_fig_typo.txt 2>/dev/null || CODE=$?
-[ "$CODE" -eq 2 ] || { echo "fig7_8 --benchmarks no-such exited $CODE, want 2"; exit 1; }
+target/release/figures --benchmarks no-such > /tmp/mcpart_fig_typo.txt 2>/dev/null || CODE=$?
+[ "$CODE" -eq 2 ] || { echo "figures --benchmarks no-such exited $CODE, want 2"; exit 1; }
 if [ -s /tmp/mcpart_fig_typo.txt ]; then
-  echo "fig7_8 wrote output for an unknown benchmark name"; exit 1
+  echo "figures wrote output for an unknown benchmark name"; exit 1
 fi
+
+echo "== results/ drift gate (figures regenerates every committed result)"
+# A change that moves a placement must re-commit results/ on purpose:
+# diff -r also catches a missing or an extra file.
+FIG_OUT=/tmp/mcpart_figures
+rm -rf "$FIG_OUT"
+target/release/figures --out "$FIG_OUT"
+diff -r results "$FIG_OUT" \
+  || { echo "results/ differs from a fresh 'figures --out'; regenerate and re-commit"; exit 1; }
 
 echo "== trace export smoke (--trace-out + trace-check + stats)"
 target/release/mcpart run rawcaudio --trace-out /tmp/mcpart_trace.json --metrics \
