@@ -44,5 +44,5 @@ pub use callgraph::CallGraph;
 pub use error::{validate_profile, AnalysisError};
 pub use liveness::{Liveness, RegSet};
 pub use loops::{loop_regions, Dominators, LoopForest, NaturalLoop};
-pub use offsets::{AddressInfo, KnownAddress};
+pub use offsets::{AddressInfo, KnownAddress, KnownRange};
 pub use pointsto::{ObjectSet, PointsTo};

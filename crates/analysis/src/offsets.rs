@@ -106,23 +106,47 @@ impl AddressInfo {
         AddressInfo { known }
     }
 
+    /// The bytes memory operation `op` of `func` accesses, when its
+    /// address is statically known.
+    pub fn known_range(&self, program: &Program, func: FuncId, op: OpId) -> Option<KnownRange> {
+        let known = self.known.get(&(func, op))?;
+        let width = match program.functions[func].ops[op].opcode {
+            Opcode::Load(w) | Opcode::Store(w) => w.bytes() as i64,
+            _ => 0,
+        };
+        Some(KnownRange { object: known.object, offset: known.offset, width })
+    }
+
     /// Returns `true` when the two memory operations provably access
     /// disjoint byte ranges (both addresses known, same or different
     /// objects, non-overlapping `[offset, offset+width)`).
     pub fn provably_disjoint(&self, program: &Program, func: FuncId, a: OpId, b: OpId) -> bool {
-        let (Some(ka), Some(kb)) = (self.known.get(&(func, a)), self.known.get(&(func, b))) else {
-            return false;
-        };
-        if ka.object != kb.object {
-            return true;
+        match (self.known_range(program, func, a), self.known_range(program, func, b)) {
+            (Some(ra), Some(rb)) => ra.disjoint(&rb),
+            _ => false,
         }
-        let width = |op: OpId| -> i64 {
-            match program.functions[func].ops[op].opcode {
-                Opcode::Load(w) | Opcode::Store(w) => w.bytes() as i64,
-                _ => 0,
-            }
-        };
-        ka.offset + width(a) <= kb.offset || kb.offset + width(b) <= ka.offset
+    }
+}
+
+/// The byte range `[offset, offset + width)` of one object a memory
+/// operation with a [`KnownAddress`] accesses.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct KnownRange {
+    /// The object accessed.
+    pub object: ObjectId,
+    /// First byte, from the object base.
+    pub offset: i64,
+    /// Bytes accessed (0 for a `malloc`).
+    pub width: i64,
+}
+
+impl KnownRange {
+    /// Whether the two ranges share no byte: different objects, or
+    /// non-overlapping ranges of one object.
+    pub fn disjoint(&self, other: &KnownRange) -> bool {
+        self.object != other.object
+            || self.offset + self.width <= other.offset
+            || other.offset + other.width <= self.offset
     }
 }
 

@@ -3,7 +3,7 @@
 //! before anything runs; a failed write exits 1; a closed stdout (e.g.
 //! `figures | head`) ends the run quietly.
 
-use mcpart_bench::figures::FIGURES;
+use mcpart_bench::figures::{Bundled, FIGURES};
 use mcpart_bench::FigureArgs;
 use std::io::Write;
 use std::process::exit;
@@ -22,8 +22,9 @@ fn main() {
             exit(1)
         }
     }
+    let bundled = Bundled::default();
     for figure in &a.figures {
-        let text = figure.render(a.workloads.as_deref());
+        let text = figure.render(a.workloads.as_deref(), &bundled);
         let Some(dir) = &a.out else {
             if std::io::stdout().write_all(text.as_bytes()).is_err() {
                 exit(0)

@@ -3,16 +3,45 @@
 
 use crate::experiments as ex;
 use mcpart_workloads::Workload;
+use std::cell::OnceCell;
 
 /// The workloads a figure runs when `--benchmarks` is not given.
 #[derive(Clone, Copy, Debug)]
 pub enum Takes {
-    /// None: the figure fixes its own programs, or needs none.
+    /// None: the figure needs no programs.
     Nothing,
     /// Every bundled workload.
     All,
     /// These bundled workloads.
     Only(&'static [&'static str]),
+    /// These bundled workloads, even under `--benchmarks`: the figure
+    /// fixes its own programs.
+    Fixed(&'static [&'static str]),
+}
+
+/// The bundled workloads, built (and profiled) on first use and shared
+/// by every figure of one invocation.
+#[derive(Debug, Default)]
+pub struct Bundled(OnceCell<Vec<Workload>>);
+
+impl Bundled {
+    /// Every bundled workload.
+    pub fn all(&self) -> &[Workload] {
+        self.0.get_or_init(mcpart_workloads::all)
+    }
+
+    /// The bundled workloads named `names`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// On a name that is not bundled (figure tables name only bundled
+    /// programs).
+    fn pick(&self, names: &[&str]) -> Vec<Workload> {
+        names
+            .iter()
+            .map(|n| self.all().iter().find(|w| w.name == *n).expect("bundled workload").clone())
+            .collect()
+    }
 }
 
 /// One committed result: `results/<name>.txt` is `run` over the
@@ -29,23 +58,17 @@ pub struct Figure {
 
 impl Figure {
     /// Runs the figure on `chosen` (`--benchmarks`) or, when that is
-    /// `None`, on its default workloads. A figure that takes no
-    /// workloads ignores `chosen`.
-    pub fn render(&self, chosen: Option<&[Workload]>) -> String {
-        let defaults: Vec<Workload>;
+    /// `None`, on its default workloads, taken from `bundled`. A figure
+    /// that takes no workloads, or fixes its own, ignores `chosen`.
+    pub fn render(&self, chosen: Option<&[Workload]>, bundled: &Bundled) -> String {
+        let picked: Vec<Workload>;
         let workloads = match (self.takes, chosen) {
             (Takes::Nothing, _) => &[][..],
-            (_, Some(ws)) => ws,
-            (Takes::All, None) => {
-                defaults = mcpart_workloads::all();
-                &defaults
-            }
-            (Takes::Only(names), None) => {
-                defaults = names
-                    .iter()
-                    .map(|n| mcpart_workloads::by_name(n).expect("bundled workload"))
-                    .collect();
-                &defaults
+            (Takes::All | Takes::Only(_), Some(ws)) => ws,
+            (Takes::All, None) => bundled.all(),
+            (Takes::Only(names), None) | (Takes::Fixed(names), _) => {
+                picked = bundled.pick(names);
+                &picked
             }
         };
         (self.run)(workloads)
@@ -60,7 +83,7 @@ pub const FIGURES: &[Figure] = &[
     Figure { name: "fig7", takes: Takes::All, run: |ws| fig7_8(ws, "7", 1) },
     Figure { name: "fig8a", takes: Takes::All, run: |ws| fig7_8(ws, "8a", 5) },
     Figure { name: "fig8b", takes: Takes::All, run: |ws| fig7_8(ws, "8b", 10) },
-    Figure { name: "fig9", takes: Takes::Nothing, run: fig9 },
+    Figure { name: "fig9", takes: Takes::Fixed(&["rawcaudio", "rawdaudio"]), run: fig9 },
     Figure { name: "fig10", takes: Takes::All, run: fig10 },
     Figure { name: "compile_time", takes: Takes::All, run: compile_time },
     Figure {
@@ -147,11 +170,11 @@ fn fig7_8(workloads: &[Workload], figure: &str, latency: u32) -> String {
 /// Figure 9: exhaustive search over all data-object mappings of
 /// rawcaudio (a) and rawdaudio (b), every point as `perf imbalance
 /// moves`, plus the GDP and Profile Max choices.
-fn fig9(_: &[Workload]) -> String {
+fn fig9(workloads: &[Workload]) -> String {
     let mut out = String::new();
-    for name in ["rawcaudio", "rawdaudio"] {
-        let w = mcpart_workloads::by_name(name).expect("bundled workload");
-        let result = match ex::fig9(&w, 14) {
+    for w in workloads {
+        let name = &w.name;
+        let result = match ex::fig9(w, 14) {
             Ok(result) => result,
             Err(e) => {
                 out += &format!("# Figure 9 — {name}: skipped ({e})\n");

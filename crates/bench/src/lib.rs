@@ -22,10 +22,11 @@
 //! | `ext_*` | extensions beyond the paper (caches, SWP, ...) |
 //!
 //! No NAME selects every row. `--benchmarks` replaces the default
-//! workloads of every selected row that takes workloads (`table1` and
-//! `fig9` take none). Output goes to stdout, or with `--out DIR` to
-//! `DIR/<name>.txt` per row, so `figures --out results` regenerates
-//! `results/`. Run it with `cargo run --release -p mcpart-bench --bin
+//! workloads of every selected row that takes workloads (`table1` takes
+//! none; `fig9` always runs its own two programs). The bundled programs
+//! are built and profiled once per invocation and shared by every row.
+//! Output goes to stdout, or with `--out DIR` to `DIR/<name>.txt` per
+//! row, so `figures --out results` regenerates `results/`. Run it with `cargo run --release -p mcpart-bench --bin
 //! figures -- [args]`. Compile time at scale, per stage, is measured
 //! by `perfbench` (`BENCHMARK.json`), not here.
 
@@ -80,7 +81,9 @@ impl FigureArgs {
         }
         let workloads = match names {
             None => None,
-            Some(_) if figures.iter().all(|f| matches!(f.takes, Takes::Nothing)) => {
+            Some(_)
+                if figures.iter().all(|f| matches!(f.takes, Takes::Nothing | Takes::Fixed(_))) =>
+            {
                 return Err(ArgError("--benchmarks: no selected figure takes workloads".into()))
             }
             Some(list) => Some(

@@ -61,9 +61,13 @@ use std::path::Path;
 pub const CHECKPOINT_VERSION: i64 = 1;
 
 /// The content fingerprint of a program (FNV-1a of its textual IR),
-/// which ties a checkpoint to its program text.
+/// which ties a checkpoint to its program text. The text is streamed
+/// into the hash, never built.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    durable::fnv1a(mcpart_ir::program_to_string(program).as_bytes())
+    let mut hash = durable::Fnv1a::default();
+    // Hashing cannot fail.
+    let _ = mcpart_ir::write_program(&mut hash, program);
+    hash.finish()
 }
 
 /// Stable lowercase slug of a method, used in unit keys and records.

@@ -34,9 +34,9 @@ use crate::checkpoint::{Manifest, ManifestFunc};
 use crate::gdp::DataPartition;
 use crate::groups::ObjectGroups;
 use crate::rhop::{FuncPartitionOutcome, ReuseEntry, RhopStats};
-use mcpart_analysis::{AccessInfo, AccessSite, CallGraph};
-use mcpart_ir::{EntityId, FuncId, OpId, Program};
-use mcpart_obs::durable::fnv1a;
+use mcpart_analysis::{AccessInfo, AccessSite, CallGraph, ObjectSet};
+use mcpart_ir::{EntityId, FuncId, Function, Program};
+use mcpart_obs::durable::{fnv1a, Fnv1a};
 use mcpart_sched::Placement;
 use std::collections::HashMap;
 
@@ -67,22 +67,35 @@ impl RepartitionStats {
     }
 }
 
-/// Content hash of one function: FNV-1a of its textual IR folded with
-/// the names of the objects each of its access sites may touch, in op
-/// order (object sets are `BTreeSet`s, so the fold is deterministic).
+/// Content hash of one function: FNV-1a of its textual IR followed by
+/// `\0` and the name of each object each of its access sites may
+/// touch, in op order (object sets are `BTreeSet`s, so the fold is
+/// deterministic). The text is streamed into the hash, never built.
 pub fn function_content_hash(program: &Program, access: &AccessInfo, fid: FuncId) -> u64 {
     let func = &program.functions[fid];
-    let mut text = mcpart_ir::function_to_string(func);
-    for i in 0..func.num_ops() {
-        let site = AccessSite { func: fid, op: OpId::new(i) };
-        if let Some(objs) = access.site_objects.get(&site) {
-            for &obj in objs {
-                text.push('\0');
-                text.push_str(&program.objects[obj].name);
-            }
+    let mut hash = Fnv1a::default();
+    // Hashing cannot fail.
+    let _ = mcpart_ir::write_function(&mut hash, func);
+    for objs in site_object_sets(access, fid, func) {
+        for &obj in objs {
+            hash.update(b"\0");
+            hash.update(program.objects[obj].name.as_bytes());
         }
     }
-    fnv1a(text.as_bytes())
+    hash.finish()
+}
+
+/// The object sets of `func`'s access sites, in op order. Only memory
+/// operations are access sites.
+fn site_object_sets<'a>(
+    access: &'a AccessInfo,
+    fid: FuncId,
+    func: &'a Function,
+) -> impl Iterator<Item = &'a ObjectSet> + 'a {
+    func.ops
+        .iter()
+        .filter(|(_, op)| op.opcode.is_memory())
+        .filter_map(move |(op, _)| access.site_objects.get(&AccessSite { func: fid, op }))
 }
 
 /// Content hash of one object group: FNV-1a over the sorted
@@ -110,16 +123,10 @@ fn accessed_group_hashes(
     group_hashes: &[u64],
     fid: FuncId,
 ) -> Vec<u64> {
-    let func = &program.functions[fid];
-    let mut out: Vec<u64> = Vec::new();
-    for i in 0..func.num_ops() {
-        let site = AccessSite { func: fid, op: OpId::new(i) };
-        if let Some(objs) = access.site_objects.get(&site) {
-            for &obj in objs {
-                out.push(group_hashes[groups.group_of[obj]]);
-            }
-        }
-    }
+    let mut out: Vec<u64> = site_object_sets(access, fid, &program.functions[fid])
+        .flatten()
+        .map(|&obj| group_hashes[groups.group_of[obj]])
+        .collect();
     out.sort_unstable();
     out.dedup();
     out
@@ -234,20 +241,11 @@ pub fn compute_reuse(
         }
         // Rule 2: every accessed group must exist in the baseline with
         // the same home the fresh GDP pass assigns.
-        let func = &program.functions[fid];
-        'ops: for op in 0..func.num_ops() {
-            let site = AccessSite { func: fid, op: OpId::new(op) };
-            if let Some(objs) = access.site_objects.get(&site) {
-                for &obj in objs {
-                    let g = groups.group_of[obj];
-                    let home = dp.group_cluster[g].index() as i64;
-                    if baseline_home.get(&group_hashes[g]) != Some(&home) {
-                        dirty[i] = true;
-                        break 'ops;
-                    }
-                }
-            }
-        }
+        dirty[i] = site_object_sets(access, fid, &program.functions[fid]).flatten().any(|&obj| {
+            let g = groups.group_of[obj];
+            let home = dp.group_cluster[g].index() as i64;
+            baseline_home.get(&group_hashes[g]) != Some(&home)
+        });
     }
     // Rule 3: dirt propagates one call-graph hop (callers + callees)
     // when GDP merges dependent ops across that radius.

@@ -764,6 +764,10 @@ fn partition_region(
     // unlocked group on cluster 0 unless cluster 0 lacks a unit one of
     // its members needs; then on the first cluster that has them all.
     let coarsest = levels.len() - 1;
+    // `Some((estimate, peak))` while the evaluator's committed node
+    // assignment is the incumbent `assign_groups`, whose estimate and
+    // peak these are.
+    let mut carried: Option<(u32, u32)> = None;
     let mut assign_groups: Vec<u16> = {
         let level = &levels[coarsest];
         let start = |members: &[u32]| {
@@ -786,11 +790,12 @@ fn partition_region(
             }
         }
         let mut best: Option<(Vec<u16>, u32, u32)> = None;
-        for mut cand in [seed_a, seed_b] {
+        for (ci, mut cand) in [seed_a, seed_b].into_iter().enumerate() {
             let (e, peak) = refine_level(
                 level,
                 &mut cand,
                 &mut inc,
+                None,
                 nclusters,
                 REFINE_PASSES.max(2) + 2,
                 stats,
@@ -807,6 +812,8 @@ fn partition_region(
             };
             if better {
                 best = Some((cand, e, peak));
+                // The evaluator holds the last candidate's refined state.
+                carried = (ci == 1).then_some((e, peak));
             }
         }
         match best {
@@ -833,16 +840,19 @@ fn partition_region(
         }
         let mut fine_assign: Vec<u16> =
             fine.members.iter().map(|members| node_cluster[members[0] as usize]).collect();
-        refine_level(
+        // Projection keeps every node where the coarser level's
+        // refinement left it, so that level's final state carries over.
+        carried = Some(refine_level(
             fine,
             &mut fine_assign,
             &mut inc,
+            carried,
             nclusters,
             REFINE_PASSES,
             stats,
             rng,
             budget,
-        )?;
+        )?);
         assign_groups = fine_assign;
     }
 
@@ -865,6 +875,13 @@ fn partition_region(
 /// the schedule estimate improves. Returns the final `(estimate, peak)`
 /// of the refined assignment.
 ///
+/// `carried` is `Some((estimate, peak))` when the evaluator's committed
+/// node assignment already is `assign` (uncoarsening projects the
+/// previous level's result without moving a node): the level then
+/// starts from those values instead of reloading the assignment and
+/// re-simulating it. The start still charges the budget and counts as
+/// a full evaluation, exactly like the estimate it replaces.
+///
 /// Probes go through the incremental evaluator: each candidate is a
 /// try-move, judged either by the exact lower bound (pruned) or by a
 /// full allocation-free simulation, then rolled back — the accepted
@@ -883,15 +900,36 @@ fn refine_level(
     level: &Level,
     assign: &mut [u16],
     inc: &mut IncrementalEstimator<'_>,
+    carried: Option<(u32, u32)>,
     nclusters: usize,
     passes: usize,
     stats: &mut RhopStats,
     rng: &mut SmallRng,
     budget: &SharedBudget,
 ) -> Result<(u32, u32), RhopError> {
-    inc.load_groups(&level.members, assign);
-    let mut current = inc.estimate();
-    let mut current_peak = inc.resource_peak();
+    let (mut current, mut current_peak) = match carried {
+        Some(start) => {
+            debug_assert!(
+                level
+                    .members
+                    .iter()
+                    .zip(assign.iter())
+                    .all(|(ms, &c)| ms.iter().all(|&m| inc.assign()[m as usize] == c)),
+                "the carried state is not the level's assignment"
+            );
+            if cfg!(debug_assertions) {
+                let saved = ProbeMemo::counters(inc);
+                debug_assert_eq!((inc.estimate(), inc.resource_peak()), start);
+                ProbeMemo::set_counters(inc, saved);
+            }
+            inc.full_evals += 1;
+            start
+        }
+        None => {
+            inc.load_groups(&level.members, assign);
+            (inc.estimate(), inc.resource_peak())
+        }
+    };
     spend_estimate(stats, budget)?;
     if current == INFEASIBLE {
         // Locked base assignment should always be feasible; bail out

@@ -64,7 +64,7 @@ pub use object::{DataObject, ObjectKind};
 pub use op::{Op, OpRef};
 pub use opcode::{Cmp, FloatBinOp, FuKind, IntBinOp, MemWidth, Opcode};
 pub use parse::{parse_program, ParseError};
-pub use print::{function_to_string, program_to_string};
+pub use print::{function_to_string, program_to_string, write_function, write_program};
 pub use profile::{FuncProfile, Profile};
 pub use program::Program;
 pub use transform::{

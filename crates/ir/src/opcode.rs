@@ -306,35 +306,32 @@ impl Opcode {
             Opcode::Call(_) | Opcode::Ret => None,
         }
     }
-
-    /// A short mnemonic for printing.
-    pub fn mnemonic(self) -> String {
-        match self {
-            Opcode::ConstInt(v) => format!("iconst {v}"),
-            Opcode::ConstFloat(bits) => format!("fconst {}", f64::from_bits(bits)),
-            Opcode::AddrOf(o) => format!("addrof {o}"),
-            Opcode::IntBin(op) => op.to_string(),
-            Opcode::IntCmp(c) => format!("icmp.{c}"),
-            Opcode::Select => "select".to_string(),
-            Opcode::FloatBin(op) => op.to_string(),
-            Opcode::FloatCmp(c) => format!("fcmp.{c}"),
-            Opcode::IntToFloat => "itof".to_string(),
-            Opcode::FloatToInt => "ftoi".to_string(),
-            Opcode::Load(w) => format!("load.{w}"),
-            Opcode::Store(w) => format!("store.{w}"),
-            Opcode::Malloc(o) => format!("malloc {o}"),
-            Opcode::Move => "mov".to_string(),
-            Opcode::BranchCond => "brc".to_string(),
-            Opcode::Jump => "jmp".to_string(),
-            Opcode::Call(f) => format!("call {f}"),
-            Opcode::Ret => "ret".to_string(),
-        }
-    }
 }
 
+/// The printed mnemonic, with any immediate operand: `iconst 3`,
+/// `load.4`, `call fn2`.
 impl fmt::Display for Opcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.mnemonic())
+        match *self {
+            Opcode::ConstInt(v) => write!(f, "iconst {v}"),
+            Opcode::ConstFloat(bits) => write!(f, "fconst {}", f64::from_bits(bits)),
+            Opcode::AddrOf(o) => write!(f, "addrof {o}"),
+            Opcode::IntBin(op) => fmt::Display::fmt(&op, f),
+            Opcode::IntCmp(c) => write!(f, "icmp.{c}"),
+            Opcode::Select => f.write_str("select"),
+            Opcode::FloatBin(op) => fmt::Display::fmt(&op, f),
+            Opcode::FloatCmp(c) => write!(f, "fcmp.{c}"),
+            Opcode::IntToFloat => f.write_str("itof"),
+            Opcode::FloatToInt => f.write_str("ftoi"),
+            Opcode::Load(w) => write!(f, "load.{w}"),
+            Opcode::Store(w) => write!(f, "store.{w}"),
+            Opcode::Malloc(o) => write!(f, "malloc {o}"),
+            Opcode::Move => f.write_str("mov"),
+            Opcode::BranchCond => f.write_str("brc"),
+            Opcode::Jump => f.write_str("jmp"),
+            Opcode::Call(func) => write!(f, "call {func}"),
+            Opcode::Ret => f.write_str("ret"),
+        }
     }
 }
 
@@ -385,9 +382,11 @@ mod tests {
             Opcode::Jump,
         ];
         for op in ops {
-            assert!(!op.mnemonic().is_empty());
-            assert_eq!(op.to_string(), op.mnemonic());
+            assert!(!op.to_string().is_empty());
         }
+        assert_eq!(Opcode::ConstInt(-3).to_string(), "iconst -3");
+        assert_eq!(Opcode::Store(MemWidth::B2).to_string(), "store.2");
+        assert_eq!(Opcode::IntCmp(Cmp::Le).to_string(), "icmp.le");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! mechanics; each caller keeps its own policy for damaged records
 //! (DESIGN.md §7, "Durable records").
 
+use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -11,12 +12,43 @@ use std::path::{Path, PathBuf};
 /// FNV-1a 64 over raw bytes: the content fingerprint behind program
 /// hashes and cache keys, and the checksum of [`seal`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// [`fnv1a`] as a streaming sink: the bytes fed to it, in pieces or as
+/// text through [`fmt::Write`], hash exactly as their concatenation
+/// would, so a printer can be hashed without building its output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Feeds `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Appends one record: `line`, then `\n`, then `sync_data`. Once this
@@ -135,6 +167,20 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("scratch dir");
         dir
+    }
+
+    #[test]
+    fn streamed_fnv1a_matches_the_one_shot_hash() {
+        use std::fmt::Write as _;
+        let text = "func f(v0) {\n  op0: v1 = iconst -3\n}\n";
+        let mut h = Fnv1a::default();
+        for piece in text.split_inclusive(' ') {
+            h.write_str(piece).expect("infallible");
+        }
+        assert_eq!(h.finish(), fnv1a(text.as_bytes()));
+        assert_eq!(Fnv1a::default().finish(), fnv1a(b""));
+        // The published FNV-1a 64 test vector.
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Dependence graphs over operations, for scheduling and estimation.
 
-use mcpart_analysis::{AccessInfo, AccessSite};
-use mcpart_ir::{BlockId, FuncId, OpId, Opcode, Program, VReg};
-use std::collections::HashMap;
+use mcpart_analysis::{AccessInfo, AccessSite, KnownRange, ObjectSet};
+use mcpart_ir::{BlockId, EntityId, FuncId, OpId, Opcode, Program, VReg};
+use std::cell::RefCell;
 
 /// The kind of a dependence edge.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -41,6 +41,145 @@ pub struct Dep {
     pub kind: DepKind,
 }
 
+/// "No node / no edge / no use" in the builder's tables.
+const NONE: u32 = u32::MAX;
+
+/// The edge list under construction, with at most one edge per
+/// `(from, to)` pair: a repeated pair keeps its first position and
+/// takes the larger latency (with that edge's kind).
+///
+/// Every edge into node `to` is added while `to` is the node being
+/// processed, so the latest edge out of `from` is the only one a
+/// repeat can hit: `latest` stands in for a map keyed by the pair.
+struct EdgeSet {
+    deps: Vec<Dep>,
+    /// Per node: the index of the latest edge out of it, or [`NONE`].
+    latest: Vec<u32>,
+}
+
+impl EdgeSet {
+    fn add(&mut self, from: u32, to: u32, latency: u32, kind: DepKind) {
+        if from == to {
+            return;
+        }
+        debug_assert!(from < to, "dependence must follow program order");
+        let at = self.latest[from as usize];
+        match self.deps.get_mut(at as usize) {
+            Some(d) if d.from == from && d.to == to => {
+                if latency > d.latency {
+                    d.latency = latency;
+                    d.kind = kind;
+                }
+            }
+            _ => {
+                self.latest[from as usize] = self.deps.len() as u32;
+                self.deps.push(Dep { from, to, latency, kind });
+            }
+        }
+    }
+}
+
+/// Per-register state of the register pass, indexed by `VReg`. One
+/// table per thread serves every build: a build first clears the
+/// registers the previous build touched (even one that unwound
+/// mid-way), then grows the table to its function if needed, so its
+/// cost follows the region, not the function.
+#[derive(Default)]
+struct RegTables {
+    /// The node that last defined each register, or [`NONE`].
+    last_def: Vec<u32>,
+    /// Each register's uses since its last definition, as a list
+    /// through `uses` from `use_head` to `use_tail` ([`NONE`] = empty).
+    use_head: Vec<u32>,
+    use_tail: Vec<u32>,
+    /// `(node, next)` entries of the use lists.
+    uses: Vec<(u32, u32)>,
+    /// Registers whose entries the last build set.
+    touched: Vec<VReg>,
+}
+
+thread_local! {
+    static REG_TABLES: RefCell<RegTables> = RefCell::new(RegTables::default());
+}
+
+impl RegTables {
+    /// Makes room for `num_vregs` registers (every entry is clear).
+    fn fit(&mut self, num_vregs: usize) {
+        if self.last_def.len() < num_vregs {
+            self.last_def.resize(num_vregs, NONE);
+            self.use_head.resize(num_vregs, NONE);
+            self.use_tail.resize(num_vregs, NONE);
+        }
+    }
+
+    fn touch(&mut self, r: VReg) {
+        if self.last_def[r.index()] == NONE && self.use_head[r.index()] == NONE {
+            self.touched.push(r);
+        }
+    }
+
+    /// Appends node `i` to `r`'s use list.
+    fn push_use(&mut self, r: VReg, i: u32) {
+        self.touch(r);
+        let at = self.uses.len() as u32;
+        self.uses.push((i, NONE));
+        match self.use_tail[r.index()] {
+            NONE => self.use_head[r.index()] = at,
+            tail => self.uses[tail as usize].1 = at,
+        }
+        self.use_tail[r.index()] = at;
+    }
+
+    /// Node `i` defines `r`: it becomes the last definition and `r`'s
+    /// use list empties.
+    fn define(&mut self, r: VReg, i: u32) {
+        self.touch(r);
+        self.last_def[r.index()] = i;
+        self.use_head[r.index()] = NONE;
+        self.use_tail[r.index()] = NONE;
+    }
+
+    /// Clears the entries the last build set.
+    fn reset(&mut self) {
+        for r in self.touched.drain(..) {
+            self.last_def[r.index()] = NONE;
+            self.use_head[r.index()] = NONE;
+            self.use_tail[r.index()] = NONE;
+        }
+        self.uses.clear();
+    }
+}
+
+/// A memory operation of the region, with what disambiguates it.
+struct MemNode<'a> {
+    node: u32,
+    /// Stores and mallocs write; loads only read.
+    writes: bool,
+    /// The objects it may access (`None`: not analyzed).
+    objects: Option<&'a ObjectSet>,
+    /// The bytes it accesses, when its address is known.
+    range: Option<KnownRange>,
+}
+
+impl MemNode<'_> {
+    /// Whether the two operations may touch the same bytes: constant
+    /// offsets can prove independence even when the object-granular
+    /// sets intersect; an empty or missing set is conservative.
+    fn may_alias(&self, other: &MemNode<'_>) -> bool {
+        if let (Some(a), Some(b)) = (&self.range, &other.range) {
+            if a.disjoint(b) {
+                return false;
+            }
+        }
+        match (self.objects, other.objects) {
+            (Some(sa), Some(sb)) => {
+                sa.is_empty() || sb.is_empty() || sa.iter().any(|o| sb.contains(o))
+            }
+            _ => true,
+        }
+    }
+}
+
 /// A dependence DAG over a block's or region's operations.
 ///
 /// Nodes are indexed densely in program order, which is a topological
@@ -50,8 +189,6 @@ pub struct Dep {
 pub struct DepGraph {
     /// Node index → operation id.
     pub ops: Vec<OpId>,
-    /// Operation id → node index.
-    pub index: HashMap<OpId, u32>,
     /// All edges.
     pub deps: Vec<Dep>,
     /// Incoming edge indices per node.
@@ -102,131 +239,108 @@ impl DepGraph {
         op_latency: &dyn Fn(OpId) -> u32,
     ) -> Self {
         let f = &program.functions[func];
-        let mut ops: Vec<OpId> = Vec::new();
-        for &b in blocks {
-            for &op in &f.blocks[b].ops {
-                ops.push(op);
-            }
-        }
-        let index: HashMap<OpId, u32> =
-            ops.iter().enumerate().map(|(i, &op)| (op, i as u32)).collect();
+        let ops: Vec<OpId> = blocks.iter().flat_map(|&b| f.blocks[b].ops.iter().copied()).collect();
         let n = ops.len();
-        let mut deps: Vec<Dep> = Vec::new();
-        let mut seen: HashMap<(u32, u32), usize> = HashMap::new();
-        let mut add = |deps: &mut Vec<Dep>, from: u32, to: u32, latency: u32, kind: DepKind| {
-            if from == to {
-                return;
-            }
-            debug_assert!(from < to, "dependence must follow program order");
-            match seen.entry((from, to)) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let d = &mut deps[*e.get()];
-                    if latency > d.latency {
-                        d.latency = latency;
-                        d.kind = kind;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(deps.len());
-                    deps.push(Dep { from, to, latency, kind });
-                }
-            }
-        };
+        let mut edges = EdgeSet { deps: Vec::new(), latest: vec![NONE; n] };
 
-        // Register dependences.
-        let mut last_def: HashMap<VReg, u32> = HashMap::new();
-        let mut last_uses: HashMap<VReg, Vec<u32>> = HashMap::new();
-        for (i, &op_id) in ops.iter().enumerate() {
-            let i = i as u32;
-            let op = &f.ops[op_id];
-            for &s in &op.srcs {
-                if let Some(&d) = last_def.get(&s) {
-                    add(&mut deps, d, i, op_latency(ops[d as usize]), DepKind::Flow);
-                }
-                last_uses.entry(s).or_default().push(i);
-            }
-            for &d in &op.dsts {
-                if let Some(&prev) = last_def.get(&d) {
-                    add(&mut deps, prev, i, 1, DepKind::Output);
-                }
-                if let Some(users) = last_uses.get(&d) {
-                    for &u in users {
-                        if u < i {
-                            add(&mut deps, u, i, 0, DepKind::Anti);
-                        }
+        // Register dependences. `reg_first[i]..reg_first[i + 1]` are the
+        // edges into node `i`: this pass adds them in node order.
+        let mut reg_first: Vec<u32> = Vec::with_capacity(n + 1);
+        REG_TABLES.with(|tables| {
+            let regs = &mut *tables.borrow_mut();
+            regs.reset();
+            regs.fit(f.num_vregs);
+            for (i, &op_id) in ops.iter().enumerate() {
+                reg_first.push(edges.deps.len() as u32);
+                let i = i as u32;
+                let op = &f.ops[op_id];
+                for &s in &op.srcs {
+                    let d = regs.last_def[s.index()];
+                    if d != NONE {
+                        edges.add(d, i, op_latency(ops[d as usize]), DepKind::Flow);
                     }
+                    regs.push_use(s, i);
                 }
-                last_def.insert(d, i);
-                last_uses.remove(&d);
+                for &d in &op.dsts {
+                    let prev = regs.last_def[d.index()];
+                    if prev != NONE {
+                        edges.add(prev, i, 1, DepKind::Output);
+                    }
+                    let mut u = regs.use_head[d.index()];
+                    while u != NONE {
+                        let (user, next) = regs.uses[u as usize];
+                        if user < i {
+                            edges.add(user, i, 0, DepKind::Anti);
+                        }
+                        u = next;
+                    }
+                    regs.define(d, i);
+                }
             }
-        }
+        });
+        reg_first.push(edges.deps.len() as u32);
 
         // Memory and side-effect ordering (within the whole region, in
-        // program order).
-        let objects_of = |op_id: OpId| -> Option<&mcpart_analysis::ObjectSet> {
-            access.site_objects.get(&AccessSite { func, op: op_id })
-        };
-        let may_alias = |a: OpId, b: OpId| -> bool {
-            // Constant offsets into the same object (or different
-            // objects entirely) can prove independence even when the
-            // object-granular sets intersect.
-            if access.addresses.provably_disjoint(program, func, a, b) {
-                return false;
-            }
-            match (objects_of(a), objects_of(b)) {
-                (Some(sa), Some(sb)) => {
-                    sa.is_empty() || sb.is_empty() || sa.iter().any(|o| sb.contains(o))
-                }
-                _ => true, // missing info: be conservative
-            }
-        };
-        let mut mem_ops: Vec<u32> = Vec::new();
+        // program order). Each memory op's object set and known byte
+        // range are looked up once, not once per pair.
+        let mut mem_ops: Vec<MemNode<'_>> = Vec::new();
         let mut call_ops: Vec<u32> = Vec::new();
-
         for (i, &op_id) in ops.iter().enumerate() {
             let i = i as u32;
-            let op = &f.ops[op_id];
-            match op.opcode {
-                Opcode::Load(_) | Opcode::Store(_) | Opcode::Malloc(_) => {
-                    let i_writes = !op.opcode.is_load();
-                    for &j in &mem_ops {
-                        let jop = &f.ops[ops[j as usize]];
-                        let j_writes = !jop.opcode.is_load();
-                        if !(i_writes || j_writes) {
-                            continue;
-                        }
-                        if !may_alias(ops[j as usize], op_id) {
-                            continue;
-                        }
-                        let (kind, latency) = match (j_writes, i_writes) {
-                            (true, false) => (DepKind::MemFlow, op_latency(ops[j as usize])),
-                            (false, true) => (DepKind::MemAnti, 0),
-                            (true, true) => (DepKind::MemOutput, 1),
-                            (false, false) => unreachable!(),
-                        };
-                        add(&mut deps, j, i, latency, kind);
-                    }
-                    for &c in &call_ops {
-                        add(&mut deps, c, i, 1, DepKind::Side);
-                    }
-                    mem_ops.push(i);
-                }
-                Opcode::Call(_) => {
-                    for &j in mem_ops.iter().chain(call_ops.iter()) {
-                        add(&mut deps, j, i, 1, DepKind::Side);
-                    }
-                    call_ops.push(i);
-                }
-                _ => {}
+            let opcode = f.ops[op_id].opcode;
+            if !(opcode.is_memory() || matches!(opcode, Opcode::Call(_))) {
+                continue;
             }
+            // Point every predecessor at its register edge into `i`, so
+            // a memory edge over the same pair folds into it.
+            for e in reg_first[i as usize]..reg_first[i as usize + 1] {
+                edges.latest[edges.deps[e as usize].from as usize] = e;
+            }
+            if let Opcode::Call(_) = opcode {
+                for j in mem_ops.iter().map(|m| m.node).chain(call_ops.iter().copied()) {
+                    edges.add(j, i, 1, DepKind::Side);
+                }
+                call_ops.push(i);
+                continue;
+            }
+            let me = MemNode {
+                node: i,
+                writes: !opcode.is_load(),
+                objects: access.site_objects.get(&AccessSite { func, op: op_id }),
+                range: access.addresses.known_range(program, func, op_id),
+            };
+            for j in &mem_ops {
+                if !(me.writes || j.writes) || !j.may_alias(&me) {
+                    continue;
+                }
+                let (kind, latency) = match (j.writes, me.writes) {
+                    (true, false) => (DepKind::MemFlow, op_latency(ops[j.node as usize])),
+                    (false, true) => (DepKind::MemAnti, 0),
+                    (true, true) => (DepKind::MemOutput, 1),
+                    (false, false) => unreachable!(),
+                };
+                edges.add(j.node, i, latency, kind);
+            }
+            for &c in &call_ops {
+                edges.add(c, i, 1, DepKind::Side);
+            }
+            mem_ops.push(me);
         }
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
+
+        let deps = edges.deps;
+        let mut in_degree = vec![0usize; n];
+        let mut out_degree = vec![0usize; n];
+        for d in &deps {
+            in_degree[d.to as usize] += 1;
+            out_degree[d.from as usize] += 1;
+        }
+        let mut preds: Vec<Vec<u32>> = in_degree.into_iter().map(Vec::with_capacity).collect();
+        let mut succs: Vec<Vec<u32>> = out_degree.into_iter().map(Vec::with_capacity).collect();
         for (di, d) in deps.iter().enumerate() {
             preds[d.to as usize].push(di as u32);
             succs[d.from as usize].push(di as u32);
         }
-        DepGraph { ops, index, deps, preds, succs, func }
+        DepGraph { ops, deps, preds, succs, func }
     }
 
     /// Number of nodes.
@@ -428,7 +542,8 @@ mod tests {
         let access = AccessInfo::compute(&p, &pts, &Profile::uniform(&p, 1));
         let entry = p.entry_function().entry;
         let g = DepGraph::for_region(&p, p.entry, &[entry, b2], &access, &unit_latency);
-        let xi = g.index[&p.entry_function().blocks[entry].ops[0]];
+        let x = p.entry_function().blocks[entry].ops[0];
+        let xi = g.ops.iter().position(|&op| op == x).expect("x is a node") as u32;
         assert!(g.deps.iter().any(|d| d.from == xi && d.kind == DepKind::Flow));
     }
 

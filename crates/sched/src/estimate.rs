@@ -2038,7 +2038,6 @@ mod tests {
         }
         let mut dg = DepGraph {
             ops: (0..n).map(OpId::new).collect(),
-            index: Default::default(),
             deps,
             preds: vec![Vec::new(); n],
             succs: vec![Vec::new(); n],

@@ -1,12 +1,15 @@
-//! Resource-table list scheduling of basic blocks on a clustered VLIW.
+//! List scheduling of basic blocks on a clustered VLIW: per-(cluster,
+//! unit kind) and network issue limits, height priority, event-driven
+//! (see [`schedule_block_with_homes`]).
 
 use crate::depgraph::DepGraph;
 use crate::moves::{is_intercluster_move, vreg_homes};
 use crate::placement::Placement;
 use mcpart_analysis::AccessInfo;
-use mcpart_ir::{BlockId, EntityMap, FuncId, OpId, Program};
+use mcpart_ir::{BlockId, EntityMap, FuKind, FuncId, OpId, Program};
 use mcpart_machine::Machine;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// The schedule of one basic block.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -60,7 +63,8 @@ pub fn effective_latency(
 ///   (`moves_per_cycle` machine-wide) and take the network latency.
 /// * Control operations (`brc`/`jmp`/`ret`) issue after every other
 ///   operation has issued, modeling the branch ending the block.
-/// * Priority is the dependence height (critical path to any sink).
+/// * Priority is the dependence height (critical path to any sink),
+///   ties going to the earlier operation.
 pub fn schedule_block(
     program: &Program,
     func: FuncId,
@@ -70,6 +74,29 @@ pub fn schedule_block(
     access: &AccessInfo,
 ) -> BlockSchedule {
     let homes = vreg_homes(program, func, placement);
+    schedule_block_with_homes(program, func, block, placement, &homes, machine, access)
+}
+
+/// [`schedule_block`] with the function's register homes
+/// ([`vreg_homes`]) computed once by the caller.
+///
+/// The scheduler is event-driven, with no per-cycle scan over the
+/// block: an operation whose predecessors have all issued waits in a
+/// queue keyed by the cycle it becomes ready, then joins one ready heap
+/// per (cluster, unit kind), or the network's heap for an intercluster
+/// move, keyed by (height, earliest operation first). Each cycle pops
+/// at most as many operations from each heap as it has units — exactly
+/// the operations a scan in priority order over every ready operation
+/// would issue, since units of one heap never serve another.
+pub(crate) fn schedule_block_with_homes(
+    program: &Program,
+    func: FuncId,
+    block: BlockId,
+    placement: &Placement,
+    homes: &EntityMap<mcpart_ir::VReg, mcpart_ir::ClusterId>,
+    machine: &Machine,
+    access: &AccessInfo,
+) -> BlockSchedule {
     // Coherent caches: a memory op on a cluster other than its object's
     // home pays the coherence penalty on top of its latency.
     let mut coherence_extra: HashMap<OpId, u32> = HashMap::new();
@@ -90,7 +117,7 @@ pub fn schedule_block(
         }
     }
     let lat = |op: OpId| {
-        effective_latency(program, func, op, placement, &homes, machine)
+        effective_latency(program, func, op, placement, homes, machine)
             + coherence_extra.get(&op).copied().unwrap_or(0)
     };
     let dg = DepGraph::for_block(program, func, block, access, &lat);
@@ -106,37 +133,70 @@ pub fn schedule_block(
         };
     }
     let f = &program.functions[func];
+    let latency: Vec<u32> = dg.ops.iter().map(|&op| lat(op)).collect();
 
     // Height priority: longest latency path from the node to a sink.
     let mut height = vec![0u64; n];
     for i in (0..n).rev() {
-        let own = lat(dg.ops[i]).max(1) as u64;
-        height[i] = own;
+        height[i] = latency[i].max(1) as u64;
         for &di in &dg.succs[i] {
             let d = dg.deps[di as usize];
             height[i] = height[i].max(d.latency as u64 + height[d.to as usize]);
         }
     }
 
-    let is_control = |i: usize| {
-        let opc = f.ops[dg.ops[i]].opcode;
-        matches!(
-            opc,
-            mcpart_ir::Opcode::BranchCond | mcpart_ir::Opcode::Jump | mcpart_ir::Opcode::Ret
-        )
-    };
-    let is_ic_move: Vec<bool> =
-        (0..n).map(|i| is_intercluster_move(program, func, dg.ops[i], placement, &homes)).collect();
+    let is_control: Vec<bool> = dg
+        .ops
+        .iter()
+        .map(|&op| {
+            matches!(
+                f.ops[op].opcode,
+                mcpart_ir::Opcode::BranchCond | mcpart_ir::Opcode::Jump | mcpart_ir::Opcode::Ret
+            )
+        })
+        .collect();
+    let is_ic_move: Vec<bool> = dg
+        .ops
+        .iter()
+        .map(|&op| is_intercluster_move(program, func, op, placement, homes))
+        .collect();
+
+    // Ready heaps: (cluster, kind) at `cluster * 4 + kind`, then the
+    // network; each with its units per cycle.
+    let nclusters = machine.num_clusters();
+    let network = nclusters * FuKind::ALL.len();
+    let mut units: Vec<usize> = Vec::with_capacity(network + 1);
+    for c in machine.cluster_ids() {
+        units.extend(FuKind::ALL.iter().map(|&k| machine.fu_count(c, k)));
+    }
+    units.push(machine.interconnect.moves_per_cycle as usize);
+    let heap_of: Vec<usize> = (0..n)
+        .map(|i| {
+            if is_ic_move[i] {
+                network
+            } else {
+                let op = dg.ops[i];
+                placement.cluster_of(func, op).index() * FuKind::ALL.len()
+                    + f.ops[op].opcode.fu_kind().index()
+            }
+        })
+        .collect();
+    let mut ready: Vec<BinaryHeap<(u64, Reverse<u32>)>> = vec![BinaryHeap::new(); network + 1];
+    let mut in_ready = 0usize;
+    // Operations whose predecessors have all issued, by the cycle they
+    // become ready; control operations that are ready but must wait
+    // for the rest of the block.
+    let mut pending: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut held: Vec<u32> = Vec::new();
 
     let mut issue = vec![u32::MAX; n];
     let mut ready_cycle = vec![0u32; n];
-    let mut unissued_preds: Vec<usize> = (0..n).map(|i| dg.preds[i].len()).collect();
+    let mut unissued_preds: Vec<usize> = dg.preds.iter().map(Vec::len).collect();
     let mut issued_count = 0usize;
-    let mut non_control_left = (0..n).filter(|&i| !is_control(i)).count();
-
-    // (cluster, kind) -> cycle -> used units; network: cycle -> used.
-    let mut fu_used: HashMap<(usize, usize, u32), u32> = HashMap::new();
-    let mut net_used: HashMap<u32, u32> = HashMap::new();
+    let mut non_control_left = is_control.iter().filter(|&&c| !c).count();
+    pending.extend(
+        (0..n as u32).filter(|&i| unissued_preds[i as usize] == 0).map(|i| Reverse((0, i))),
+    );
 
     let mut cycle = 0u32;
     let mut max_completion = 0u32;
@@ -151,60 +211,64 @@ pub fn schedule_block(
         .unwrap_or(0);
     let bound = (n as u32 + 2) * (max_move_latency.max(16) + 2);
     while issued_count < n && cycle <= bound {
-        // Gather ready ops at this cycle, best priority first.
-        let mut ready: Vec<usize> = (0..n)
-            .filter(|&i| {
-                issue[i] == u32::MAX
-                    && unissued_preds[i] == 0
-                    && ready_cycle[i] <= cycle
-                    && (!is_control(i) || non_control_left == 0)
-            })
-            .collect();
-        ready.sort_by_key(|&i| std::cmp::Reverse(height[i]));
-        let mut progressed = false;
-        for i in ready {
-            let op_id = dg.ops[i];
-            let cluster = placement.cluster_of(func, op_id).index();
-            let can_issue = if is_ic_move[i] {
-                let used = net_used.get(&cycle).copied().unwrap_or(0);
-                used < machine.interconnect.moves_per_cycle
+        while let Some(&Reverse((at, i))) = pending.peek() {
+            if at > cycle {
+                break;
+            }
+            pending.pop();
+            if is_control[i as usize] && non_control_left > 0 {
+                held.push(i);
             } else {
-                let kind = f.ops[op_id].opcode.fu_kind();
-                let used = fu_used.get(&(cluster, kind.index(), cycle)).copied().unwrap_or(0);
-                (used as usize) < machine.fu_count(mcpart_ir::ClusterId::new(cluster), kind)
-            };
-            if !can_issue {
-                continue;
-            }
-            if is_ic_move[i] {
-                *net_used.entry(cycle).or_insert(0) += 1;
-            } else {
-                let kind = f.ops[op_id].opcode.fu_kind();
-                *fu_used.entry((cluster, kind.index(), cycle)).or_insert(0) += 1;
-            }
-            issue[i] = cycle;
-            issued_count += 1;
-            if !is_control(i) {
-                non_control_left -= 1;
-            }
-            progressed = true;
-            max_completion = max_completion.max(cycle + lat(op_id).max(1));
-            for &di in &dg.succs[i] {
-                let d = dg.deps[di as usize];
-                let t = d.to as usize;
-                unissued_preds[t] -= 1;
-                ready_cycle[t] = ready_cycle[t].max(cycle + d.latency);
+                ready[heap_of[i as usize]].push((height[i as usize], Reverse(i)));
+                in_ready += 1;
             }
         }
-        let _ = progressed;
-        cycle += 1;
+        if non_control_left == 0 {
+            for i in held.drain(..) {
+                ready[heap_of[i as usize]].push((height[i as usize], Reverse(i)));
+                in_ready += 1;
+            }
+        }
+        // Operations that become ready now join next cycle's heaps, so
+        // the issues below all belong to this cycle's ready set.
+        for (heap, &units) in ready.iter_mut().zip(&units) {
+            for _ in 0..units {
+                let Some((_, Reverse(i))) = heap.pop() else { break };
+                in_ready -= 1;
+                let i = i as usize;
+                issue[i] = cycle;
+                issued_count += 1;
+                if !is_control[i] {
+                    non_control_left -= 1;
+                }
+                max_completion = max_completion.max(cycle + latency[i].max(1));
+                for &di in &dg.succs[i] {
+                    let d = dg.deps[di as usize];
+                    let t = d.to as usize;
+                    unissued_preds[t] -= 1;
+                    ready_cycle[t] = ready_cycle[t].max(cycle + d.latency);
+                    if unissued_preds[t] == 0 {
+                        pending.push(Reverse((ready_cycle[t].max(cycle + 1), t as u32)));
+                    }
+                }
+            }
+        }
+        // Skip cycles in which nothing can issue; stop once nothing
+        // ever can.
+        cycle = if in_ready > 0 || (non_control_left == 0 && !held.is_empty()) {
+            cycle + 1
+        } else if let Some(&Reverse((at, _))) = pending.peek() {
+            at.max(cycle + 1)
+        } else {
+            break;
+        };
     }
     debug_assert_eq!(issued_count, n, "scheduler failed to issue all operations");
 
     let intercluster_moves = is_ic_move.iter().filter(|&&b| b).count() as u32;
     let transfer_latency: u64 = (0..n)
         .filter(|&i| is_ic_move[i])
-        .map(|i| effective_latency(program, func, dg.ops[i], placement, &homes, machine) as u64)
+        .map(|i| effective_latency(program, func, dg.ops[i], placement, homes, machine) as u64)
         .sum();
     BlockSchedule {
         ops: dg.ops,

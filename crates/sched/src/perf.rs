@@ -1,7 +1,8 @@
 //! Whole-program performance evaluation: profile-weighted schedule
 //! cycles and dynamic intercluster move counts.
 
-use crate::list::{schedule_block, BlockSchedule};
+use crate::list::{schedule_block_with_homes, BlockSchedule};
+use crate::moves::vreg_homes;
 use crate::placement::Placement;
 use mcpart_analysis::AccessInfo;
 use mcpart_ir::{BlockId, EntityMap, FuncId, Profile, Program};
@@ -70,9 +71,11 @@ pub fn evaluate(
     let mut transfer_cycles = 0u64;
     let mut schedules: EntityMap<FuncId, EntityMap<BlockId, BlockSchedule>> = EntityMap::new();
     for (fid, func) in program.functions.iter() {
+        let homes = vreg_homes(program, fid, placement);
         let mut per_block: EntityMap<BlockId, BlockSchedule> = EntityMap::new();
         for (bid, _) in func.blocks.iter() {
-            let schedule = schedule_block(program, fid, bid, placement, machine, access);
+            let schedule =
+                schedule_block_with_homes(program, fid, bid, placement, &homes, machine, access);
             let freq = profile.block_freq(fid, bid);
             total_cycles += schedule.length as u64 * freq;
             dynamic_moves += schedule.intercluster_moves as u64 * freq;
