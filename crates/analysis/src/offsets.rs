@@ -116,16 +116,6 @@ impl AddressInfo {
         };
         Some(KnownRange { object: known.object, offset: known.offset, width })
     }
-
-    /// Returns `true` when the two memory operations provably access
-    /// disjoint byte ranges (both addresses known, same or different
-    /// objects, non-overlapping `[offset, offset+width)`).
-    pub fn provably_disjoint(&self, program: &Program, func: FuncId, a: OpId, b: OpId) -> bool {
-        match (self.known_range(program, func, a), self.known_range(program, func, b)) {
-            (Some(ra), Some(rb)) => ra.disjoint(&rb),
-            _ => false,
-        }
-    }
 }
 
 /// The byte range `[offset, offset + width)` of one object a memory
@@ -155,6 +145,12 @@ mod tests {
     use super::*;
     use mcpart_ir::{DataObject, FunctionBuilder, MemWidth};
 
+    /// Both addresses known and their byte ranges disjoint.
+    fn disjoint(info: &AddressInfo, p: &Program, a: OpId, b: OpId) -> bool {
+        let range = |op| info.known_range(p, p.entry, op);
+        range(a).zip(range(b)).is_some_and(|(ra, rb)| ra.disjoint(&rb))
+    }
+
     #[test]
     fn struct_fields_are_disjoint() {
         let mut p = Program::new("t");
@@ -171,8 +167,8 @@ mod tests {
         let func = p.entry_function();
         let s0 = func.blocks[func.entry].ops[4];
         let s1 = func.blocks[func.entry].ops[5];
-        assert!(info.provably_disjoint(&p, p.entry, s0, s1));
-        assert!(!info.provably_disjoint(&p, p.entry, s0, s0));
+        assert!(disjoint(&info, &p, s0, s1));
+        assert!(!disjoint(&info, &p, s0, s0));
     }
 
     #[test]
@@ -191,7 +187,7 @@ mod tests {
         let func = p.entry_function();
         let s0 = func.blocks[func.entry].ops[4];
         let s1 = func.blocks[func.entry].ops[5];
-        assert!(!info.provably_disjoint(&p, p.entry, s0, s1));
+        assert!(!disjoint(&info, &p, s0, s1));
     }
 
     #[test]
@@ -209,7 +205,7 @@ mod tests {
         let func = p.entry_function();
         let load = func.blocks[func.entry].ops[2];
         let store = func.blocks[func.entry].ops[3];
-        assert!(!info.provably_disjoint(&p, p.entry, load, store));
+        assert!(!disjoint(&info, &p, load, store));
         // The store's address (plain addrof) *is* known.
         assert!(info.known.contains_key(&(p.entry, store)));
         assert!(!info.known.contains_key(&(p.entry, load)));
@@ -231,7 +227,7 @@ mod tests {
         let func = p.entry_function();
         let s0 = func.blocks[func.entry].ops[3];
         let s1 = func.blocks[func.entry].ops[4];
-        assert!(info.provably_disjoint(&p, p.entry, s0, s1));
+        assert!(disjoint(&info, &p, s0, s1));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! none; `fig9` always runs its own two programs). The bundled programs
 //! are built and profiled once per invocation and shared by every row.
 //! Output goes to stdout, or with `--out DIR` to `DIR/<name>.txt` per
-//! row, so `figures --out results` regenerates `results/`. Run it with `cargo run --release -p mcpart-bench --bin
-//! figures -- [args]`. Compile time at scale, per stage, is measured
-//! by `perfbench` (`BENCHMARK.json`), not here.
+//! row, so `figures --out results` regenerates `results/`. Run it with
+//! `cargo run --release -p mcpart-bench --bin figures -- [args]`.
+//! Compile time at scale, per stage, is measured by `perfbench`
+//! (`BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

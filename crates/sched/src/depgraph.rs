@@ -1,4 +1,12 @@
 //! Dependence graphs over operations, for scheduling and estimation.
+//!
+//! A graph's nodes are a block's or region's operations in program
+//! order; its edges come in a fixed order (register edges by consumer,
+//! then memory and call-ordering edges by consumer), which the RHOP
+//! estimator's successor order depends on. Building one uses no hash
+//! map: register state lives in per-thread tables indexed by `VReg`
+//! with a sparse reset, and a repeated `(from, to)` pair is found
+//! through the latest edge out of `from` (see `EdgeSet`).
 
 use mcpart_analysis::{AccessInfo, AccessSite, KnownRange, ObjectSet};
 use mcpart_ir::{BlockId, EntityId, FuncId, OpId, Opcode, Program, VReg};

@@ -266,10 +266,8 @@ pub(crate) fn schedule_block_with_homes(
     debug_assert_eq!(issued_count, n, "scheduler failed to issue all operations");
 
     let intercluster_moves = is_ic_move.iter().filter(|&&b| b).count() as u32;
-    let transfer_latency: u64 = (0..n)
-        .filter(|&i| is_ic_move[i])
-        .map(|i| effective_latency(program, func, dg.ops[i], placement, homes, machine) as u64)
-        .sum();
+    // A move is no memory op, so its latency carries no coherence term.
+    let transfer_latency: u64 = (0..n).filter(|&i| is_ic_move[i]).map(|i| latency[i] as u64).sum();
     BlockSchedule {
         ops: dg.ops,
         issue,
