@@ -41,7 +41,7 @@ pub mod figures;
 
 use args::{ArgError, Flags};
 use figures::{Figure, Takes, FIGURES};
-use mcpart_workloads::Workload;
+use mcpart_workloads::{TargetError, Workload};
 use std::path::PathBuf;
 
 /// The `figures` command line. Anything else — an unknown name or
@@ -51,7 +51,8 @@ use std::path::PathBuf;
 pub struct FigureArgs {
     /// The selected rows, in command-line order (default: every row).
     pub figures: Vec<&'static Figure>,
-    /// `--benchmarks a,b,c`: replaces each selected row's defaults.
+    /// `--benchmarks a,b,c`: replaces each selected row's defaults; each
+    /// name is resolved by [`mcpart_workloads::resolve`].
     pub workloads: Option<Vec<Workload>>,
     /// `--out DIR`: write `DIR/<name>.txt` per row instead of stdout.
     pub out: Option<PathBuf>,
@@ -90,8 +91,10 @@ impl FigureArgs {
             Some(list) => Some(
                 list.split(',')
                     .map(|n| {
-                        mcpart_workloads::by_name(n)
-                            .ok_or_else(|| ArgError(format!("unknown benchmark `{n}`")))
+                        mcpart_workloads::resolve(n).map_err(|e| match e {
+                            TargetError::Unknown(_) => ArgError(format!("unknown benchmark `{n}`")),
+                            e => ArgError(e.to_string()),
+                        })
                     })
                     .collect::<Result<_, _>>()?,
             ),

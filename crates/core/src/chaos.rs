@@ -39,7 +39,8 @@ use mcpart_par::fault::{FaultEntry, FaultPlan};
 use mcpart_par::supervise::panic_message;
 use mcpart_rng::{derive_seed, Rng, SeedableRng, SmallRng};
 use mcpart_sim::ExecConfig;
-use mcpart_workloads::SynthSpec;
+use mcpart_workloads::{Suite, SynthSpec};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -319,7 +320,11 @@ impl ChaosSummary {
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosSummary, ChaosError> {
     cfg.sweep.validate().map_err(|e| ChaosError::Machine { message: e.to_string() })?;
     let points = cfg.sweep.expand();
-    let media: Vec<String> = mcpart_workloads::mediabench().into_iter().map(|w| w.name).collect();
+    let media: Vec<&str> = mcpart_workloads::BENCHMARKS
+        .iter()
+        .filter(|b| b.suite == Suite::Mediabench)
+        .map(|b| b.name)
+        .collect();
     let mut cache: TargetCache = HashMap::new();
     let mut summary = ChaosSummary::default();
     for id in 0..cfg.scenarios {
@@ -361,22 +366,6 @@ pub fn run_scenario(scenario: &Scenario, cfg: &ChaosConfig) -> Result<ScenarioRe
 
 type TargetCache = HashMap<String, (Program, Profile)>;
 
-fn load_target(target: &str, cache: &mut TargetCache) -> Result<(Program, Profile), ChaosError> {
-    if let Some(hit) = cache.get(target) {
-        return Ok(hit.clone());
-    }
-    let workload = if target.contains('=') {
-        mcpart_workloads::synth_result(target)
-            .map_err(|e| ChaosError::Target { message: format!("`{target}`: {e}") })?
-    } else {
-        mcpart_workloads::by_name(target)
-            .ok_or_else(|| ChaosError::Target { message: format!("unknown workload `{target}`") })?
-    };
-    let loaded = (workload.program, workload.profile);
-    cache.insert(target.to_string(), loaded.clone());
-    Ok(loaded)
-}
-
 fn pipeline_config(scenario: &Scenario, jobs: usize) -> PipelineConfig {
     let mut pcfg = PipelineConfig::new(scenario.method).with_jobs(jobs);
     pcfg.rhop.seed = scenario.seed;
@@ -407,11 +396,18 @@ fn run_scenario_cached(
     cfg: &ChaosConfig,
     cache: &mut TargetCache,
 ) -> Result<ScenarioResult, ChaosError> {
-    let (program, profile) = load_target(&scenario.target, cache)?;
+    let (program, profile) = match cache.entry(scenario.target.clone()) {
+        Entry::Occupied(hit) => &*hit.into_mut(),
+        Entry::Vacant(slot) => {
+            let w = mcpart_workloads::resolve(&scenario.target)
+                .map_err(|e| ChaosError::Target { message: e.to_string() })?;
+            &*slot.insert((w.program, w.profile))
+        }
+    };
     let machine = scenario.point.machine();
     machine.validate().map_err(|e| ChaosError::Machine { message: e.to_string() })?;
     let pcfg = pipeline_config(scenario, 1);
-    let run = catch_unwind(AssertUnwindSafe(|| run_pipeline(&program, &profile, &machine, &pcfg)));
+    let run = catch_unwind(AssertUnwindSafe(|| run_pipeline(program, profile, &machine, &pcfg)));
     let verdict = |verdict, checks_run, detail| {
         Ok(ScenarioResult { scenario: scenario.clone(), verdict, checks_run, detail })
     };
@@ -421,7 +417,7 @@ fn run_scenario_cached(
         }
         Ok(outcome) => outcome,
     };
-    let loaded = (&program, &profile, &machine);
+    let loaded = (program, profile, &machine);
     match outcome {
         Err(e) => {
             // A typed error is allowed — but it must be *stable*: the
@@ -441,7 +437,7 @@ fn run_scenario_cached(
             if misplace {
                 corrupt_placement(&mut result, machine.num_clusters());
             }
-            let report = check_result(&program, &profile, &machine, &result, cfg.exec);
+            let report = check_result(program, profile, &machine, &result, cfg.exec);
             let checks_run = report.checks_run();
             if !report.passed() {
                 return verdict(ScenarioVerdict::OracleFailure, checks_run, oracle_detail(&report));
@@ -452,7 +448,7 @@ fn run_scenario_cached(
                     return verdict(v, checks_run, detail);
                 }
             }
-            if let Some(detail) = checkpoint_faults(scenario, &result, &program) {
+            if let Some(detail) = checkpoint_faults(scenario, &result, program) {
                 return verdict(ScenarioVerdict::OracleFailure, checks_run, detail);
             }
             verdict(ScenarioVerdict::Pass, checks_run, String::new())
@@ -642,7 +638,7 @@ fn corrupt_placement(result: &mut PipelineResult, n: usize) {
 fn sample_scenario(
     cfg: &ChaosConfig,
     points: &[SweepPoint],
-    media: &[String],
+    media: &[&str],
     id: usize,
 ) -> Scenario {
     let mut rng = SmallRng::seed_from_u64(derive_seed(cfg.seed, id as u64));
@@ -666,7 +662,7 @@ fn sample_scenario(
              sharing={sharing},trips={trips},seed={pseed}"
         )
     } else {
-        media[rng.gen_range(0..media.len())].clone()
+        media[rng.gen_range(0..media.len())].to_string()
     };
     let mut entries = Vec::new();
     if rng.gen_bool(0.35) {

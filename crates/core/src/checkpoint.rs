@@ -50,7 +50,7 @@ use mcpart_machine::Machine;
 use mcpart_obs::durable::{self, Tail};
 use mcpart_obs::json::{self, JsonValue, JsonWriter};
 use mcpart_obs::EventKind;
-use mcpart_par::supervise::{QuarantineReport, QuarantinedUnit};
+use mcpart_par::supervise::QuarantinedUnit;
 use mcpart_sched::Placement;
 use std::fmt;
 use std::fmt::Write as _;
@@ -458,11 +458,6 @@ impl UnitRecord {
                 .map(|&h| if h < 0 { None } else { Some(ClusterId::new(h as usize)) })
                 .collect(),
         }
-    }
-
-    /// The quarantine report carried by this record.
-    pub fn quarantine_report(&self) -> QuarantineReport {
-        QuarantineReport { units: self.quarantine.clone() }
     }
 
     /// Replays the unit's pinned obs events into a sink, so a resumed

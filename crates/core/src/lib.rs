@@ -80,13 +80,13 @@ pub use exhaustive::{
 pub use gdp::{data_partition_from_mapping, gdp_partition, DataPartition, GdpConfig};
 pub use groups::ObjectGroups;
 pub use oracle::{check_result, OracleCheck, OracleReport};
-pub use pipeline::{run_all_methods, run_pipeline, Method, PipelineConfig, PipelineResult};
+pub use pipeline::{run_pipeline, Method, PipelineConfig, PipelineResult};
 pub use repartition::{build_manifest, compute_reuse, RepartitionStats};
 pub use rhop::{
     rhop_partition, rhop_partition_detailed, FuncPartitionOutcome, RegionScope, ReuseEntry,
     RhopConfig, RhopStats,
 };
 pub use serve::{
-    cache_key, parse_job, render_cache_entry, serve, verify_cache_entry, JobLoader, JobSpec,
-    ServeConfig, ServeError, ServeSummary, JOB_VERSION,
+    cache_key, parse_job, render_cache_entry, serve, verify_cache_entry, JobSpec, ServeConfig,
+    ServeError, ServeSummary, JOB_VERSION,
 };

@@ -598,24 +598,6 @@ fn run_method(
     })
 }
 
-/// Runs all four methods on one program/machine, returning results in
-/// [`Method::ALL`] order. Convenience for the experiment harness.
-///
-/// # Errors
-///
-/// Returns the first method's [`PipelineError`] that survives its
-/// degradation ladder.
-pub fn run_all_methods(
-    program: &Program,
-    profile: &Profile,
-    machine: &Machine,
-) -> Result<Vec<PipelineResult>, PipelineError> {
-    Method::ALL
-        .iter()
-        .map(|&m| run_pipeline(program, profile, machine, &PipelineConfig::new(m)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,18 +776,6 @@ mod tests {
         let machine = Machine::paper_2cluster(5);
         let e = run_pipeline(&p, &profile, &machine, &aborted(Method::Gdp)).unwrap_err();
         assert!(e.is_recoverable());
-    }
-
-    #[test]
-    fn run_all_methods_reports_each_method() {
-        let p = bench_program();
-        let profile = Profile::uniform(&p, 10);
-        let machine = Machine::paper_2cluster(5);
-        let results = run_all_methods(&p, &profile, &machine).expect("all methods");
-        assert_eq!(results.len(), 4);
-        for (r, m) in results.iter().zip(Method::ALL) {
-            assert_eq!(r.method, m);
-        }
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl RepartitionStats {
         }
         (self.dirty_funcs as u64 * 1000).div_ceil(self.total_funcs as u64)
     }
-
-    /// The stats of a run with no usable baseline: everything dirty.
-    pub fn all_dirty(total_funcs: usize) -> RepartitionStats {
-        RepartitionStats { dirty_funcs: total_funcs, replayed_funcs: 0, total_funcs }
-    }
 }
 
 /// Content hash of one function: FNV-1a of its textual IR followed by

@@ -10,6 +10,9 @@
 //! a result depends on (the [`CheckpointHeader`] fields plus the
 //! method), stored in the checkpoint record format with a checksum
 //! footer so every hit can be integrity-verified before it is served.
+//! A job names its program the way a one-shot target does — bundled
+//! name, synthetic spec or `.mcir` path — and [`mcpart_workloads::resolve`]
+//! reads it; a target that does not resolve makes the job invalid.
 //!
 //! ## Crash-only lifecycle
 //!
@@ -49,7 +52,7 @@ use crate::checkpoint::{
 use crate::pipeline::{Method, PipelineConfig};
 use crate::repartition::RepartitionStats;
 use crate::rhop::RhopConfig;
-use mcpart_ir::{Profile, Program};
+use mcpart_ir::Program;
 use mcpart_machine::{Machine, MachineError, MemoryModel};
 use mcpart_obs::json::{self, JsonValue, JsonWriter};
 use mcpart_obs::metrics::MetricsRegistry;
@@ -67,12 +70,6 @@ use std::time::{Duration, Instant};
 
 /// Version tag of the job-file format (`"mcpart_job"` key).
 pub const JOB_VERSION: i64 = 1;
-
-/// Loads a program by the name given in a job file. The service engine
-/// is loader-agnostic so `mcpart-core` needs no dependency on the
-/// workload corpus: the CLI passes its benchmark-or-`.mcir`-path
-/// resolver, the bench harness passes the workload table.
-pub type JobLoader<'a> = dyn Fn(&str) -> Result<(Program, Profile), String> + Sync + 'a;
 
 /// A service-level failure: the spool directory itself is unusable.
 /// Per-job failures never surface here — they become result files and
@@ -229,7 +226,8 @@ impl ServeSummary {
 /// an unknown *value* is an invalid job.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
-    /// Benchmark name or `.mcir` path, resolved by the [`JobLoader`].
+    /// Target string — benchmark name, synthetic spec or `.mcir` path —
+    /// resolved by [`mcpart_workloads::resolve`].
     pub program: String,
     /// Partitioning method (default GDP).
     pub method: Method,
@@ -684,12 +682,7 @@ fn progress(line: &str) {
 
 /// Computes one claimed job (the parallel phase — no spool mutation
 /// except cache eviction, which is keyed and idempotent).
-fn process_job(
-    dirs: &SpoolDirs,
-    cfg: &ServeConfig,
-    loader: &JobLoader<'_>,
-    file_name: &str,
-) -> JobOutcome {
+fn process_job(dirs: &SpoolDirs, cfg: &ServeConfig, file_name: &str) -> JobOutcome {
     let invalid =
         |reason: String| JobOutcome::bare(file_name, JobStatus::Invalid, reason, CacheNote::Miss);
     let path = dirs.work.join(file_name);
@@ -701,9 +694,9 @@ fn process_job(
         Ok(s) => s,
         Err(e) => return invalid(e),
     };
-    let (program, profile) = match loader(&spec.program) {
-        Ok(p) => p,
-        Err(e) => return invalid(e),
+    let (program, profile) = match mcpart_workloads::resolve(&spec.program) {
+        Ok(w) => (w.program, w.profile),
+        Err(e) => return invalid(e.to_string()),
     };
     let machine = match spec.machine() {
         Ok(m) => m,
@@ -938,7 +931,6 @@ fn flush_telemetry(
 pub fn serve(
     spool: &Path,
     cfg: &ServeConfig,
-    loader: &JobLoader<'_>,
     shutdown: &AtomicBool,
 ) -> Result<ServeSummary, ServeError> {
     let dirs = SpoolDirs::prepare(spool)?;
@@ -1004,8 +996,7 @@ pub fn serve(
                 let to = dirs.work.join(name);
                 fs::rename(&from, &to).map_err(|e| io_err("claim", &from, e))?;
             }
-            let outcomes =
-                parallel_map(workers, chunk, |_, name| process_job(&dirs, cfg, loader, name));
+            let outcomes = parallel_map(workers, chunk, |_, name| process_job(&dirs, cfg, name));
             for outcome in &outcomes {
                 commit(&dirs, cfg, outcome, &mut sum)?;
                 observe_outcome(&mut registry, outcome);
@@ -1038,7 +1029,7 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::checkpoint::run_unit;
-    use mcpart_ir::{DataObject, FunctionBuilder, MemWidth};
+    use mcpart_ir::{DataObject, FunctionBuilder, MemWidth, Profile};
 
     fn demo() -> (Program, Profile) {
         let mut program = Program::new("demo");

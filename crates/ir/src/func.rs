@@ -87,11 +87,6 @@ impl Function {
         self.blocks[block].term = Some(term);
     }
 
-    /// Iterates over `(BlockId, &Block)` in id order.
-    pub fn block_iter(&self) -> impl Iterator<Item = (BlockId, &Block)> {
-        self.blocks.iter()
-    }
-
     /// The region decomposition, synthesizing one-region-per-block when
     /// none was declared.
     pub fn effective_regions(&self) -> Vec<Region> {

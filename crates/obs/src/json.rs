@@ -84,7 +84,7 @@ impl JsonValue {
 
     /// Reads the required field `key` of an object with `read` (one of
     /// the `to_*` converters or a closure over them). Errors read
-    /// "missing `key`" or "`key`: <what read found wrong>".
+    /// "missing `key`" or "`key`: " followed by what `read` found wrong.
     pub fn req<'a, T>(
         &'a self,
         key: &str,

@@ -10,7 +10,7 @@
 //! worker threads and returns the results **in input order**. Callers
 //! must make each item's computation a pure function of `(index, item)`
 //! — no shared mutable state, no RNG shared across items (derive
-//! per-item streams with [`mcpart_rng`]-style seed splitting instead).
+//! per-item streams with `mcpart_rng`-style seed splitting instead).
 //! Under that discipline the output is bit-identical for every `jobs`
 //! value, including `1`, which is what lets `--jobs 8` reproduce
 //! `--jobs 1` placements exactly.

@@ -32,7 +32,7 @@ pub trait Rng {
         T::sample(self.next_u64(), range)
     }
 
-    /// A bernoulli sample: `true` with probability `p` (clamped to [0,1]).
+    /// A bernoulli sample: `true` with probability `p` (clamped to `[0, 1]`).
     fn gen_bool(&mut self, p: f64) -> bool {
         // 53 random mantissa bits give a uniform f64 in [0, 1).
         let unit = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);

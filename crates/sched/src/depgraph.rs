@@ -385,18 +385,6 @@ impl DepGraph {
         alap
     }
 
-    /// Dependence-only critical-path length in cycles (the horizon for
-    /// ALAP), counting each node's own latency at the sink.
-    pub fn critical_path(&self, op_latency: &dyn Fn(OpId) -> u32) -> u32 {
-        let asap = self.asap();
-        self.ops
-            .iter()
-            .enumerate()
-            .map(|(i, &op)| asap[i] + op_latency(op).max(1))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Per-node slack = ALAP − ASAP for the dependence-only horizon.
     pub fn slack(&self) -> Vec<u32> {
         let asap = self.asap();

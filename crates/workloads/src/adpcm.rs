@@ -8,7 +8,6 @@
 
 use crate::gen::{
     clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop,
-    Suite, Workload,
 };
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, MemWidth, Program};
 
@@ -55,8 +54,8 @@ fn build_tables(
     });
 }
 
-/// Builds the `rawcaudio` (ADPCM encode) workload.
-pub fn rawcaudio() -> Workload {
+/// Builds the `rawcaudio` (ADPCM encode) program.
+pub fn rawcaudio() -> Program {
     let mut p = Program::new("rawcaudio");
     let stepsize = p.add_object(DataObject::global("stepsizeTable", 89 * 4));
     let indextab = p.add_object(DataObject::global("indexTable", 16 * 4));
@@ -133,11 +132,11 @@ pub fn rawcaudio() -> Workload {
     let cnt = b.addrof(n_encoded);
     let total = b.load(MemWidth::B4, cnt);
     b.ret(Some(total));
-    Workload::from_program("rawcaudio", Suite::Mediabench, p)
+    p
 }
 
-/// Builds the `rawdaudio` (ADPCM decode) workload.
-pub fn rawdaudio() -> Workload {
+/// Builds the `rawdaudio` (ADPCM decode) program.
+pub fn rawdaudio() -> Program {
     let mut p = Program::new("rawdaudio");
     let stepsize = p.add_object(DataObject::global("stepsizeTable", 89 * 4));
     let indextab = p.add_object(DataObject::global("indexTable", 16 * 4));
@@ -200,16 +199,17 @@ pub fn rawdaudio() -> Workload {
     let csa = b.addrof(checksum);
     let cs = b.load(MemWidth::B4, csa);
     b.ret(Some(cs));
-    Workload::from_program("rawdaudio", Suite::Mediabench, p)
+    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_name;
 
     #[test]
     fn rawcaudio_runs_and_profiles() {
-        let w = rawcaudio();
+        let w = by_name("rawcaudio").unwrap();
         assert_eq!(w.name, "rawcaudio");
         assert_eq!(w.num_objects(), 6);
         // Encoder counted every sample.
@@ -222,8 +222,8 @@ mod tests {
 
     #[test]
     fn rawdaudio_runs_deterministically() {
-        let a = rawdaudio();
-        let b = rawdaudio();
+        let a = by_name("rawdaudio").unwrap();
+        let b = by_name("rawdaudio").unwrap();
         let ra = mcpart_sim::run(&a.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         let rb = mcpart_sim::run(&b.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         assert_eq!(ra.return_value, rb.return_value);

@@ -8,7 +8,6 @@
 
 use crate::gen::{
     clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop,
-    Suite, Workload,
 };
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, MemWidth, ObjectId, Program};
 
@@ -55,7 +54,7 @@ fn init_tables(b: &mut FunctionBuilder<'_>, o: &EpicObjects) {
     });
 }
 
-fn build(name: &'static str, decode: bool) -> Workload {
+fn build(name: &'static str, decode: bool) -> Program {
     let mut p = Program::new(name);
     let o = add_objects(&mut p);
     let signal = p.add_object(DataObject::heap_site("image"));
@@ -155,27 +154,27 @@ fn build(name: &'static str, decode: bool) -> Workload {
     let sa = b.addrof(o.symbol_count);
     let syms = b.load(MemWidth::B4, sa);
     b.ret(Some(syms));
-    Workload::from_program(name, Suite::Mediabench, p)
+    p
 }
 
-/// Builds the `epic` workload.
-pub fn epic() -> Workload {
+/// Builds the `epic` program.
+pub fn epic() -> Program {
     build("epic", false)
 }
 
-/// Builds the `unepic` workload.
-pub fn unepic() -> Workload {
+/// Builds the `unepic` program.
+pub fn unepic() -> Program {
     build("unepic", true)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::by_name;
 
     #[test]
     fn epic_pair_builds() {
-        let e = epic();
-        let u = unepic();
+        let e = by_name("epic").unwrap();
+        let u = by_name("unepic").unwrap();
         assert!(e.num_objects() >= 8);
         let r = mcpart_sim::run(&e.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         match r.return_value {

@@ -7,9 +7,7 @@
 //! quantizer outputs (`dq`, `sr`, `pk`), and the adaptation speed
 //! scalars (`ap`, `dms`, `dml`, `yl`, `yu`, `td`).
 
-use crate::gen::{
-    clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, Suite, Workload,
-};
+use crate::gen::{clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4};
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, MemWidth, ObjectId, Program};
 
 const SAMPLES: i64 = 128;
@@ -187,8 +185,8 @@ fn update_state(
     store_elem4(b, o.coef_a, z, a2);
 }
 
-/// Builds the `g721encode` workload.
-pub fn g721encode() -> Workload {
+/// Builds the `g721encode` program.
+pub fn g721encode() -> Program {
     let mut p = Program::new("g721encode");
     let o = add_objects(&mut p);
     let inbuf = p.add_object(DataObject::heap_site("pcmIn"));
@@ -246,11 +244,11 @@ pub fn g721encode() -> Workload {
     let last = b.iconst(SAMPLES - 1);
     let v = load_ptr4(&mut b, outp, last);
     b.ret(Some(v));
-    Workload::from_program("g721encode", Suite::Mediabench, p)
+    p
 }
 
-/// Builds the `g721decode` workload.
-pub fn g721decode() -> Workload {
+/// Builds the `g721decode` program.
+pub fn g721decode() -> Program {
     let mut p = Program::new("g721decode");
     let o = add_objects(&mut p);
     let inbuf = p.add_object(DataObject::heap_site("codesIn"));
@@ -292,17 +290,17 @@ pub fn g721decode() -> Workload {
     let last = b.iconst(SAMPLES - 1);
     let v = load_ptr4(&mut b, outp, last);
     b.ret(Some(v));
-    Workload::from_program("g721decode", Suite::Mediabench, p)
+    p
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::by_name;
 
     #[test]
     fn g721_pair_builds() {
-        let enc = g721encode();
-        let dec = g721decode();
+        let enc = by_name("g721encode").unwrap();
+        let dec = by_name("g721decode").unwrap();
         assert!(enc.num_objects() >= 15);
         assert!(dec.num_objects() >= 15);
         assert!(enc.num_ops() > 150);
@@ -310,7 +308,7 @@ mod tests {
 
     #[test]
     fn encoder_produces_mixed_codes() {
-        let w = g721encode();
+        let w = by_name("g721encode").unwrap();
         let r = mcpart_sim::run(&w.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         // Returned code word is a 4-bit quantity.
         match r.return_value {

@@ -16,6 +16,8 @@ pub enum Suite {
     Dsp,
     /// Parameterized synthetic scale programs ([`SynthSpec`]).
     Synthetic,
+    /// A program read from a text-IR (`.mcir`) file.
+    File,
 }
 
 impl fmt::Display for Suite {
@@ -24,15 +26,15 @@ impl fmt::Display for Suite {
             Suite::Mediabench => f.write_str("mediabench"),
             Suite::Dsp => f.write_str("dsp"),
             Suite::Synthetic => f.write_str("synthetic"),
+            Suite::File => f.write_str("file"),
         }
     }
 }
 
-/// Why a candidate workload could not be constructed. The named
-/// generators in this crate are trusted (a failure is a bug and the
-/// panicking constructors are appropriate); spec-driven synthetic
-/// generation flows through the `try_` constructors so a bad input
-/// surfaces as a diagnostic instead of a crash.
+/// Why a candidate workload could not be constructed: its program fails
+/// verification or its profiling run. Programs generated from a spec or
+/// read from a file go through the `try_` constructors, so a bad input
+/// surfaces as a diagnostic, not a crash.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WorkloadError {
     /// The program failed IR verification.
@@ -83,21 +85,8 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Verifies `program`, executes it once to gather the profile, and
-    /// wraps the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program fails verification or execution — workload
-    /// generators are expected to produce correct programs.
-    pub fn from_program(name: impl Into<String>, suite: Suite, program: Program) -> Self {
-        Workload::try_from_program(name, suite, program).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Workload::from_program`]: verifies and
-    /// profiles `program`, returning a typed error instead of
-    /// panicking. Use this for programs built from untrusted input
-    /// (spec strings, service job files).
+    /// Verifies `program`, executes it once in the functional simulator
+    /// to gather the profile, and wraps the result.
     ///
     /// # Errors
     ///
@@ -595,7 +584,7 @@ mod tests {
         let base = b.addrof(acc_obj);
         let v = b.load(MemWidth::B4, base);
         b.ret(Some(v));
-        let w = Workload::from_program("loop10", Suite::Dsp, p);
+        let w = Workload::try_from_program("loop10", Suite::Dsp, p).unwrap();
         // Sum 0..10 = 45.
         let r = mcpart_sim::run(&w.program, &[], ExecConfig::default()).unwrap();
         assert_eq!(r.return_value, Some(mcpart_sim::Value::Int(45)));

@@ -9,7 +9,6 @@
 
 use crate::gen::{
     clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop,
-    Suite, Workload,
 };
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, MemWidth, ObjectId, Program};
 
@@ -134,7 +133,7 @@ fn long_term(
     });
 }
 
-fn build(name: &'static str, decode: bool) -> Workload {
+fn build(name: &'static str, decode: bool) -> Program {
     let mut p = Program::new(name);
     let o = add_objects(&mut p);
     let inbuf = p.add_object(DataObject::heap_site("frames"));
@@ -187,27 +186,27 @@ fn build(name: &'static str, decode: bool) -> Workload {
     let na = b.addrof(o.lag_state);
     let lag = b.load(MemWidth::B4, na);
     b.ret(Some(lag));
-    Workload::from_program(name, Suite::Mediabench, p)
+    p
 }
 
-/// Builds the `gsmencode` workload.
-pub fn gsmencode() -> Workload {
+/// Builds the `gsmencode` program.
+pub fn gsmencode() -> Program {
     build("gsmencode", false)
 }
 
-/// Builds the `gsmdecode` workload.
-pub fn gsmdecode() -> Workload {
+/// Builds the `gsmdecode` program.
+pub fn gsmdecode() -> Program {
     build("gsmdecode", true)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::by_name;
 
     #[test]
     fn gsm_pair_builds_and_differs() {
-        let e = gsmencode();
-        let d = gsmdecode();
+        let e = by_name("gsmencode").unwrap();
+        let d = by_name("gsmdecode").unwrap();
         assert!(e.num_objects() >= 7);
         let re = mcpart_sim::run(&e.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         let rd = mcpart_sim::run(&d.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
@@ -218,7 +217,7 @@ mod tests {
 
     #[test]
     fn ltp_lag_in_range() {
-        let w = gsmencode();
+        let w = by_name("gsmencode").unwrap();
         let r = mcpart_sim::run(&w.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         match r.return_value {
             Some(mcpart_sim::Value::Int(lag)) => assert!((40..=120).contains(&lag), "{lag}"),

@@ -7,7 +7,6 @@
 
 use crate::gen::{
     clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop,
-    Suite, Workload,
 };
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, MemWidth, ObjectId, Program};
 
@@ -70,7 +69,7 @@ fn init_tables(b: &mut FunctionBuilder<'_>, o: &JpegObjects) {
     });
 }
 
-fn build(name: &'static str, decode: bool) -> Workload {
+fn build(name: &'static str, decode: bool) -> Program {
     let mut p = Program::new(name);
     let o = add_objects(&mut p);
     let image = p.add_object(DataObject::heap_site("imageBuffer"));
@@ -161,27 +160,27 @@ fn build(name: &'static str, decode: bool) -> Workload {
     let ba = b.addrof(o.bit_count);
     let bits = b.load(MemWidth::B4, ba);
     b.ret(Some(bits));
-    Workload::from_program(name, Suite::Mediabench, p)
+    p
 }
 
-/// Builds the `cjpeg` workload.
-pub fn cjpeg() -> Workload {
+/// Builds the `cjpeg` program.
+pub fn cjpeg() -> Program {
     build("cjpeg", false)
 }
 
-/// Builds the `djpeg` workload.
-pub fn djpeg() -> Workload {
+/// Builds the `djpeg` program.
+pub fn djpeg() -> Program {
     build("djpeg", true)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::by_name;
 
     #[test]
     fn jpeg_pair_builds() {
-        let c = cjpeg();
-        let d = djpeg();
+        let c = by_name("cjpeg").unwrap();
+        let d = by_name("djpeg").unwrap();
         assert!(c.num_objects() >= 9);
         assert!(d.num_ops() > 120);
         let r = mcpart_sim::run(&c.program, &[], mcpart_sim::ExecConfig::default()).unwrap();

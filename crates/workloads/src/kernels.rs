@@ -2,13 +2,12 @@
 
 use crate::gen::{
     clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop,
-    Suite, Workload,
 };
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, MemWidth, Program};
 
 /// FIR filter: 16 coefficients over 512 samples, with a circular delay
 /// line held in a global array.
-pub fn fir() -> Workload {
+pub fn fir() -> Program {
     const TAPS: i64 = 16;
     const N: i64 = 128;
     const PASSES: i64 = 8;
@@ -80,12 +79,12 @@ pub fn fir() -> Workload {
     let ea = b.addrof(energy);
     let e = b.load(MemWidth::B4, ea);
     b.ret(Some(e));
-    Workload::from_program("fir", Suite::Dsp, p)
+    p
 }
 
 /// Integer FFT-like kernel: log2(N) stages of butterflies over separate
 /// real/imaginary arrays with a twiddle table.
-pub fn fft() -> Workload {
+pub fn fft() -> Program {
     const N: i64 = 256;
     const STAGES: i64 = 8;
     let mut p = Program::new("fft");
@@ -158,13 +157,13 @@ pub fn fft() -> Workload {
     let ca = b.addrof(check);
     let c = b.load(MemWidth::B4, ca);
     b.ret(Some(c));
-    Workload::from_program("fft", Suite::Dsp, p)
+    p
 }
 
 /// Floyd–Steinberg error diffusion over a small grayscale image — the
 /// kernel the paper singles out for the largest intercluster-move
 /// increase.
-pub fn fsed() -> Workload {
+pub fn fsed() -> Program {
     const W: i64 = 64;
     const H: i64 = 48;
     let mut p = Program::new("fsed");
@@ -249,11 +248,11 @@ pub fn fsed() -> Workload {
     let ia = b.addrof(ink);
     let total = b.load(MemWidth::B4, ia);
     b.ret(Some(total));
-    Workload::from_program("fsed", Suite::Dsp, p)
+    p
 }
 
 /// Sobel edge detection over a small image with 3x3 kernel tables.
-pub fn sobel() -> Workload {
+pub fn sobel() -> Program {
     const W: i64 = 64;
     const H: i64 = 48;
     let mut p = Program::new("sobel");
@@ -335,12 +334,12 @@ pub fn sobel() -> Workload {
     let ma = b.addrof(maxg);
     let m = b.load(MemWidth::B4, ma);
     b.ret(Some(m));
-    Workload::from_program("sobel", Suite::Dsp, p)
+    p
 }
 
 /// Normalized lattice filter (`latnrm`): reflection-coefficient and
 /// state arrays updated per sample.
-pub fn latnrm() -> Workload {
+pub fn latnrm() -> Program {
     const ORDER: i64 = 8;
     const N: i64 = 512;
     let mut p = Program::new("latnrm");
@@ -401,12 +400,12 @@ pub fn latnrm() -> Workload {
     let last = b.iconst(N - 1);
     let y = load_ptr4(&mut b, outp, last);
     b.ret(Some(y));
-    Workload::from_program("latnrm", Suite::Dsp, p)
+    p
 }
 
 /// Blocked integer matrix multiply (`matmul`): `C = A × B` for 24×24
 /// matrices.
-pub fn matmul() -> Workload {
+pub fn matmul() -> Program {
     const N: i64 = 24;
     let mut p = Program::new("matmul");
     let a = p.add_object(DataObject::global("A", (N * N * 4) as u64));
@@ -459,16 +458,17 @@ pub fn matmul() -> Workload {
     let ta = b.addrof(trace);
     let t = b.load(MemWidth::B4, ta);
     b.ret(Some(t));
-    Workload::from_program("matmul", Suite::Dsp, p)
+    p
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{by_name, Suite};
 
     #[test]
     fn all_kernels_build_and_run() {
-        for w in [fir(), fft(), fsed(), sobel(), latnrm(), matmul()] {
+        for name in ["fir", "fft", "fsed", "sobel", "latnrm", "matmul"] {
+            let w = by_name(name).unwrap();
             assert!(w.num_ops() > 40, "{} too small: {} ops", w.name, w.num_ops());
             assert!(w.num_objects() >= 4, "{}", w.name);
             assert_eq!(w.suite, Suite::Dsp);
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn fsed_branches_both_ways() {
-        let w = fsed();
+        let w = by_name("fsed").unwrap();
         // The ink/white blocks must both execute (data-dependent branch).
         let f = w.program.entry;
         let func = w.program.entry_function();
@@ -497,8 +497,8 @@ mod tests {
 
     #[test]
     fn matmul_trace_is_stable() {
-        let a = matmul();
-        let b = matmul();
+        let a = by_name("matmul").unwrap();
+        let b = by_name("matmul").unwrap();
         let ra = mcpart_sim::run(&a.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         let rb = mcpart_sim::run(&b.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         assert_eq!(ra.return_value, rb.return_value);

@@ -2,13 +2,12 @@
 
 use crate::gen::{
     clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop,
-    Suite, Workload,
 };
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, MemWidth, Program};
 
 /// Viterbi decoder kernel: a 16-state trellis walked over a symbol
 /// stream, with branch-metric tables and double-buffered path metrics.
-pub fn viterbi() -> Workload {
+pub fn viterbi() -> Program {
     const STATES: i64 = 16;
     const SYMBOLS: i64 = 128;
     let mut p = Program::new("viterbi");
@@ -98,12 +97,12 @@ pub fn viterbi() -> Workload {
     let ba = b.addrof(best_state);
     b.store(MemWidth::B4, ba, besti);
     b.ret(Some(besti));
-    Workload::from_program("viterbi", Suite::Dsp, p)
+    p
 }
 
 /// Autocorrelation kernel (`autcor`, after the EEMBC telecom kernel):
 /// `r[k] = Σ_i x[i]·x[i+k]` for a handful of lags.
-pub fn autcor() -> Workload {
+pub fn autcor() -> Program {
     const N: i64 = 256;
     const LAGS: i64 = 16;
     let mut p = Program::new("autcor");
@@ -166,13 +165,13 @@ pub fn autcor() -> Workload {
     let zero = b.iconst(0);
     let r0 = load_elem4(&mut b, result, zero);
     b.ret(Some(r0));
-    Workload::from_program("autcor", Suite::Dsp, p)
+    p
 }
 
 /// Histogram kernel: data-dependent scatter increments into a bin
 /// table — the access pattern the paper's object-granularity placement
 /// handles well (one hot indivisible table).
-pub fn histogram() -> Workload {
+pub fn histogram() -> Program {
     const N: i64 = 1024;
     const BINS: i64 = 64;
     let mut p = Program::new("histogram");
@@ -219,16 +218,17 @@ pub fn histogram() -> Workload {
     let sa2 = b.add(sa, four);
     b.store(MemWidth::B4, sa2, run);
     b.ret(Some(run));
-    Workload::from_program("histogram", Suite::Dsp, p)
+    p
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::by_name;
 
     #[test]
     fn extra_kernels_build_and_run() {
-        for w in [viterbi(), autcor(), histogram()] {
+        for name in ["viterbi", "autcor", "histogram"] {
+            let w = by_name(name).unwrap();
             assert!(w.num_ops() > 60, "{}: {} ops", w.name, w.num_ops());
             assert!(w.num_objects() >= 4, "{}", w.name);
         }
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_all_samples() {
-        let w = histogram();
+        let w = by_name("histogram").unwrap();
         let r = mcpart_sim::run(&w.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         // The CDF total equals the sample count.
         assert_eq!(r.return_value, Some(mcpart_sim::Value::Int(1024)));
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn viterbi_returns_a_state() {
-        let w = viterbi();
+        let w = by_name("viterbi").unwrap();
         let r = mcpart_sim::run(&w.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         match r.return_value {
             Some(mcpart_sim::Value::Int(s)) => assert!((0..16).contains(&s), "{s}"),

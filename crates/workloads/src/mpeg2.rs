@@ -10,7 +10,6 @@
 
 use crate::gen::{
     clamp_const, counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop,
-    Suite, Workload,
 };
 use mcpart_ir::{DataObject, FuncId, FunctionBuilder, MemWidth, ObjectId, Program};
 
@@ -114,7 +113,7 @@ fn build_dct(p: &mut Program, block: ObjectId, inverse: bool) -> FuncId {
     b.func_id()
 }
 
-fn build(name: &'static str, decode: bool) -> Workload {
+fn build(name: &'static str, decode: bool) -> Program {
     let mut p = Program::new(name);
     let o = add_objects(&mut p);
     let frame = p.add_object(DataObject::heap_site("frameBuffer"));
@@ -199,27 +198,28 @@ fn build(name: &'static str, decode: bool) -> Workload {
     let ra = b.addrof(o.rc_bits);
     let bits = b.load(MemWidth::B4, ra);
     b.ret(Some(bits));
-    Workload::from_program(name, Suite::Mediabench, p)
+    p
 }
 
-/// Builds the `mpeg2enc` workload.
-pub fn mpeg2enc() -> Workload {
+/// Builds the `mpeg2enc` program.
+pub fn mpeg2enc() -> Program {
     build("mpeg2enc", false)
 }
 
-/// Builds the `mpeg2dec` workload.
-pub fn mpeg2dec() -> Workload {
+/// Builds the `mpeg2dec` program.
+pub fn mpeg2dec() -> Program {
     build("mpeg2dec", true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_name;
 
     #[test]
     fn mpeg2_pair_builds() {
-        let e = mpeg2enc();
-        let d = mpeg2dec();
+        let e = by_name("mpeg2enc").unwrap();
+        let d = by_name("mpeg2dec").unwrap();
         assert!(e.num_objects() >= 8);
         assert_eq!(e.program.functions.len(), 2, "entry + dct callee");
         assert!(d.num_ops() > 150);
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn dct_callee_is_hot() {
-        let w = mpeg2enc();
+        let w = by_name("mpeg2enc").unwrap();
         // The DCT function's blocks execute once per macroblock.
         let dct_fid =
             w.program.functions.iter().find(|(_, f)| f.name == "fdct").map(|(id, _)| id).unwrap();

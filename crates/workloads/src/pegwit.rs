@@ -6,16 +6,14 @@
 //! reduction table, the hash round-constant table, key and accumulator
 //! word arrays, and heap message/ciphertext buffers.
 
-use crate::gen::{
-    counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop, Suite, Workload,
-};
+use crate::gen::{counted_loop, load_elem4, load_ptr4, store_elem4, store_ptr4, unrolled_loop};
 use mcpart_ir::{Cmp, DataObject, FunctionBuilder, IntBinOp, Program};
 
 const WORDS: i64 = 16; // GF element size in 32-bit words
 const MSG_WORDS: i64 = 1024;
 
-/// Builds the `pegwit` workload.
-pub fn pegwit() -> Workload {
+/// Builds the `pegwit` program.
+pub fn pegwit() -> Program {
     let mut p = Program::new("pegwit");
     let reduction = p.add_object(DataObject::global("gf_reduction_tbl", 256 * 4));
     let round_consts = p.add_object(DataObject::global("hash_round_consts", 32 * 4));
@@ -115,16 +113,16 @@ pub fn pegwit() -> Workload {
     let nonzero = b.icmp(Cmp::Ne, c_last, zero);
     let bumped = b.add(sum, nonzero);
     b.ret(Some(bumped));
-    Workload::from_program("pegwit", Suite::Mediabench, p)
+    p
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::by_name;
 
     #[test]
     fn pegwit_builds_and_runs() {
-        let w = pegwit();
+        let w = by_name("pegwit").unwrap();
         assert!(w.num_objects() >= 7);
         let r = mcpart_sim::run(&w.program, &[], mcpart_sim::ExecConfig::default()).unwrap();
         match r.return_value {

@@ -24,6 +24,10 @@ cargo clippy --workspace --all-targets -- -W clippy::perf
 echo "== cargo fmt --check"
 cargo fmt --check
 
+# A doc link to a removed or renamed item fails here, not in a reader's browser.
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== figures rejects an unknown benchmark before printing anything"
 cargo build --release -q -p mcpart-bench --bin figures
 CODE=0

@@ -22,13 +22,13 @@ use mcpart::core::{
     Downgrade, JobSpec, Manifest, Method, PipelineConfig, RepartitionStats, ServeConfig,
     UnitRecord,
 };
-use mcpart::ir::{parse_program, program_to_string, Profile, Program};
+use mcpart::ir::{program_to_string, Profile, Program};
 use mcpart::machine::Machine;
 use mcpart::obs::metrics::MetricsRegistry;
 use mcpart::obs::{EventKind, Obs};
 use mcpart::par::fault::FaultPlan;
 use mcpart::par::supervise::QuarantinedUnit;
-use mcpart::sim::{profile_run, ExecConfig};
+use mcpart::workloads::{SynthSpec, TargetError};
 use mcpart_bench::args::{ArgError, Flags};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -139,12 +139,6 @@ enum CliError {
 impl CliError {
     fn usage(msg: impl Into<String>) -> Self {
         CliError::Usage(msg.into())
-    }
-
-    fn into_message(self) -> String {
-        match self {
-            CliError::Usage(m) | CliError::Config(m) | CliError::Runtime(m) => m,
-        }
     }
 }
 
@@ -332,34 +326,15 @@ fn prepare(args: &[String]) -> Result<(Options, Program, Profile), CliError> {
     Ok((o, program, profile))
 }
 
-/// Resolves a target: a synthetic spec, a bundled benchmark, or a
-/// text-IR file. A malformed synthetic spec is a usage error (exit 2,
-/// with the parser's column diagnostic); everything else that fails is
-/// a runtime error.
-fn load_target(name_or_path: &str) -> Result<(Program, Profile), CliError> {
-    // Synthetic specs first — a preset name or `key=value,...` string
-    // (`mcpart partition ops=100000`) keeps its parse diagnostic
-    // instead of degrading to the generic "unknown benchmark" message.
-    if name_or_path.starts_with("synth_") || name_or_path.contains('=') {
-        let w = mcpart::workloads::synth_result(name_or_path)
-            .map_err(|e| CliError::Usage(format!("`{name_or_path}`: {e}")))?;
-        return Ok((w.program, w.profile));
+/// Resolves a target ([`mcpart::workloads::resolve`]). A malformed
+/// synthetic spec is a usage error (exit 2, with the parser's column
+/// diagnostic); everything else that fails is a runtime error.
+fn load_target(target: &str) -> Result<(Program, Profile), CliError> {
+    match mcpart::workloads::resolve(target) {
+        Ok(w) => Ok((w.program, w.profile)),
+        Err(e @ TargetError::Spec { .. }) => Err(CliError::Usage(e.to_string())),
+        Err(e) => Err(CliError::Runtime(e.to_string())),
     }
-    if let Some(w) = mcpart::workloads::by_name(name_or_path) {
-        return Ok((w.program, w.profile));
-    }
-    if std::path::Path::new(name_or_path).exists() {
-        let text = std::fs::read_to_string(name_or_path)
-            .map_err(|e| format!("cannot read {name_or_path}: {e}"))?;
-        let program = parse_program(&text).map_err(|e| format!("{name_or_path}: {e}"))?;
-        mcpart::ir::verify_program(&program).map_err(|e| format!("{name_or_path}: {e}"))?;
-        let profile = profile_run(&program, &[], ExecConfig::default())
-            .map_err(|e| format!("{name_or_path}: execution failed: {e}"))?;
-        return Ok((program, profile));
-    }
-    Err(CliError::Runtime(format!(
-        "`{name_or_path}` is neither a known benchmark nor a readable file (try `mcpart list`)"
-    )))
 }
 
 /// Announces any degradation-ladder activity on stderr so scripted
@@ -694,7 +669,9 @@ fn main() -> ExitCode {
                     other => return Err(Flags::unknown(other).into()),
                 }
             }
-            let w = mcpart::workloads::synth_result(spec)
+            let w = SynthSpec::parse(spec)
+                .map_err(|e| CliError::Usage(format!("`{spec}`: {e}")))?
+                .try_generate(spec)
                 .map_err(|e| CliError::Usage(format!("`{spec}`: {e}")))?;
             outln!("name:      {}", w.name);
             outln!("functions: {}", w.program.functions.len());
@@ -807,8 +784,7 @@ fn main() -> ExitCode {
             cfg.faults = common.faults.clone();
             cfg.obs = common.obs();
             install_shutdown_handler();
-            let loader = |name: &str| load_target(name).map_err(CliError::into_message);
-            mcpart::core::serve(std::path::Path::new(spool), &cfg, &loader, &SERVE_SHUTDOWN)
+            mcpart::core::serve(std::path::Path::new(spool), &cfg, &SERVE_SHUTDOWN)
                 .map_err(|e| CliError::Runtime(e.to_string()))?;
             common.emit(&cfg.obs)
         })(),

@@ -210,7 +210,7 @@ fn rhop_work_and_placements_match_the_golden_digest() {
         }
     };
     let mut workloads = mcpart::workloads::all();
-    workloads.push(mcpart::workloads::synth("ops=3000,seed=3").expect("valid synth spec"));
+    workloads.push(mcpart::workloads::resolve("ops=3000,seed=3").expect("valid synth spec"));
     let (mut runs, mut ops, mut estimator_calls) = (0usize, 0usize, 0u64);
     for w in &workloads {
         let program = w.profile.apply_heap_sizes(&w.program);

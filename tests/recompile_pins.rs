@@ -40,7 +40,7 @@ impl Fold {
 /// The 22 paper programs and a 3,000-op synthetic program.
 fn workloads() -> Vec<Workload> {
     let mut all = mcpart::workloads::all();
-    all.push(mcpart::workloads::synth("ops=3000,seed=3").expect("valid synth spec"));
+    all.push(mcpart::workloads::resolve("ops=3000,seed=3").expect("valid synth spec"));
     all
 }
 

@@ -184,7 +184,7 @@ fn gdp_jobs_identity_on_all_workloads() {
 /// thresholds, unlike the paper workloads).
 #[test]
 fn gdp_jobs_identity_on_synth() {
-    let w = mcpart::workloads::synth("ops=20000,trips=16,seed=42").expect("synth");
+    let w = mcpart::workloads::resolve("ops=20000,trips=16,seed=42").expect("synth");
     let machine = Machine::paper_2cluster(5);
     let pts = PointsTo::compute(&w.program);
     let access = AccessInfo::compute(&w.program, &pts, &w.profile);
