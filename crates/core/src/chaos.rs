@@ -856,6 +856,57 @@ mod tests {
         assert!(e.to_string().contains("target"), "{e}");
     }
 
+    /// Pins what chaos derives from each of the first 200 scenarios of
+    /// the CI soak's seed: the repro text, the machine, the pipeline
+    /// fields the scenario sets and the header of the checkpoint
+    /// corruption sub-checks.
+    #[test]
+    fn sampled_scenarios_derive_pinned_machines_configs_and_headers() {
+        use std::fmt::Write as _;
+        let cfg = ChaosConfig::new(200, 20260807);
+        let points = cfg.sweep.expand();
+        let media: Vec<&str> = mcpart_workloads::BENCHMARKS
+            .iter()
+            .filter(|b| b.suite == Suite::Mediabench)
+            .map(|b| b.name)
+            .collect();
+        let mut programs: HashMap<String, Program> = HashMap::new();
+        let mut digest = durable::Fnv1a::default();
+        for id in 0..cfg.scenarios {
+            let s = sample_scenario(&cfg, &points, &media, id);
+            let program = programs.entry(s.target.clone()).or_insert_with(|| {
+                mcpart_workloads::resolve(&s.target).expect("sampled target resolves").program
+            });
+            let pcfg = pipeline_config(&s, 1);
+            let header = CheckpointHeader {
+                program: program.name.clone(),
+                program_hash: program_fingerprint(program),
+                seed: s.seed,
+                clusters: s.point.clusters,
+                latency: s.point.latency,
+                memory: s.point.memory.to_string(),
+                gdp_fuel: None,
+            };
+            writeln!(
+                digest,
+                "{s}|{:?}|{:?}|{}|{}|{:?}|{:?}|{}",
+                s.point.machine(),
+                pcfg.gdp.fuel,
+                pcfg.rhop.seed,
+                pcfg.rhop.faults,
+                pcfg.rhop.max_estimator_calls,
+                pcfg.unit_timeout,
+                header.to_json()
+            )
+            .expect("hashing never fails");
+        }
+        assert_eq!(
+            digest.finish(),
+            0xe6b2_095f_b0c4_5821,
+            "a sampled run derives a different machine/config/header"
+        );
+    }
+
     #[test]
     fn soak_is_deterministic_and_clean() {
         let cfg = quiet_cfg(12, 0xC0FFEE);
