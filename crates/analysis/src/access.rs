@@ -72,11 +72,6 @@ impl AccessInfo {
         sites.sort();
         sites
     }
-
-    /// Number of distinct objects that are ever accessed.
-    pub fn num_live_objects(&self) -> usize {
-        self.object_sites.values().filter(|s| !s.is_empty()).count()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,6 @@ mod tests {
         assert_eq!(info.object_freq[a], 10);
         assert_eq!(info.object_freq[b_obj], 10);
         assert_eq!(info.object_sites[a].len(), 1);
-        assert_eq!(info.num_live_objects(), 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Call graph construction and reachability.
+//! Call graph construction.
 
 use mcpart_ir::{EntityMap, FuncId, Opcode, Program};
 
@@ -31,25 +31,6 @@ impl CallGraph {
         }
         CallGraph { callees, callers }
     }
-
-    /// Functions reachable from the entry, in DFS preorder.
-    pub fn reachable(&self, program: &Program) -> Vec<FuncId> {
-        let mut visited = vec![false; program.functions.len()];
-        let mut order = Vec::new();
-        let mut stack = vec![program.entry];
-        while let Some(f) = stack.pop() {
-            if std::mem::replace(&mut visited[f.0 as usize], true) {
-                continue;
-            }
-            order.push(f);
-            for &callee in self.callees[f].iter().rev() {
-                if !visited[callee.0 as usize] {
-                    stack.push(callee);
-                }
-            }
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +39,7 @@ mod tests {
     use mcpart_ir::FunctionBuilder;
 
     #[test]
-    fn callgraph_and_reachability() {
+    fn callgraph_dedups_callees_and_callers() {
         let mut p = Program::new("t");
         let leaf = {
             let mut b = FunctionBuilder::new_function(&mut p, "leaf");
@@ -77,9 +58,6 @@ mod tests {
         let cg = CallGraph::compute(&p);
         assert_eq!(cg.callees[p.entry], vec![leaf]);
         assert_eq!(cg.callers[leaf], vec![p.entry]);
-        let reach = cg.reachable(&p);
-        assert!(reach.contains(&leaf));
-        assert!(!reach.contains(&unreached));
-        assert_eq!(reach[0], p.entry);
+        assert!(cg.callers[unreached].is_empty());
     }
 }

@@ -52,7 +52,9 @@ pub struct FigureArgs {
     /// The selected rows, in command-line order (default: every row).
     pub figures: Vec<&'static Figure>,
     /// `--benchmarks a,b,c`: replaces each selected row's defaults; each
-    /// name is resolved by [`mcpart_workloads::resolve`].
+    /// name is resolved by [`mcpart_workloads::resolve`]. Consecutive
+    /// `key=value` fragments form one synthetic spec, so
+    /// `fir,ops=3000,seed=3` names two programs.
     pub workloads: Option<Vec<Workload>>,
     /// `--out DIR`: write `DIR/<name>.txt` per row instead of stdout.
     pub out: Option<PathBuf>,
@@ -89,7 +91,8 @@ impl FigureArgs {
                 return Err(ArgError("--benchmarks: no selected figure takes workloads".into()))
             }
             Some(list) => Some(
-                list.split(',')
+                split_targets(&list)
+                    .iter()
                     .map(|n| {
                         mcpart_workloads::resolve(n).map_err(|e| match e {
                             TargetError::Unknown(_) => ArgError(format!("unknown benchmark `{n}`")),
@@ -101,6 +104,23 @@ impl FigureArgs {
         };
         Ok(FigureArgs { figures, workloads, out })
     }
+}
+
+/// Splits a `--benchmarks` list into targets: a `key=value` fragment
+/// right after another one continues its synthetic spec; every other
+/// fragment is a target of its own.
+fn split_targets(list: &str) -> Vec<String> {
+    let mut targets: Vec<String> = Vec::new();
+    for part in list.split(',') {
+        match targets.last_mut() {
+            Some(spec) if part.contains('=') && spec.contains('=') => {
+                spec.push(',');
+                spec.push_str(part);
+            }
+            _ => targets.push(part.to_string()),
+        }
+    }
+    targets
 }
 
 #[cfg(test)]
@@ -122,6 +142,24 @@ mod tests {
         assert_eq!(names(&a), ["fig8b", "table1"]);
         assert_eq!(a.workloads.as_ref().map(Vec::len), Some(2));
         assert_eq!(a.out, Some(PathBuf::from("dir")));
+    }
+
+    #[test]
+    fn a_synthetic_spec_keeps_its_commas() {
+        assert_eq!(split_targets("ops=3000,seed=3"), ["ops=3000,seed=3"]);
+        assert_eq!(
+            split_targets("fir,ops=3000,seed=3,rawcaudio"),
+            ["fir", "ops=3000,seed=3", "rawcaudio"]
+        );
+        let a = parse(&["fig8a", "--benchmarks", "ops=3000,seed=3"]).expect("parses");
+        let workloads = a.workloads.expect("workloads");
+        assert_eq!(workloads.len(), 1);
+        let spec = mcpart_workloads::resolve("ops=3000,seed=3").expect("spec resolves");
+        assert_eq!(workloads[0].name, spec.name);
+        let a = parse(&["fig8a", "--benchmarks", "fir,ops=3000,seed=3,rawcaudio"]).expect("parses");
+        let names: Vec<String> =
+            a.workloads.expect("workloads").iter().map(|w| w.name.clone()).collect();
+        assert_eq!(names, ["fir".to_string(), spec.name, "rawcaudio".to_string()]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Chaos soak harness: seeded (program, machine, fault-plan) scenarios
 //! judged by the independent [`crate::oracle`].
 //!
-//! One scenario is a triple sampled deterministically from a base seed:
+//! One scenario is a run spec ([`JobSpec`]) sampled deterministically
+//! from a base seed; it varies three things:
 //!
 //! * a **program** — a small synthetic [`SynthSpec`] instance or a
 //!   Mediabench workload;
@@ -23,15 +24,18 @@
 //! Failing scenarios greedily **shrink** (drop fault entries, simplify
 //! the machine, halve synthetic-program axes — each candidate
 //! re-validated) and the minimized repro is written to a corpus file
-//! whose grammar round-trips through [`Scenario::parse`], so
-//! `mcpart chaos --replay <file>` re-runs it exactly.
+//! whose grammar round-trips through [`JobSpec::parse_repro`], so
+//! `mcpart chaos --replay <file>` re-runs it exactly. The spec derives
+//! the scenario's machine, pipeline configuration and checkpoint header
+//! the way it does for a one-shot run or a served job.
 //!
 //! Everything is a pure function of the scenario, so the whole soak is
 //! bit-identical across runs and `--jobs` counts.
 
-use crate::checkpoint::{method_slug, program_fingerprint, CheckpointHeader, UnitRecord};
+use crate::checkpoint::{method_slug, UnitRecord};
 use crate::oracle::{check_result, OracleReport};
-use crate::pipeline::{run_pipeline, Method, PipelineConfig, PipelineResult};
+use crate::pipeline::{run_pipeline, Method, PipelineResult};
+use crate::serve::JobSpec;
 use mcpart_ir::{ClusterId, Profile, Program};
 use mcpart_machine::{Machine, MemoryModel, SweepMatrix, SweepPoint, Topology};
 use mcpart_obs::{durable, Obs};
@@ -92,32 +96,16 @@ impl fmt::Display for ChaosError {
 
 impl std::error::Error for ChaosError {}
 
-/// One sampled (or replayed) soak scenario.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Scenario {
-    /// Program target: a `key=value` synthetic spec (contains `=`) or a
-    /// workload name.
-    pub target: String,
-    /// The machine configuration.
-    pub point: SweepPoint,
-    /// Requested partitioning method (the ladder may downgrade it).
-    pub method: Method,
-    /// The armed fault injectors.
-    pub faults: FaultPlan,
-    /// Seed for the RHOP refiner and the synthetic program.
-    pub seed: u64,
-}
-
-impl Scenario {
-    /// Parses the repro-file grammar (the `Display` rendering plus
-    /// optional `#` comments). `target` is mandatory; the other keys
-    /// default to the paper machine, GDP and the empty plan.
-    pub fn parse(text: &str) -> Result<Scenario, ChaosError> {
+/// The repro grammar: five `key = value` lines (`target`, `machine`,
+/// `method`, `faults`, `seed`). It carries no `gdp_fuel`: chaos caps
+/// GDP with a `fuel:` fault term instead.
+impl JobSpec {
+    /// Parses the repro-file grammar ([`JobSpec::repro`] plus optional
+    /// `#` comments). `target` is mandatory; the other keys default to
+    /// the paper machine, GDP, the empty plan and seed 0.
+    pub fn parse_repro(text: &str) -> Result<JobSpec, ChaosError> {
         let mut target: Option<String> = None;
-        let mut point = SweepPoint::paper();
-        let mut method = Method::Gdp;
-        let mut faults = FaultPlan::none();
-        let mut seed = 0u64;
+        let mut spec = JobSpec { seed: Some(0), ..JobSpec::new("") };
         for (lineno, raw) in text.lines().enumerate() {
             let line = lineno + 1;
             // Whole-line comments only: fault plans legitimately
@@ -135,23 +123,23 @@ impl Scenario {
             match key.trim() {
                 "target" => target = Some(value.to_string()),
                 "machine" => {
-                    point = SweepPoint::parse(value)
+                    spec.machine = SweepPoint::parse(value)
                         .map_err(|message| ChaosError::Parse { line, message })?;
                 }
                 "method" => {
-                    method =
+                    spec.method =
                         value.parse().map_err(|message| ChaosError::Parse { line, message })?;
                 }
                 "faults" => {
                     let plan = value.parse::<FaultPlan>();
-                    faults =
+                    spec.faults =
                         plan.map_err(|e| ChaosError::Parse { line, message: e.to_string() })?;
                 }
                 "seed" => {
-                    seed = value.parse().map_err(|_| ChaosError::Parse {
+                    spec.seed = Some(value.parse().map_err(|_| ChaosError::Parse {
                         line,
                         message: format!("bad seed `{value}`"),
-                    })?;
+                    })?);
                 }
                 other => {
                     return Err(ChaosError::Parse {
@@ -163,21 +151,24 @@ impl Scenario {
                 }
             }
         }
-        let target = target.ok_or(ChaosError::Parse {
+        spec.program = target.ok_or(ChaosError::Parse {
             line: text.lines().count().max(1),
             message: "repro file has no `target =` line".to_string(),
         })?;
-        Ok(Scenario { target, point, method, faults, seed })
+        Ok(spec)
     }
-}
 
-impl fmt::Display for Scenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "target = {}", self.target)?;
-        writeln!(f, "machine = {}", self.point)?;
-        writeln!(f, "method = {}", method_slug(self.method))?;
-        writeln!(f, "faults = {}", self.faults)?;
-        writeln!(f, "seed = {}", self.seed)
+    /// Renders the spec in the repro grammar [`JobSpec::parse_repro`]
+    /// reads.
+    pub fn repro(&self) -> String {
+        format!(
+            "target = {}\nmachine = {}\nmethod = {}\nfaults = {}\nseed = {}\n",
+            self.program,
+            self.machine,
+            method_slug(self.method),
+            self.faults,
+            self.rhop_seed()
+        )
     }
 }
 
@@ -219,7 +210,7 @@ impl fmt::Display for ScenarioVerdict {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ScenarioResult {
     /// The scenario as run (post-shrink results carry the shrunk one).
-    pub scenario: Scenario,
+    pub scenario: JobSpec,
     /// The verdict.
     pub verdict: ScenarioVerdict,
     /// Oracle checks evaluated (0 on typed errors and panics).
@@ -320,11 +311,7 @@ impl ChaosSummary {
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosSummary, ChaosError> {
     cfg.sweep.validate().map_err(|e| ChaosError::Machine { message: e.to_string() })?;
     let points = cfg.sweep.expand();
-    let media: Vec<&str> = mcpart_workloads::BENCHMARKS
-        .iter()
-        .filter(|b| b.suite == Suite::Mediabench)
-        .map(|b| b.name)
-        .collect();
+    let media = mediabench_names();
     let mut cache: TargetCache = HashMap::new();
     let mut summary = ChaosSummary::default();
     for id in 0..cfg.scenarios {
@@ -358,55 +345,38 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosSummary, ChaosError> {
     Ok(summary)
 }
 
+/// The bundled Mediabench programs a scenario may name.
+fn mediabench_names() -> Vec<&'static str> {
+    mcpart_workloads::BENCHMARKS
+        .iter()
+        .filter(|b| b.suite == Suite::Mediabench)
+        .map(|b| b.name)
+        .collect()
+}
+
 /// Runs and judges one scenario (the `--replay` path).
-pub fn run_scenario(scenario: &Scenario, cfg: &ChaosConfig) -> Result<ScenarioResult, ChaosError> {
+pub fn run_scenario(scenario: &JobSpec, cfg: &ChaosConfig) -> Result<ScenarioResult, ChaosError> {
     let mut cache = HashMap::new();
     run_scenario_cached(scenario, cfg, &mut cache)
 }
 
 type TargetCache = HashMap<String, (Program, Profile)>;
 
-fn pipeline_config(scenario: &Scenario, jobs: usize) -> PipelineConfig {
-    let mut pcfg = PipelineConfig::new(scenario.method).with_jobs(jobs);
-    pcfg.rhop.seed = scenario.seed;
-    // RHOP applies the `panic:` terms itself.
-    pcfg.rhop.faults = scenario.faults.clone();
-    for entry in &scenario.faults.entries {
-        match entry {
-            FaultEntry::Fuel { budget } => pcfg.gdp.fuel = Some(*budget),
-            FaultEntry::EstimatorBudget { calls } => {
-                pcfg.rhop.max_estimator_calls = Some(*calls);
-            }
-            FaultEntry::Timeout { ms } => {
-                pcfg.unit_timeout = Some(std::time::Duration::from_millis(*ms));
-            }
-            // Panics are RHOP's (above); the rest act after the run.
-            FaultEntry::UnitPanic { .. }
-            | FaultEntry::CheckpointTruncate { .. }
-            | FaultEntry::CheckpointBitflip { .. }
-            | FaultEntry::Halt { .. }
-            | FaultEntry::Misplace => {}
-        }
-    }
-    pcfg
-}
-
 fn run_scenario_cached(
-    scenario: &Scenario,
+    scenario: &JobSpec,
     cfg: &ChaosConfig,
     cache: &mut TargetCache,
 ) -> Result<ScenarioResult, ChaosError> {
-    let (program, profile) = match cache.entry(scenario.target.clone()) {
+    let (program, profile) = match cache.entry(scenario.program.clone()) {
         Entry::Occupied(hit) => &*hit.into_mut(),
         Entry::Vacant(slot) => {
-            let w = mcpart_workloads::resolve(&scenario.target)
+            let w = mcpart_workloads::resolve(&scenario.program)
                 .map_err(|e| ChaosError::Target { message: e.to_string() })?;
             &*slot.insert((w.program, w.profile))
         }
     };
-    let machine = scenario.point.machine();
-    machine.validate().map_err(|e| ChaosError::Machine { message: e.to_string() })?;
-    let pcfg = pipeline_config(scenario, 1);
+    let machine = scenario.machine().map_err(|e| ChaosError::Machine { message: e.to_string() })?;
+    let pcfg = scenario.config().with_jobs(1);
     let run = catch_unwind(AssertUnwindSafe(|| run_pipeline(program, profile, &machine, &pcfg)));
     let verdict = |verdict, checks_run, detail| {
         Ok(ScenarioResult { scenario: scenario.clone(), verdict, checks_run, detail })
@@ -478,13 +448,13 @@ fn record_bytes(result: &PipelineResult) -> String {
 /// run's: any difference breaks the determinism contract. Returns the
 /// failing verdict and its evidence.
 fn jobs_divergence(
-    scenario: &Scenario,
+    scenario: &JobSpec,
     cfg: &ChaosConfig,
     (program, profile, machine): (&Program, &Profile, &Machine),
     first: Result<String, String>,
 ) -> Option<(ScenarioVerdict, String)> {
     let jobs = cfg.jobs_compare;
-    let pcfg = pipeline_config(scenario, jobs);
+    let pcfg = scenario.config().with_jobs(jobs);
     let second = catch_unwind(AssertUnwindSafe(|| run_pipeline(program, profile, machine, &pcfg)));
     let second = match second {
         Err(payload) => {
@@ -514,7 +484,7 @@ fn jobs_divergence(
 /// panic), and must recover the committed prefix after a mid-append
 /// kill.
 fn checkpoint_faults(
-    scenario: &Scenario,
+    scenario: &JobSpec,
     result: &PipelineResult,
     program: &Program,
 ) -> Option<String> {
@@ -529,15 +499,7 @@ fn checkpoint_faults(
     if !wants {
         return None;
     }
-    let header = CheckpointHeader {
-        program: program.name.clone(),
-        program_hash: program_fingerprint(program),
-        seed: scenario.seed,
-        clusters: scenario.point.clusters,
-        latency: scenario.point.latency,
-        memory: scenario.point.memory.to_string(),
-        gdp_fuel: None,
-    };
+    let header = scenario.header(program);
     let line = UnitRecord::from_result("chaos", result, &[]).to_json();
     let text = format!("{}\n{line}\n", header.to_json());
     // Parses `text`; a parser panic becomes the failure `what`.
@@ -635,12 +597,7 @@ fn corrupt_placement(result: &mut PipelineResult, n: usize) {
     }
 }
 
-fn sample_scenario(
-    cfg: &ChaosConfig,
-    points: &[SweepPoint],
-    media: &[&str],
-    id: usize,
-) -> Scenario {
+fn sample_scenario(cfg: &ChaosConfig, points: &[SweepPoint], media: &[&str], id: usize) -> JobSpec {
     let mut rng = SmallRng::seed_from_u64(derive_seed(cfg.seed, id as u64));
     let point = points[rng.gen_range(0..points.len())];
     let method = match rng.gen_range(0u32..8) {
@@ -693,12 +650,12 @@ fn sample_scenario(
         entries.push(FaultEntry::Halt { after: rng.gen_range(0u32..3).into() });
     }
     entries.extend(cfg.faults.entries.iter().cloned());
-    Scenario {
-        target,
-        point,
+    JobSpec {
         method,
+        machine: point,
         faults: FaultPlan { entries },
-        seed: derive_seed(cfg.seed, 0x1000_0000 ^ id as u64),
+        seed: Some(derive_seed(cfg.seed, 0x1000_0000 ^ id as u64)),
+        ..JobSpec::new(target)
     }
 }
 
@@ -730,41 +687,36 @@ fn shrink(
     Ok((best, steps))
 }
 
-fn shrink_candidates(s: &Scenario) -> Vec<Scenario> {
+fn shrink_candidates(s: &JobSpec) -> Vec<JobSpec> {
     let mut out = Vec::new();
     for i in (0..s.faults.entries.len()).rev() {
         let mut faults = s.faults.clone();
         faults.entries.remove(i);
-        out.push(Scenario { faults, ..s.clone() });
+        out.push(JobSpec { faults, ..s.clone() });
     }
-    let paper = SweepPoint::paper();
-    if s.point.topology != Topology::Bus {
-        out.push(Scenario {
-            point: SweepPoint { topology: Topology::Bus, ..s.point },
-            ..s.clone()
-        });
+    let (point, paper) = (s.machine, SweepPoint::paper());
+    let on = |machine: SweepPoint| JobSpec { machine, ..s.clone() };
+    if point.topology != Topology::Bus {
+        out.push(on(SweepPoint { topology: Topology::Bus, ..point }));
     }
-    if s.point.latency != 1 {
-        out.push(Scenario { point: SweepPoint { latency: 1, ..s.point }, ..s.clone() });
+    if point.latency != 1 {
+        out.push(on(SweepPoint { latency: 1, ..point }));
     }
-    if s.point.mix != paper.mix {
-        out.push(Scenario { point: SweepPoint { mix: paper.mix, ..s.point }, ..s.clone() });
+    if point.mix != paper.mix {
+        out.push(on(SweepPoint { mix: paper.mix, ..point }));
     }
-    if s.point.memory != MemoryModel::Partitioned {
-        out.push(Scenario {
-            point: SweepPoint { memory: MemoryModel::Partitioned, ..s.point },
-            ..s.clone()
-        });
+    if point.memory != MemoryModel::Partitioned {
+        out.push(on(SweepPoint { memory: MemoryModel::Partitioned, ..point }));
     }
-    if s.point.clusters > 1 {
-        let fewer = if s.point.clusters > 2 { s.point.clusters / 2 } else { 1 };
-        out.push(Scenario { point: SweepPoint { clusters: fewer, ..s.point }, ..s.clone() });
+    if point.clusters > 1 {
+        let fewer = if point.clusters > 2 { point.clusters / 2 } else { 1 };
+        out.push(on(SweepPoint { clusters: fewer, ..point }));
     }
-    if s.target.contains('=') {
-        if let Ok(spec) = SynthSpec::parse(&s.target) {
+    if s.program.contains('=') {
+        if let Ok(spec) = SynthSpec::parse(&s.program) {
             for field in 0..6 {
                 if let Some(smaller) = halve_spec(spec, field) {
-                    out.push(Scenario { target: render_spec(&smaller), ..s.clone() });
+                    out.push(JobSpec { program: render_spec(&smaller), ..s.clone() });
                 }
             }
         }
@@ -813,7 +765,7 @@ fn write_repro(
         body.push_str(line);
         body.push('\n');
     }
-    body.push_str(&result.scenario.to_string());
+    body.push_str(&result.scenario.repro());
     durable::publish_atomic(&path, body.as_bytes()).map_err(|e| io_err(&path, e))?;
     Ok(path)
 }
@@ -834,25 +786,26 @@ mod tests {
 
     #[test]
     fn scenario_roundtrips_through_the_repro_grammar() {
-        let s = Scenario {
-            target: "funcs=2,depth=1,region=9,objects=3,sharing=1,trips=2,seed=7".to_string(),
-            point: SweepPoint { clusters: 4, topology: Topology::Ring, ..SweepPoint::paper() },
+        let s = JobSpec {
             method: Method::ProfileMax,
+            machine: SweepPoint { clusters: 4, topology: Topology::Ring, ..SweepPoint::paper() },
             faults: "fuel:3+panic:#1x2".parse::<FaultPlan>().expect("plan"),
-            seed: 99,
+            seed: Some(99),
+            ..JobSpec::new("funcs=2,depth=1,region=9,objects=3,sharing=1,trips=2,seed=7")
         };
-        let parsed = Scenario::parse(&s.to_string()).expect("roundtrip");
+        let parsed = JobSpec::parse_repro(&s.repro()).expect("roundtrip");
         assert_eq!(parsed, s);
         // Comments and missing optional keys are tolerated.
-        let sparse = Scenario::parse("# hi\ntarget = rawcaudio\n").expect("sparse");
-        assert_eq!(sparse.target, "rawcaudio");
+        let sparse = JobSpec::parse_repro("# hi\ntarget = rawcaudio\n").expect("sparse");
+        assert_eq!(sparse.program, "rawcaudio");
         assert_eq!(sparse.method, Method::Gdp);
-        assert_eq!(sparse.point, SweepPoint::paper());
+        assert_eq!(sparse.machine, SweepPoint::paper());
         assert!(sparse.faults.is_empty());
+        assert_eq!(sparse.seed, Some(0), "a repro without a seed runs seed 0");
         // Errors carry the line.
-        let e = Scenario::parse("target = x\nwarp = 1\n").expect_err("unknown key");
+        let e = JobSpec::parse_repro("target = x\nwarp = 1\n").expect_err("unknown key");
         assert!(matches!(e, ChaosError::Parse { line: 2, .. }), "{e}");
-        let e = Scenario::parse("# empty\n").expect_err("no target");
+        let e = JobSpec::parse_repro("# empty\n").expect_err("no target");
         assert!(e.to_string().contains("target"), "{e}");
     }
 
@@ -865,32 +818,21 @@ mod tests {
         use std::fmt::Write as _;
         let cfg = ChaosConfig::new(200, 20260807);
         let points = cfg.sweep.expand();
-        let media: Vec<&str> = mcpart_workloads::BENCHMARKS
-            .iter()
-            .filter(|b| b.suite == Suite::Mediabench)
-            .map(|b| b.name)
-            .collect();
+        let media = mediabench_names();
         let mut programs: HashMap<String, Program> = HashMap::new();
         let mut digest = durable::Fnv1a::default();
         for id in 0..cfg.scenarios {
             let s = sample_scenario(&cfg, &points, &media, id);
-            let program = programs.entry(s.target.clone()).or_insert_with(|| {
-                mcpart_workloads::resolve(&s.target).expect("sampled target resolves").program
+            let program = programs.entry(s.program.clone()).or_insert_with(|| {
+                mcpart_workloads::resolve(&s.program).expect("sampled target resolves").program
             });
-            let pcfg = pipeline_config(&s, 1);
-            let header = CheckpointHeader {
-                program: program.name.clone(),
-                program_hash: program_fingerprint(program),
-                seed: s.seed,
-                clusters: s.point.clusters,
-                latency: s.point.latency,
-                memory: s.point.memory.to_string(),
-                gdp_fuel: None,
-            };
+            let pcfg = s.config().with_jobs(1);
+            let header = s.header(program);
             writeln!(
                 digest,
-                "{s}|{:?}|{:?}|{}|{}|{:?}|{:?}|{}",
-                s.point.machine(),
+                "{}|{:?}|{:?}|{}|{}|{:?}|{:?}|{}",
+                s.repro(),
+                s.machine().expect("sampled machines validate"),
                 pcfg.gdp.fuel,
                 pcfg.rhop.seed,
                 pcfg.rhop.faults,
@@ -946,7 +888,7 @@ mod tests {
         // Every repro file replays to the same failure.
         for path in &summary.repro_files {
             let text = std::fs::read_to_string(path).expect("read repro");
-            let scenario = Scenario::parse(&text).expect("parse repro");
+            let scenario = JobSpec::parse_repro(&text).expect("parse repro");
             assert!(scenario.faults.entries.contains(&FaultEntry::Misplace), "{text}");
             let replay = run_scenario(&scenario, &cfg).expect("replay");
             assert!(replay.failed(), "replayed repro must still fail: {}", replay.detail);
@@ -959,14 +901,12 @@ mod tests {
         // Arm every deterministic injector at once on a ladder-friendly
         // method: the run must end in a placement or a typed error.
         let cfg = quiet_cfg(1, 1);
-        let scenario = Scenario {
-            target: "funcs=2,depth=1,region=10,objects=3,sharing=1,trips=2,seed=5".to_string(),
-            point: SweepPoint { clusters: 2, ..SweepPoint::paper() },
-            method: Method::Gdp,
+        let scenario = JobSpec {
             faults: "panic:#0+fuel:0+estimator:1+truncate:500+bitflip:500.3"
                 .parse::<FaultPlan>()
                 .expect("plan"),
-            seed: 17,
+            seed: Some(17),
+            ..JobSpec::new("funcs=2,depth=1,region=10,objects=3,sharing=1,trips=2,seed=5")
         };
         let result = run_scenario(&scenario, &cfg).expect("run");
         assert_ne!(result.verdict, ScenarioVerdict::Panicked, "{}", result.detail);
@@ -975,19 +915,18 @@ mod tests {
     #[test]
     fn shrink_reduces_a_failing_scenario() {
         let cfg = quiet_cfg(1, 2);
-        let scenario = Scenario {
-            target: "funcs=3,depth=2,region=20,objects=6,sharing=2,trips=8,seed=3".to_string(),
-            point: SweepPoint {
+        let scenario = JobSpec {
+            machine: SweepPoint {
                 clusters: 4,
                 latency: 10,
                 topology: Topology::Mesh,
                 ..SweepPoint::paper()
             },
-            method: Method::Gdp,
             // A fault that downgrades one rung but leaves the ladder
             // able to finish, so the corrupted placement gets judged.
             faults: "fuel:0+timeout:120000+misplace".parse::<FaultPlan>().expect("plan"),
-            seed: 5,
+            seed: Some(5),
+            ..JobSpec::new("funcs=3,depth=2,region=20,objects=6,sharing=2,trips=8,seed=3")
         };
         let first = run_scenario(&scenario, &cfg).expect("run");
         assert!(first.failed());
@@ -996,9 +935,9 @@ mod tests {
         assert!(steps > 0);
         assert!(shrunk.failed());
         // The shrunk machine is simpler and the fault plan no larger.
-        assert!(shrunk.scenario.point.clusters <= scenario.point.clusters);
+        assert!(shrunk.scenario.machine.clusters <= scenario.machine.clusters);
         assert!(shrunk.scenario.faults.entries.len() <= scenario.faults.entries.len());
         assert!(shrunk.scenario.faults.entries.contains(&FaultEntry::Misplace));
-        assert_eq!(shrunk.scenario.point.topology, Topology::Bus);
+        assert_eq!(shrunk.scenario.machine.topology, Topology::Bus);
     }
 }

@@ -42,9 +42,9 @@
 //! rejected. Only the *absence* of a manifest costs anything; it can
 //! never make a result wrong.
 
-use crate::error::Downgrade;
+use crate::error::{Downgrade, PipelineError};
 use crate::pipeline::{Method, PipelineConfig, PipelineResult};
-use crate::{run_pipeline, McpartError};
+use crate::run_pipeline;
 use mcpart_ir::{ClusterId, EntityMap, Profile, Program};
 use mcpart_machine::Machine;
 use mcpart_obs::durable::{self, Tail};
@@ -78,6 +78,12 @@ pub fn method_slug(method: Method) -> &'static str {
         Method::Naive => "naive",
         Method::Unified => "unified",
     }
+}
+
+/// The key of one (program, method) unit in checkpoints, cache entries
+/// and manifests: `<program name>/<method slug>`.
+pub fn unit_key(program: &Program, method: Method) -> String {
+    format!("{}/{}", program.name, method_slug(method))
 }
 
 /// The one method parser, inverse of [`method_slug`]: used by
@@ -642,12 +648,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The record for a unit key, if the unit completed before the
-    /// crash.
-    pub fn record_for(&self, unit: &str) -> Option<&UnitRecord> {
-        self.records.iter().find(|r| r.unit == unit)
-    }
-
     /// The manifest for a unit key, if one was written and survived.
     pub fn manifest_for(&self, unit: &str) -> Option<&Manifest> {
         self.manifests.iter().find(|m| m.unit == unit)
@@ -815,7 +815,7 @@ impl CheckpointWriter {
 /// A completed unit plus its incremental-repartition byproducts.
 #[derive(Debug)]
 pub struct UnitRun {
-    /// The unit record (what [`run_unit`] returns).
+    /// The unit record.
     pub record: UnitRecord,
     /// Manifest for a future incremental run (GDP method, not
     /// downgraded; `None` otherwise).
@@ -831,18 +831,17 @@ pub struct UnitRun {
 /// alongside the fresh manifest and — when `config.baseline` carried a
 /// prior manifest — the dirty-cone statistics.
 ///
-/// A terminal worker panic surfaces as
-/// [`McpartError::WorkerPanic`] naming this unit.
+/// A terminal failure, a worker panic included, is the pipeline's own
+/// [`PipelineError`].
 pub fn run_unit_full(
     program: &Program,
     profile: &Profile,
     machine: &Machine,
     config: &PipelineConfig,
-) -> Result<UnitRun, McpartError> {
-    let unit = format!("{}/{}", program.name, method_slug(config.method));
+) -> Result<UnitRun, PipelineError> {
+    let unit = unit_key(program, config.method);
     let before = config.obs.events().len();
-    let result = run_pipeline(program, profile, machine, config)
-        .map_err(|e| McpartError::from_unit_failure(&unit, e))?;
+    let result = run_pipeline(program, profile, machine, config)?;
     let events = config.obs.events();
     let record = UnitRecord::from_result(&unit, &result, &events[before..]);
     let manifest = result.manifest.clone().map(|mut m| {
@@ -850,16 +849,6 @@ pub fn run_unit_full(
         m
     });
     Ok(UnitRun { record, manifest, repartition: result.repartition })
-}
-
-/// [`run_unit_full`] without the repartition byproducts.
-pub fn run_unit(
-    program: &Program,
-    profile: &Profile,
-    machine: &Machine,
-    config: &PipelineConfig,
-) -> Result<UnitRecord, McpartError> {
-    run_unit_full(program, profile, machine, config).map(|run| run.record)
 }
 
 #[cfg(test)]
@@ -912,7 +901,8 @@ mod tests {
         let machine = Machine::paper_2cluster(5);
         let obs = mcpart_obs::Obs::enabled();
         let config = PipelineConfig::new(Method::Gdp).with_obs(obs.clone());
-        let record = run_unit(&program, &profile, &machine, &config).expect("unit runs");
+        let record =
+            run_unit_full(&program, &profile, &machine, &config).expect("unit runs").record;
         assert_eq!(record.unit, "demo/gdp");
         assert!(!record.events.is_empty(), "obs events captured");
         let doc = json::parse(&record.to_json()).expect("record is valid JSON");
@@ -930,7 +920,8 @@ mod tests {
         let machine = Machine::paper_2cluster(5);
         let live = mcpart_obs::Obs::enabled();
         let config = PipelineConfig::new(Method::Gdp).with_obs(live.clone());
-        let record = run_unit(&program, &profile, &machine, &config).expect("unit runs");
+        let record =
+            run_unit_full(&program, &profile, &machine, &config).expect("unit runs").record;
         let resumed = mcpart_obs::Obs::enabled();
         record.replay_events(&resumed);
         assert_eq!(live.pinned_log(), resumed.pinned_log());
@@ -941,14 +932,13 @@ mod tests {
         let (program, profile) = demo_program();
         let machine = Machine::paper_2cluster(5);
         let config = PipelineConfig::new(Method::Gdp);
-        let record = run_unit(&program, &profile, &machine, &config).expect("unit runs");
+        let record =
+            run_unit_full(&program, &profile, &machine, &config).expect("unit runs").record;
         let header = demo_header(&program);
         let mut text = format!("{}\n{}\n", header.to_json(), record.to_json());
         let ck = parse_checkpoint(&text, Some(&header)).expect("clean checkpoint parses");
         assert_eq!(ck.records.len(), 1);
         assert!(!ck.dropped_partial_tail);
-        assert!(ck.record_for("demo/gdp").is_some());
-        assert!(ck.record_for("demo/naive").is_none());
         // A SIGKILL mid-append leaves an unterminated prefix of the next
         // record: dropped as a crash artifact, not an error.
         let half = &record.to_json()[..40];
@@ -990,7 +980,8 @@ mod tests {
         let (program, profile) = demo_program();
         let machine = Machine::paper_2cluster(5);
         let config = PipelineConfig::new(Method::Gdp);
-        let record = run_unit(&program, &profile, &machine, &config).expect("unit runs");
+        let record =
+            run_unit_full(&program, &profile, &machine, &config).expect("unit runs").record;
         let header = demo_header(&program);
         let dir = std::env::temp_dir().join("mcpart_checkpoint_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1022,8 +1013,9 @@ mod tests {
     fn interrupted_resume_rewrite_keeps_every_committed_record() {
         let (program, profile) = demo_program();
         let machine = Machine::paper_2cluster(5);
-        let record = run_unit(&program, &profile, &machine, &PipelineConfig::new(Method::Gdp))
-            .expect("unit runs");
+        let config = PipelineConfig::new(Method::Gdp);
+        let record =
+            run_unit_full(&program, &profile, &machine, &config).expect("unit runs").record;
         let mut other = record.clone();
         other.unit = "demo/naive".to_string();
         let header = demo_header(&program);
@@ -1091,7 +1083,8 @@ mod tests {
         let (program, profile) = demo_program();
         let machine = Machine::paper_2cluster(5);
         let config = PipelineConfig::new(Method::Gdp);
-        let record = run_unit(&program, &profile, &machine, &config).expect("unit runs");
+        let record =
+            run_unit_full(&program, &profile, &machine, &config).expect("unit runs").record;
         let header = demo_header(&program);
         let manifest = demo_manifest("demo/gdp");
         let text = format!("{}\n{}\n{}\n", header.to_json(), record.to_json(), manifest.to_json());

@@ -267,67 +267,6 @@ impl fmt::Display for Downgrade {
     }
 }
 
-/// Top-level error of one pipeline unit as the CLI and the experiment
-/// harness run it: the pipeline failed, or a supervised unit died.
-/// Input text is parsed and verified before a unit starts, so those
-/// errors keep their own types.
-#[derive(Clone, PartialEq, Debug)]
-pub enum McpartError {
-    /// The pipeline itself failed.
-    Pipeline(PipelineError),
-    /// A supervised work unit panicked and exhausted its retries. The
-    /// panic never unwound past the supervisor; `unit` names the work
-    /// item (`workload/method` at the driver level, a function name at
-    /// the partitioner level) and `payload` is its rendered panic
-    /// message.
-    WorkerPanic {
-        /// The supervised unit that died.
-        unit: String,
-        /// The rendered panic payload.
-        payload: String,
-    },
-}
-
-impl McpartError {
-    /// Wraps a terminal pipeline failure, lifting worker panics into
-    /// the dedicated [`McpartError::WorkerPanic`] variant so drivers
-    /// can report the unit that died.
-    pub fn from_unit_failure(unit: &str, e: PipelineError) -> Self {
-        match e.kind {
-            PipelineErrorKind::WorkerPanic { payload } => {
-                McpartError::WorkerPanic { unit: unit.to_string(), payload }
-            }
-            _ => McpartError::Pipeline(e),
-        }
-    }
-}
-
-impl fmt::Display for McpartError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            McpartError::Pipeline(e) => write!(f, "{e}"),
-            McpartError::WorkerPanic { unit, payload } => {
-                write!(f, "worker panicked in unit `{unit}`: {payload}")
-            }
-        }
-    }
-}
-
-impl Error for McpartError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            McpartError::Pipeline(e) => Some(e),
-            McpartError::WorkerPanic { .. } => None,
-        }
-    }
-}
-
-impl From<PipelineError> for McpartError {
-    fn from(e: PipelineError) -> Self {
-        McpartError::Pipeline(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,22 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_panics_are_recoverable_and_lift_to_mcpart_error() {
+    fn worker_panics_are_recoverable() {
         let e = sample(PipelineErrorKind::WorkerPanic { payload: "boom".into() });
         assert!(e.is_recoverable(), "panics must feed the degradation ladder");
-        let lifted = McpartError::from_unit_failure("fir/gdp", e);
-        match &lifted {
-            McpartError::WorkerPanic { unit, payload } => {
-                assert_eq!(unit, "fir/gdp");
-                assert_eq!(payload, "boom");
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-        let s = lifted.to_string();
-        assert!(s.contains("fir/gdp") && s.contains("boom"), "{s}");
-        // Non-panic failures keep the Pipeline wrapping.
-        let e = sample(PipelineErrorKind::Gdp(GdpError::NoClusters));
-        assert!(matches!(McpartError::from_unit_failure("u", e), McpartError::Pipeline(_)));
     }
 
     #[test]

@@ -62,18 +62,15 @@ pub use baselines::{
     group_cluster_frequencies, naive_partition, profile_max_partition, unified_partition,
 };
 pub use chaos::{
-    run_chaos, run_scenario, ChaosConfig, ChaosError, ChaosSummary, Scenario, ScenarioResult,
-    ScenarioVerdict,
+    run_chaos, run_scenario, ChaosConfig, ChaosError, ChaosSummary, ScenarioResult, ScenarioVerdict,
 };
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_any, method_slug, parse_checkpoint, program_fingerprint,
-    run_unit, run_unit_full, Checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter,
+    run_unit_full, unit_key, Checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter,
     Manifest, ManifestFunc, PinnedEvent, UnitRecord, UnitRun, CHECKPOINT_VERSION, MANIFEST_KEY,
 };
 pub use dfg::{ProgramDfg, ProgramNode};
-pub use error::{
-    Downgrade, GdpError, McpartError, PipelineError, PipelineErrorKind, RhopError, Stage,
-};
+pub use error::{Downgrade, GdpError, PipelineError, PipelineErrorKind, RhopError, Stage};
 pub use exhaustive::{
     evaluate_mapping, exhaustive_search, ExhaustiveError, ExhaustivePoint, TooManyGroups,
 };

@@ -46,20 +46,20 @@
 //! byte-identical bytes on disk.
 
 use crate::checkpoint::{
-    method_slug, parse_checkpoint, program_fingerprint, run_unit_full, CheckpointHeader, Manifest,
-    UnitRecord,
+    method_slug, parse_checkpoint, program_fingerprint, run_unit_full, unit_key, CheckpointHeader,
+    Manifest, UnitRecord,
 };
 use crate::pipeline::{Method, PipelineConfig};
 use crate::repartition::RepartitionStats;
 use crate::rhop::RhopConfig;
 use mcpart_ir::Program;
-use mcpart_machine::{Machine, MachineError, MemoryModel};
+use mcpart_machine::{Machine, MachineError, SweepPoint};
 use mcpart_obs::json::{self, JsonValue, JsonWriter};
 use mcpart_obs::metrics::MetricsRegistry;
 use mcpart_obs::recorder::FlightRecorder;
 use mcpart_obs::{durable, Obs};
-use mcpart_par::fault::FaultPlan;
-use mcpart_par::supervise::{supervise_unit, RetryPolicy, UnitOutcome};
+use mcpart_par::fault::{FaultEntry, FaultPlan};
+use mcpart_par::supervise::catch_unit;
 use mcpart_par::{parallel_map, resolve_jobs};
 use std::fmt;
 use std::fs;
@@ -107,8 +107,8 @@ pub struct ServeConfig {
     /// Process everything currently spooled, then exit instead of
     /// polling — one-shot semantics for tests and scripts.
     pub drain: bool,
-    /// Panic retry budget per job (the supervision ladder's
-    /// `--retries`).
+    /// Panic retry budget of each job's pipeline, per function unit
+    /// and per method attempt (`--retries`).
     pub retries: u32,
     /// Wall-clock ceiling per partition attempt (`--unit-timeout`).
     pub unit_timeout: Option<Duration>,
@@ -208,9 +208,11 @@ impl ServeSummary {
     }
 }
 
-/// One run's spec: a job file fills it ([`parse_job`]), and so do the
-/// one-shot CLI's flags. It owns the machine, the checkpoint header
-/// and the pipeline configuration derived from those fields.
+/// One run's spec: a job file fills it ([`parse_job`]), the one-shot
+/// CLI's flags fill it, and chaos samples, shrinks and replays it (the
+/// repro grammar, [`JobSpec::parse_repro`]). It owns the machine, the
+/// checkpoint header and the pipeline configuration derived from its
+/// fields.
 ///
 /// A job file is one JSON object:
 ///
@@ -224,37 +226,35 @@ impl ServeSummary {
 /// `panic` terms (for poison-job tests); a faulted job bypasses the
 /// artifact cache. Unknown keys are ignored (forward compatibility),
 /// an unknown *value* is an invalid job.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct JobSpec {
     /// Target string — benchmark name, synthetic spec or `.mcir` path —
     /// resolved by [`mcpart_workloads::resolve`].
     pub program: String,
-    /// Partitioning method (default GDP).
+    /// Partitioning method (default GDP; the ladder may downgrade it).
     pub method: Method,
-    /// Cluster count (default 2).
-    pub clusters: usize,
-    /// Intercluster move latency in cycles (default 5).
-    pub latency: u32,
-    /// Memory model (default partitioned).
-    pub memory: MemoryModel,
+    /// The machine (default [`SweepPoint::paper`]). Job files and CLI
+    /// flags set its cluster count, latency and memory model; chaos
+    /// also varies its topology and unit mix.
+    pub machine: SweepPoint,
     /// RHOP seed override (default: the method's builtin seed).
     pub seed: Option<u64>,
     /// GDP refinement fuel cap (default unlimited).
     pub gdp_fuel: Option<u64>,
-    /// Injected faults (`panic` terms, applied by RHOP).
+    /// Injected faults (see [`JobSpec::config`] for the terms the
+    /// pipeline applies).
     pub faults: FaultPlan,
 }
 
 impl JobSpec {
     /// A job for `program` with every other field at the one-shot CLI
-    /// default: GDP on two partitioned clusters with 5-cycle moves.
+    /// default: GDP on the paper machine (two partitioned clusters with
+    /// 5-cycle moves).
     pub fn new(program: impl Into<String>) -> Self {
         JobSpec {
             program: program.into(),
             method: Method::Gdp,
-            clusters: 2,
-            latency: 5,
-            memory: MemoryModel::Partitioned,
+            machine: SweepPoint::paper(),
             seed: None,
             gdp_fuel: None,
             faults: FaultPlan::none(),
@@ -265,13 +265,17 @@ impl JobSpec {
     /// bounded before anything is built: the machine allocates one
     /// cluster per count.
     pub fn machine(&self) -> Result<Machine, MachineError> {
-        if self.clusters > mcpart_machine::MAX_CLUSTERS {
-            return Err(MachineError::TooManyClusters(self.clusters));
+        if self.machine.clusters > mcpart_machine::MAX_CLUSTERS {
+            return Err(MachineError::TooManyClusters(self.machine.clusters));
         }
-        let machine =
-            Machine { memory: self.memory, ..Machine::homogeneous(self.clusters, self.latency) };
+        let machine = self.machine.machine();
         machine.validate()?;
         Ok(machine)
+    }
+
+    /// The RHOP seed the run uses: the override, or the builtin seed.
+    pub(crate) fn rhop_seed(&self) -> u64 {
+        self.seed.unwrap_or(RhopConfig::default().seed)
     }
 
     /// The checkpoint header of this job's results on `program`:
@@ -280,24 +284,40 @@ impl JobSpec {
         CheckpointHeader {
             program: program.name.clone(),
             program_hash: program_fingerprint(program),
-            seed: self.seed.unwrap_or(RhopConfig::default().seed),
-            clusters: self.clusters,
-            latency: self.latency,
-            memory: self.memory.to_string(),
+            seed: self.rhop_seed(),
+            clusters: self.machine.clusters,
+            latency: self.machine.latency,
+            memory: self.machine.memory.to_string(),
             gdp_fuel: self.gdp_fuel,
         }
     }
 
     /// The pipeline configuration of the job's method, GDP fuel, RHOP
-    /// seed and injected faults. Worker count, retries, timeout and the
-    /// observability sink are the runner's to set.
+    /// seed and injected faults. This is the one place a fault plan
+    /// configures the pipeline: RHOP applies the `panic` terms, `fuel`
+    /// caps GDP, `estimator` caps RHOP's estimator calls and `timeout`
+    /// arms the per-attempt watchdog; the other terms act outside the
+    /// pipeline. Worker count, retries, a `--unit-timeout` ceiling and
+    /// the observability sink are the runner's to set.
     pub fn config(&self) -> PipelineConfig {
         let mut cfg = PipelineConfig::new(self.method);
         cfg.gdp.fuel = self.gdp_fuel;
-        if let Some(seed) = self.seed {
-            cfg.rhop.seed = seed;
-        }
+        cfg.rhop.seed = self.rhop_seed();
         cfg.rhop.faults = self.faults.clone();
+        for entry in &self.faults.entries {
+            match entry {
+                FaultEntry::Fuel { budget } => cfg.gdp.fuel = Some(*budget),
+                FaultEntry::EstimatorBudget { calls } => {
+                    cfg.rhop.max_estimator_calls = Some(*calls);
+                }
+                FaultEntry::Timeout { ms } => cfg.unit_timeout = Some(Duration::from_millis(*ms)),
+                FaultEntry::UnitPanic { .. }
+                | FaultEntry::CheckpointTruncate { .. }
+                | FaultEntry::CheckpointBitflip { .. }
+                | FaultEntry::Halt { .. }
+                | FaultEntry::Misplace => {}
+            }
+        }
         cfg
     }
 }
@@ -314,13 +334,14 @@ pub fn parse_job(text: &str) -> Result<JobSpec, String> {
     }
     let mut spec = JobSpec::new(doc.req("program", JsonValue::to_str)?);
     spec.method = doc.opt("method", |v| v.to_str()?.parse())?.unwrap_or(spec.method);
+    let point = &mut spec.machine;
     let clusters = doc.opt("clusters", JsonValue::to_u64)?.map(usize::try_from).transpose();
-    spec.clusters = clusters.map_err(|_| "`clusters` is too large")?.unwrap_or(spec.clusters);
-    if spec.clusters == 0 {
+    point.clusters = clusters.map_err(|_| "`clusters` is too large")?.unwrap_or(point.clusters);
+    if point.clusters == 0 {
         return Err("`clusters` must be at least 1".to_string());
     }
-    spec.latency = doc.opt("latency", JsonValue::to_u32)?.unwrap_or(spec.latency);
-    spec.memory = doc.opt("memory", |v| v.to_str()?.parse())?.unwrap_or(spec.memory);
+    point.latency = doc.opt("latency", JsonValue::to_u32)?.unwrap_or(point.latency);
+    point.memory = doc.opt("memory", |v| v.to_str()?.parse())?.unwrap_or(point.memory);
     spec.seed = doc.opt("seed", JsonValue::to_u64)?;
     spec.gdp_fuel = doc.opt("gdp_fuel", JsonValue::to_u64)?;
     let fault = |v: &JsonValue| v.to_str()?.parse::<FaultPlan>().map_err(|e| e.to_string());
@@ -703,7 +724,7 @@ fn process_job(dirs: &SpoolDirs, cfg: &ServeConfig, file_name: &str) -> JobOutco
         Err(e) => return invalid(format!("machine configuration invalid: {e}")),
     };
     let header = spec.header(&program);
-    let unit = format!("{}/{}", program.name, method_slug(spec.method));
+    let unit = unit_key(&program, spec.method);
     let entry_path = dirs.cache.join(format!("{}.json", cache_key(&header, spec.method)));
     // The cache key does not cover the fault plan, so a faulted job
     // neither reads nor publishes entries or baseline pointers.
@@ -735,13 +756,11 @@ fn process_job(dirs: &SpoolDirs, cfg: &ServeConfig, file_name: &str) -> JobOutco
             .map(std::sync::Arc::new);
     }
 
-    match supervise_unit(
-        &unit,
-        RetryPolicy::new(cfg.retries),
-        |_| true,
-        |_| run_unit_full(&program, &profile, &machine, &pcfg),
-    ) {
-        UnitOutcome::Completed { value: run, .. } => {
+    // The pipeline isolates panics per method attempt and per function;
+    // a panic that escapes it anyway is a bug, and it quarantines only
+    // this job.
+    match catch_unit(|| run_unit_full(&program, &profile, &machine, &pcfg)) {
+        Ok(Ok(run)) => {
             let record = run.record;
             let (status, reason) = if record.quarantine.is_empty() {
                 (JobStatus::Ok, String::new())
@@ -769,11 +788,9 @@ fn process_job(dirs: &SpoolDirs, cfg: &ServeConfig, file_name: &str) -> JobOutco
                 ..JobOutcome::bare(file_name, status, reason, cache)
             }
         }
-        UnitOutcome::Failed(e) => {
-            JobOutcome::bare(file_name, JobStatus::Failed, e.to_string(), cache)
-        }
-        UnitOutcome::Quarantined(q) => {
-            let reason = format!("{} ({} attempts): {}", q.unit, q.attempts, q.reason);
+        Ok(Err(e)) => JobOutcome::bare(file_name, JobStatus::Failed, e.to_string(), cache),
+        Err(payload) => {
+            let reason = format!("{unit} panicked: {payload}");
             JobOutcome::bare(file_name, JobStatus::Quarantined, reason, cache)
         }
     }
@@ -1028,8 +1045,8 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::run_unit;
     use mcpart_ir::{DataObject, FunctionBuilder, MemWidth, Profile};
+    use mcpart_machine::MemoryModel;
 
     fn demo() -> (Program, Profile) {
         let mut program = Program::new("demo");
@@ -1059,7 +1076,7 @@ mod tests {
     fn demo_record(program: &Program, profile: &Profile) -> UnitRecord {
         let machine = Machine::homogeneous(2, 5);
         let cfg = PipelineConfig::new(Method::Gdp);
-        run_unit(program, profile, &machine, &cfg).expect("demo pipeline runs")
+        run_unit_full(program, profile, &machine, &cfg).expect("demo pipeline runs").record
     }
 
     #[test]
@@ -1067,9 +1084,7 @@ mod tests {
         let spec = parse_job(r#"{"mcpart_job":1,"program":"fir"}"#).expect("minimal job");
         assert_eq!(spec.program, "fir");
         assert_eq!(spec.method, Method::Gdp);
-        assert_eq!(spec.clusters, 2);
-        assert_eq!(spec.latency, 5);
-        assert_eq!(spec.memory, MemoryModel::Partitioned);
+        assert_eq!(spec.machine, SweepPoint::paper());
         assert!(spec.seed.is_none());
 
         let spec = parse_job(
@@ -1079,8 +1094,9 @@ mod tests {
         )
         .expect("full job");
         assert_eq!(spec.method, Method::Naive);
-        assert_eq!(spec.clusters, 4);
-        assert_eq!(spec.memory, MemoryModel::CoherentCache { remote_penalty: 3 });
+        assert_eq!(spec.machine.clusters, 4);
+        assert_eq!(spec.machine.latency, 9);
+        assert_eq!(spec.machine.memory, MemoryModel::CoherentCache { remote_penalty: 3 });
         assert_eq!(spec.seed, Some(7));
         assert_eq!(spec.faults.to_string(), "panic:mainx2");
         assert_eq!(spec.config().rhop.faults, spec.faults);
@@ -1114,6 +1130,24 @@ mod tests {
         let spec = parse_job(r#"{"mcpart_job":1,"program":"fir","clusters":65536}"#)
             .expect("parses; bounded by the machine");
         assert_eq!(spec.machine().unwrap_err(), MachineError::TooManyClusters(65536));
+    }
+
+    /// The CLI and job files set only the point's cluster count,
+    /// latency and memory model: on the default bus and paper mix the
+    /// point builds exactly [`Machine::homogeneous`].
+    #[test]
+    fn a_spec_builds_the_homogeneous_machine() {
+        for (clusters, latency, memory) in [
+            (1, 1, MemoryModel::Partitioned),
+            (2, 5, MemoryModel::Unified),
+            (4, 10, MemoryModel::CoherentCache { remote_penalty: 3 }),
+            (8, 7, MemoryModel::Partitioned),
+        ] {
+            let mut spec = JobSpec::new("fir");
+            spec.machine = SweepPoint { clusters, latency, memory, ..spec.machine };
+            let homogeneous = Machine { memory, ..Machine::homogeneous(clusters, latency) };
+            assert_eq!(spec.machine(), Ok(homogeneous));
+        }
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl DefUse {
             _ => None,
         }
     }
-
-    /// Returns `true` if `v` has no definition (it is a parameter or
-    /// live-in).
-    pub fn is_undefined(&self, v: VReg) -> bool {
-        self.defs[v].is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +77,7 @@ mod tests {
         let x = b.param();
         b.ret(Some(x));
         let du = DefUse::compute(p.entry_function());
-        assert!(du.is_undefined(x));
+        assert!(du.defs[x].is_empty());
         assert_eq!(du.uses[x].len(), 1);
     }
 

@@ -87,19 +87,6 @@ impl Function {
         self.blocks[block].term = Some(term);
     }
 
-    /// The region decomposition, synthesizing one-region-per-block when
-    /// none was declared.
-    pub fn effective_regions(&self) -> Vec<Region> {
-        if self.regions.is_empty() {
-            self.blocks
-                .iter()
-                .map(|(b, blk)| Region { blocks: vec![b], name: blk.label.clone() })
-                .collect()
-        } else {
-            self.regions.values().cloned().collect()
-        }
-    }
-
     /// Declares a region over `blocks`.
     pub fn add_region(&mut self, name: impl Into<String>, blocks: Vec<BlockId>) -> RegionId {
         self.regions.push(Region { blocks, name: name.into() })
@@ -140,26 +127,5 @@ mod tests {
         f.terminate(f.entry, Terminator::Return(None));
         let v = f.new_vreg();
         f.append_op(f.entry, Op::new(Opcode::ConstInt(0), vec![v], vec![]));
-    }
-
-    #[test]
-    fn effective_regions_default_to_blocks() {
-        let mut f = Function::new("main");
-        let b1 = f.add_block("loop");
-        f.terminate(f.entry, Terminator::Jump(b1));
-        f.terminate(b1, Terminator::Return(None));
-        let regions = f.effective_regions();
-        assert_eq!(regions.len(), 2);
-        assert_eq!(regions[0].blocks, vec![f.entry]);
-    }
-
-    #[test]
-    fn declared_regions_override_default() {
-        let mut f = Function::new("main");
-        let b1 = f.add_block("body");
-        f.add_region("all", vec![f.entry, b1]);
-        let regions = f.effective_regions();
-        assert_eq!(regions.len(), 1);
-        assert_eq!(regions[0].blocks.len(), 2);
     }
 }

@@ -264,11 +264,6 @@ impl Opcode {
         matches!(self, Opcode::Load(_))
     }
 
-    /// Returns `true` if this opcode writes data memory.
-    pub fn is_store(self) -> bool {
-        matches!(self, Opcode::Store(_))
-    }
-
     /// Returns `true` for control-flow opcodes (branch unit).
     pub fn is_control(self) -> bool {
         matches!(self, Opcode::BranchCond | Opcode::Jump | Opcode::Call(_) | Opcode::Ret)
@@ -354,7 +349,6 @@ mod tests {
         assert!(Opcode::Malloc(ObjectId(0)).is_memory());
         assert!(!Opcode::Move.is_memory());
         assert!(Opcode::Load(MemWidth::B1).is_load());
-        assert!(!Opcode::Load(MemWidth::B1).is_store());
     }
 
     #[test]

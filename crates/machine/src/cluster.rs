@@ -27,11 +27,6 @@ impl FuMix {
         self.counts[kind.index()] as usize
     }
 
-    /// Total number of units (the cluster's issue width).
-    pub fn issue_width(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
-    }
-
     /// Parses a mix written as `int/float/mem/branch` counts, with or
     /// without the `Display` letter suffixes: `2/1/1/1` and
     /// `2I/1F/1M/1B` both parse to [`FuMix::paper`]'s mix.
@@ -85,12 +80,6 @@ impl Cluster {
         Cluster { name: name.into(), fu, memory_weight: 1, regfile_size: 64 }
     }
 
-    /// Sets the register-file capacity.
-    pub fn with_regfile_size(mut self, regs: u32) -> Self {
-        self.regfile_size = regs;
-        self
-    }
-
     /// Sets the relative memory capacity weight.
     pub fn with_memory_weight(mut self, weight: u32) -> Self {
         self.memory_weight = weight;
@@ -109,7 +98,6 @@ mod tests {
         assert_eq!(m.count(FuKind::Float), 1);
         assert_eq!(m.count(FuKind::Mem), 1);
         assert_eq!(m.count(FuKind::Branch), 1);
-        assert_eq!(m.issue_width(), 5);
         assert_eq!(m.to_string(), "2I/1F/1M/1B");
     }
 
@@ -127,7 +115,5 @@ mod tests {
         let c = Cluster::new("c0", FuMix::paper()).with_memory_weight(3);
         assert_eq!(c.memory_weight, 3);
         assert_eq!(c.regfile_size, 64);
-        let c = c.with_regfile_size(16);
-        assert_eq!(c.regfile_size, 16);
     }
 }

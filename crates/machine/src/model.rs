@@ -125,12 +125,6 @@ impl Machine {
         self
     }
 
-    /// Switches this machine to partitioned per-cluster memories.
-    pub fn with_partitioned_memory(mut self) -> Self {
-        self.memory = MemoryModel::Partitioned;
-        self
-    }
-
     /// Switches this machine to coherent per-cluster caches with the
     /// given remote-access penalty.
     pub fn with_coherent_cache(mut self, remote_penalty: u32) -> Self {
@@ -237,8 +231,6 @@ mod tests {
     fn unified_switch() {
         let m = Machine::paper_2cluster(1).with_unified_memory();
         assert!(!m.memory.is_partitioned());
-        let m = m.with_partitioned_memory();
-        assert!(m.memory.is_partitioned());
     }
 
     #[test]

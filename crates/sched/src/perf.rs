@@ -36,20 +36,6 @@ pub struct PerfReport {
     pub schedules: EntityMap<FuncId, EntityMap<BlockId, BlockSchedule>>,
 }
 
-impl PerfReport {
-    /// Speedup of this report relative to `baseline` (>1 means this one
-    /// is faster).
-    pub fn speedup_vs(&self, baseline: &PerfReport) -> f64 {
-        baseline.total_cycles as f64 / self.total_cycles.max(1) as f64
-    }
-
-    /// The paper's headline metric: performance relative to a baseline,
-    /// where 1.0 means parity (computed as `baseline_cycles / cycles`).
-    pub fn relative_performance(&self, baseline: &PerfReport) -> f64 {
-        self.speedup_vs(baseline)
-    }
-}
-
 /// Schedules every block of every function under `placement` and
 /// aggregates profile-weighted cycles and intercluster move counts.
 ///
@@ -163,20 +149,5 @@ mod tests {
         assert_eq!(report.transfer_cycles, 7 * 5);
         // The move's latency opens bubbles the single block cannot fill.
         assert!(report.stall_cycles > 0, "a cut critical edge must stall");
-    }
-
-    #[test]
-    fn relative_performance_identity() {
-        let mut p = Program::new("t");
-        let mut b = FunctionBuilder::entry(&mut p);
-        let v = b.iconst(1);
-        b.ret(Some(v));
-        let pts = PointsTo::compute(&p);
-        let profile = Profile::uniform(&p, 1);
-        let access = AccessInfo::compute(&p, &pts, &profile);
-        let pl = Placement::all_on_cluster0(&p);
-        let m = Machine::paper_2cluster(5);
-        let r = evaluate(&p, &pl, &m, &profile, &access);
-        assert!((r.relative_performance(&r) - 1.0).abs() < 1e-12);
     }
 }

@@ -205,7 +205,8 @@ target/release/mcpart chaos --replay "$CHAOS_STRIPPED" >/dev/null \
   || { echo "corpus repro fails even without the injected bug"; exit 1; }
 
 echo "== hardened-profile tests (overflow-checks + debug-assertions pinned)"
-cargo test --profile overflow -q -p mcpart-ir -p mcpart-machine -p mcpart-sched >/dev/null
+cargo test --profile overflow -q -p mcpart-ir -p mcpart-machine -p mcpart-sched \
+  -p mcpart-metis -p mcpart-obs -p mcpart-par >/dev/null
 cargo test --profile overflow -q -p mcpart-core --lib rhop >/dev/null
 
 echo "== all checks passed"

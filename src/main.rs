@@ -18,7 +18,7 @@
 //! command or malformed flags).
 
 use mcpart::core::{
-    load_checkpoint, method_slug, run_pipeline, run_unit_full, CheckpointError, CheckpointWriter,
+    load_checkpoint, run_pipeline, run_unit_full, unit_key, CheckpointError, CheckpointWriter,
     Downgrade, JobSpec, Manifest, Method, PipelineConfig, RepartitionStats, ServeConfig,
     UnitRecord,
 };
@@ -264,11 +264,14 @@ fn parse_options(command: &str, target: &str, args: &[String]) -> Result<Options
             }
             "--checkpoint" | "--resume" if command == "schedule" => return Err(foreign()),
             _ if o.common.take(command, flag, &mut flags)? => {}
-            "--latency" => spec.latency = flags.value(flag, "a number")?,
-            "--clusters" => spec.clusters = flags.positive(flag, "a positive cluster count")?,
+            "--latency" => spec.machine.latency = flags.value(flag, "a number")?,
+            "--clusters" => {
+                spec.machine.clusters = flags.positive(flag, "a positive cluster count")?;
+            }
             "--method" => spec.method = flags.value(flag, "gdp|profile-max|naive|unified")?,
             "--memory" => {
-                spec.memory = flags.value(flag, "partitioned|unified|coherent:<penalty>")?;
+                spec.machine.memory =
+                    flags.value(flag, "partitioned|unified|coherent:<penalty>")?;
             }
             // The checkpoint header carries the fuel as a JSON number,
             // which is exact only below 2^53 (the job-file bound too).
@@ -425,7 +428,7 @@ fn run_or_resume(
     session: &mut Option<CheckpointSession>,
     baseline: Option<std::sync::Arc<Manifest>>,
 ) -> Result<(UnitRecord, Option<RepartitionStats>), CliError> {
-    let unit = format!("{}/{}", program.name, method_slug(method));
+    let unit = unit_key(program, method);
     if let Some(s) = session {
         if let Some(rec) = s.resumed_record(&unit) {
             rec.replay_events(obs);
@@ -482,7 +485,11 @@ fn report_run(
         run_or_resume(program, profile, &machine, o, o.spec.method, &obs, &mut session, baseline)?;
     report_downgrades(&rec.downgrades);
     outln!("benchmark: {}", program.name);
-    outln!("machine:   {} clusters, {}-cycle moves", o.spec.clusters, o.spec.latency);
+    outln!(
+        "machine:   {} clusters, {}-cycle moves",
+        o.spec.machine.clusters,
+        o.spec.machine.latency
+    );
     if rec.requested != rec.method {
         outln!("method:    {} (downgraded from {})", rec.method, rec.requested);
     } else {
@@ -494,7 +501,7 @@ fn report_run(
         outln!("remote:    {} dynamic remote accesses", rec.remote);
     }
     outln!("data:      {:?} bytes per cluster", rec.data_bytes);
-    outln!("ops:       {:?} per cluster", rec.placement().ops_per_cluster(o.spec.clusters));
+    outln!("ops:       {:?} per cluster", rec.placement().ops_per_cluster(o.spec.machine.clusters));
     outln!("pressure:  {} live registers at the worst block boundary", rec.pressure);
     outln!("partition: {:.1} ms", rec.partition_ms);
     // Dirty-cone counters land after the unit's pinned events, so the
@@ -599,7 +606,7 @@ fn main() -> ExitCode {
                      program content may differ)"
                 )));
             }
-            let unit = format!("{}/{}", program.name, method_slug(o.spec.method));
+            let unit = unit_key(&program, o.spec.method);
             let manifest = ck.manifest_for(&unit).cloned();
             if manifest.is_none() {
                 eprintln!("note: {baseline_path}: no manifest for `{unit}`; running from scratch");
@@ -720,7 +727,7 @@ fn main() -> ExitCode {
                     fid,
                     &run.report.schedules[fid][bid],
                     &run.placement,
-                    o.spec.clusters,
+                    o.spec.machine.clusters,
                 )
             );
             o.common.emit(&obs)?;
@@ -835,7 +842,7 @@ fn main() -> ExitCode {
                 }
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))?;
-                let scenario = mcpart::core::Scenario::parse(&text)
+                let scenario = JobSpec::parse_repro(&text)
                     .map_err(|e| CliError::Config(format!("{path}: {e}")))?;
                 let result = mcpart::core::run_scenario(&scenario, &cfg).map_err(chaos_err)?;
                 outln!(
@@ -866,7 +873,7 @@ fn main() -> ExitCode {
                     outln!("  {line}");
                 }
                 outln!("  scenario:");
-                for line in f.scenario.to_string().lines() {
+                for line in f.scenario.repro().lines() {
                     outln!("    {line}");
                 }
             }
@@ -1146,9 +1153,9 @@ mod tests {
     #[test]
     fn option_parsing() {
         let o = parse(&["--latency", "10", "--method", "pm", "--memory", "coherent:7"]).unwrap();
-        assert_eq!(o.spec.latency, 10);
+        assert_eq!(o.spec.machine.latency, 10);
         assert_eq!(o.spec.method, Method::ProfileMax);
-        assert_eq!(o.spec.memory, MemoryModel::CoherentCache { remote_penalty: 7 });
+        assert_eq!(o.spec.machine.memory, MemoryModel::CoherentCache { remote_penalty: 7 });
     }
 
     #[test]

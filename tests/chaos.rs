@@ -94,12 +94,12 @@ fn injected_bug_is_caught_shrunk_and_replays_from_the_corpus() {
     assert!(stdout.contains("oracle-failure"), "{stdout}");
     // Without the term, the same scenario passes: the bug, not the
     // scenario, was at fault.
-    let mut scenario = mcpart::core::Scenario::parse(&text).expect("repro parses");
+    let mut scenario = mcpart::core::JobSpec::parse_repro(&text).expect("repro parses");
     let before = scenario.faults.entries.len();
     scenario.faults.entries.retain(|e| *e != FaultEntry::Misplace);
     assert_eq!(scenario.faults.entries.len(), before - 1, "no misplace term in:\n{text}");
     let stripped = corpus.join("stripped.txt");
-    fs::write(&stripped, scenario.to_string()).expect("write stripped repro");
+    fs::write(&stripped, scenario.repro()).expect("write stripped repro");
     let stripped = stripped.to_str().expect("utf8 path");
     let (stdout, stderr, code) = mcpart_cli(&["chaos", "--replay", stripped]);
     assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
@@ -245,8 +245,8 @@ fn repro_files_roundtrip_through_parse_and_display() {
         .expect("entry")
         .path();
     let text = fs::read_to_string(&repro).expect("repro reads");
-    let scenario = mcpart::core::Scenario::parse(&text).expect("repro grammar parses");
-    let reparsed = mcpart::core::Scenario::parse(&scenario.to_string()).expect("display reparses");
+    let scenario = mcpart::core::JobSpec::parse_repro(&text).expect("repro grammar parses");
+    let reparsed = mcpart::core::JobSpec::parse_repro(&scenario.repro()).expect("repro reparses");
     assert_eq!(scenario, reparsed, "scenario grammar must roundtrip");
     assert!(Path::new(&repro).exists());
     let _ = fs::remove_dir_all(&corpus);

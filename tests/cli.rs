@@ -371,7 +371,7 @@ fn halt_commits_the_same_record_count_everywhere() {
     assert_eq!(committed, 1, "serve committed {committed} results: {out:?}");
     assert_eq!(out.len(), 2, "serve left no torn result: {out:?}");
 
-    let scenario = mcpart::core::Scenario::parse("target = fir\nfaults = halt:1\n").unwrap();
+    let scenario = mcpart::core::JobSpec::parse_repro("target = fir\nfaults = halt:1\n").unwrap();
     let cfg = mcpart::core::ChaosConfig::new(1, 0);
     let result = mcpart::core::run_scenario(&scenario, &cfg).expect("scenario runs");
     assert_eq!(result.verdict, mcpart::core::ScenarioVerdict::Pass, "{}", result.detail);
