@@ -8,7 +8,9 @@
 //! figures [NAME...] [--benchmarks a,b,c] [--out DIR]
 //! ```
 //!
-//! Each NAME is a `results/` file stem, a row of [`figures::FIGURES`]:
+//! Each NAME is a `results/` file stem, a row of [`figures::FIGURES`],
+//! and a function of the same name in [`figures`] that fills a
+//! [`figures::Table`] of numbers (Figure 9 returns its scatter points):
 //!
 //! | Name | Paper artifact |
 //! |---|---|
@@ -36,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod experiments;
 pub mod figures;
 
 use args::{ArgError, Flags};
@@ -72,12 +73,16 @@ impl FigureArgs {
                 }
                 "--out" => out = Some(flags.value(arg, "a directory")?),
                 _ if arg.starts_with('-') => return Err(Flags::unknown(arg)),
-                name => figures.push(
-                    FIGURES
+                name => {
+                    let figure = FIGURES
                         .iter()
                         .find(|f| f.name == name)
-                        .ok_or_else(|| ArgError(format!("unknown figure `{name}`")))?,
-                ),
+                        .ok_or_else(|| ArgError(format!("unknown figure `{name}`")))?;
+                    if figures.iter().any(|f: &&Figure| f.name == name) {
+                        return Err(ArgError(format!("figure `{name}` named twice")));
+                    }
+                    figures.push(figure);
+                }
             }
         }
         if figures.is_empty() {
@@ -193,6 +198,7 @@ mod tests {
             &["fig7_8"],
             &["table1", "--benchmarks", "fir"],
             &["fig9", "table1", "--benchmarks", "fir"],
+            &["table1", "table1"],
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

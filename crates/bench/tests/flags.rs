@@ -14,6 +14,7 @@ fn usage_errors_exit_2_and_table1_matches_results() {
         (&["--json"], "unknown option `--json`"),
         (&["--benchmarks", "no-such"], "unknown benchmark `no-such`"),
         (&["table1", "--benchmarks", "fir"], "no selected figure takes workloads"),
+        (&["table1", "fig2", "table1"], "figure `table1` named twice"),
     ] {
         let out = Command::new(FIGURES).args(args).output().expect("figures starts");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -866,12 +866,11 @@ mod tests {
         let mut cfg = quiet_cfg(5, 7);
         cfg.obs = Obs::enabled();
         let summary = run_chaos(&cfg).expect("soak");
-        assert_eq!(cfg.obs.last_counter("chaos", "scenarios"), Some(5));
-        assert_eq!(
-            cfg.obs.last_counter("chaos", "oracle_checks"),
-            Some(summary.oracle_checks as i64)
-        );
-        assert_eq!(cfg.obs.last_counter("chaos", "failures"), Some(0));
+        let log = cfg.obs.pinned_log();
+        assert!(log.contains(" chaos/scenarios counter=5\n"), "{log}");
+        let checks = format!(" chaos/oracle_checks counter={}\n", summary.oracle_checks);
+        assert!(log.contains(&checks), "{log}");
+        assert!(log.contains(" chaos/failures counter=0\n"), "{log}");
     }
 
     #[test]

@@ -312,14 +312,6 @@ impl Obs {
         }
     }
 
-    /// The latest sample of a counter, if any was recorded.
-    pub fn last_counter(&self, cat: &str, name: &str) -> Option<i64> {
-        self.events().iter().rev().find_map(|e| match e.kind {
-            EventKind::Counter(v) if e.cat == cat && e.name == name => Some(v),
-            _ => None,
-        })
-    }
-
     /// The deterministic projection of the event log: one line per
     /// event with every pinned field and no timestamps. Byte-identical
     /// across worker counts when recording follows the crate contract.
@@ -497,16 +489,6 @@ mod tests {
         assert_eq!(log, "    0 p/stage span n=7\n");
         let e = &obs.events()[0];
         assert!(e.dur_us >= 1000, "span must still carry a real duration, got {}", e.dur_us);
-    }
-
-    #[test]
-    fn last_counter_returns_latest_sample() {
-        let obs = Obs::enabled();
-        assert_eq!(obs.last_counter("c", "v"), None);
-        obs.counter("c", "v", 1);
-        obs.counter("c", "v", 5);
-        obs.counter("c", "other", 9);
-        assert_eq!(obs.last_counter("c", "v"), Some(5));
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //! ## Sizing
 //!
 //! `jobs == 0` means "auto": use [`available_jobs`] (the OS-reported
-//! available parallelism). A process-wide default for code without a
-//! config path (the experiment harness) is set with
-//! [`set_default_jobs`] and read with [`default_jobs`].
+//! available parallelism). There is no process-wide default: code
+//! without a config path (the experiment harness) passes `0`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,26 +42,6 @@ use supervise::AbortHandle;
 /// cannot report it.
 pub fn available_jobs() -> usize {
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Process-wide default worker count; 0 = "auto" (resolve to
-/// [`available_jobs`] at use time).
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count used by [`default_jobs`]
-/// (`0` restores "auto"). Results never depend on this value — only
-/// wall-clock time does — so a CLI flag may set it freely.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The process-wide default worker count: the last
-/// [`set_default_jobs`] value, or [`available_jobs`] when unset.
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => available_jobs(),
-        n => n,
-    }
 }
 
 /// Resolves a requested worker count: `0` means [`available_jobs`],
@@ -238,16 +217,6 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         let out = parallel_map(0, &items, |_, &x| x);
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn default_jobs_roundtrip() {
-        let before = default_jobs();
-        assert!(before >= 1);
-        set_default_jobs(5);
-        assert_eq!(default_jobs(), 5);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 
     #[test]

@@ -588,11 +588,6 @@ impl RegionEstimator {
         }
     }
 
-    /// Convenience: estimate with every node on cluster 0.
-    pub fn estimate_single_cluster(&self) -> u32 {
-        self.estimate(&vec![0u16; self.len()])
-    }
-
     /// The peak per-(cluster, unit-kind) occupancy of an assignment:
     /// `max ceil(ops / units)`. Used by RHOP refinement as a tie-breaker
     /// — an equal-length estimate that lowers the resource peak leaves
@@ -1384,7 +1379,7 @@ mod tests {
         });
         let m = Machine::paper_2cluster(5);
         let est = RegionEstimator::new(&p, p.entry, &[p.entry_function().entry], &access, &m);
-        let all0 = est.estimate_single_cluster();
+        let all0 = est.estimate(&vec![0; est.len()]);
         let mut split = vec![0u16; est.len()];
         for (i, s) in split.iter_mut().enumerate() {
             if i % 2 == 1 {

@@ -80,7 +80,7 @@ fn estimator_matches_scheduler_single_cluster() {
                 continue;
             }
             let est = RegionEstimator::new(&program, fid, &[bid], &access, &machine);
-            let e = est.estimate_single_cluster();
+            let e = est.estimate(&vec![0; est.len()]);
             let s = schedule_block(&program, fid, bid, &placement, &machine, &access);
             let diff = (e as i64 - s.length as i64).unsigned_abs();
             assert!(
